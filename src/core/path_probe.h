@@ -15,6 +15,13 @@
 // production engine does with prepared parameterized statements, and is
 // semantically identical to executing the rewriter's satisfaction/violation
 // query with `pk = t` appended (asserted by the probe tests).
+//
+// PPA prepares walks only for preferences anchored at the base query's
+// first FROM relation, whose primary key is the tuple id. A preference
+// anchored at any other query relation (genre.genre on a movie-genre join)
+// has no walk: PPA runs its satisfaction/violation query once per call and
+// answers every probe from the resulting tid -> degree map, so those probes
+// cost one query per preference per call.
 
 #pragma once
 

@@ -8,6 +8,8 @@
 #include <limits>
 #include <map>
 #include <memory>
+#include <optional>
+#include <unordered_map>
 #include <unordered_set>
 
 #include "common/thread_pool.h"
@@ -16,7 +18,6 @@ namespace qp::core {
 
 using sql::BinaryOp;
 using sql::Expr;
-using sql::ExprPtr;
 using sql::SelectQuery;
 using storage::Value;
 
@@ -30,8 +31,9 @@ struct PpaPrefPlan {
   SelectQuery query;  ///< full query: base.select + _tid + degree
   /// Prepared parameterized point query Q_i(t): an index into the shared
   /// walk table plus the compiled condition. -1 when the preference does
-  /// not anchor at the base query's target relation (the probe then falls
-  /// back to executing `query AND pk = t`).
+  /// not anchor at the base query's target relation; its probes then read
+  /// a per-call hit map built by running `query` once, so they cost one
+  /// query per preference per call.
   int walk_id = -1;
   PathCondition condition;
   double est_selectivity = 1.0;
@@ -45,7 +47,6 @@ struct PpaPrefPlan {
 /// moves.
 struct PpaPlanRep {
   SelectQuery base2;            ///< base query extended with the _tid column
-  ExprPtr tid_col;              ///< anchor-table primary-key column
   size_t n_base_cols = 0;       ///< projection width without _tid/degree
   std::vector<std::string> column_names;  ///< base projection output names
   std::vector<SelectedPreference> preferences;
@@ -62,6 +63,11 @@ struct ProbeOutcome {
   bool satisfied = false;
   double degree = 0.0;
 };
+
+/// One walk-less plan's probes for every tuple at once: the plan's S/A
+/// query folded into tid -> max per-row degree. A tuple is a hit iff some
+/// row carries its tid.
+using HitMap = std::unordered_map<Value, double, storage::ValueHash>;
 
 /// Working record for one tuple id.
 struct TupleRecord {
@@ -156,13 +162,12 @@ Result<PpaGenerator::Plan> PpaGenerator::BuildPlan(
   }
 
   auto rep = std::make_shared<PpaPlanRep>();
-  rep->tid_col = Expr::Column(anchor_alias, pk[0]);
 
   // Base query extended with the tuple id.
   rep->base2 = base;
   rep->base2.order_by.clear();
   rep->base2.limit.reset();
-  rep->base2.select.push_back({rep->tid_col, "_tid"});
+  rep->base2.select.push_back({Expr::Column(anchor_alias, pk[0]), "_tid"});
   rep->n_base_cols = base.select.size();
   for (const auto& item : base.select) {
     rep->column_names.push_back(item.OutputName());
@@ -342,12 +347,58 @@ Result<PersonalizedAnswer> PpaGenerator::GenerateWithPlan(
     }
   };
 
+  // Hit maps of the walk-less plans, by preference index. The first round
+  // that probes such a plan runs its S/A query once, unmodified, serially
+  // before the probe fan-out; later probes only read the map. The maps live
+  // for this call only, so warm and cold calls execute the same queries.
+  std::vector<std::optional<HitMap>> hit_maps(rep.preferences.size());
+  const auto build_hit_map = [&](const PpaPrefPlan& p,
+                                 obs::TraceSpan* round_span) -> Status {
+    if (p.walk_id >= 0 || hit_maps[p.pref_index].has_value()) {
+      return Status::OK();
+    }
+    obs::TraceSpan* span =
+        round_span != nullptr
+            ? round_span->AddChild("hit map pref " +
+                                   std::to_string(p.pref_index))
+            : nullptr;
+    obs::SpanTimer timer(span);
+    QP_ASSIGN_OR_RETURN(exec::RowSet rows,
+                        executor.Execute(*sql::Query::Single(p.query), span));
+    // Degrees are numeric (the truth condition excludes NULL), so the max
+    // over a tuple's rows is the degree its own filtered query would give.
+    HitMap& hits = hit_maps[p.pref_index].emplace();
+    for (const auto& row : rows.rows()) {
+      const double degree =
+          row.back().is_numeric() ? row.back().ToNumeric() : 0.0;
+      auto [it, inserted] = hits.try_emplace(row[rep.n_base_cols], degree);
+      if (!inserted) it->second = std::max(it->second, degree);
+    }
+    if (span != nullptr) span->AddAttr("rows", rows.num_rows());
+    return Status::OK();
+  };
+  // Probes a round's `n` fresh tuples with `fn`: first builds, serially,
+  // the missing hit maps among the plans the round probes (S plans from
+  // `s_from` on, A plans from `a_from` on), then fans the probes out.
+  const auto probe_fresh =
+      [&](size_t s_from, size_t a_from, obs::TraceSpan* round_span, size_t n,
+          const std::function<Status(size_t, ProbeContext&)>& fn) -> Status {
+    if (n == 0) return Status::OK();
+    for (size_t k = s_from; k < rep.s_plans.size(); ++k) {
+      QP_RETURN_IF_ERROR(build_hit_map(rep.s_plans[k], round_span));
+    }
+    for (size_t k = a_from; k < rep.a_plans.size(); ++k) {
+      QP_RETURN_IF_ERROR(build_hit_map(rep.a_plans[k], round_span));
+    }
+    return RunProbeTasks(probe_pool, rep.walks.size(), n, fn);
+  };
+
   // One parameterized probe Q_i(t): the prepared index-walk when available,
-  // otherwise `plan.query AND pk = t` through the executor. Both report the
-  // truth-side hit and degree; satisfaction depends on the preference kind.
+  // otherwise a lookup in the plan's hit map. Satisfaction depends on the
+  // preference kind.
   // `ctx` caches walk frontiers for the current tuple; it belongs to the
   // calling task, so concurrent probes never share mutable state (the walks
-  // and executor are safe for concurrent readers).
+  // and hit maps are safe for concurrent readers).
   // Physical rows examined by prepared walk frontiers. Each (tuple, walk)
   // frontier is computed exactly once (the per-tuple cache resets per
   // record in both the serial and pooled probe paths), so the sum is
@@ -355,7 +406,7 @@ Result<PersonalizedAnswer> PpaGenerator::GenerateWithPlan(
   // accumulation exact.
   std::atomic<size_t> walk_rows_examined{0};
   const auto run_probe = [&](const PpaPrefPlan& pplan, const Value& tid,
-                             ProbeContext& ctx) -> Result<ProbeOutcome> {
+                             ProbeContext& ctx) -> ProbeOutcome {
     std::optional<double> truth;
     if (pplan.walk_id >= 0) {
       const size_t id = static_cast<size_t>(pplan.walk_id);
@@ -367,36 +418,19 @@ Result<PersonalizedAnswer> PpaGenerator::GenerateWithPlan(
       }
       truth = pplan.condition.TruthDegree(ctx.frontiers[id]);
     } else {
-      // The stored query is the satisfaction (S) or violation (A) form; for
-      // 1-1 absence its WHERE holds when the preference is *satisfied*, so
-      // interpret hits accordingly below via `query_hit_is_satisfaction`.
-      SelectQuery q = pplan.query;
-      std::vector<ExprPtr> where = sql::ConjunctsOf(q.where);
-      where.push_back(
-          Expr::Compare(BinaryOp::kEq, rep.tid_col, Expr::Literal(tid)));
-      q.where = Expr::AndAll(std::move(where));
-      QP_ASSIGN_OR_RETURN(
-          exec::RowSet rows,
-          executor.Execute(*sql::Query::Single(std::move(q))));
-      // The S/A query's hit corresponds to: satisfaction for S plans,
-      // violation (truth) for A plans. Normalize to truth-side semantics.
-      const bool hit = rows.num_rows() > 0;
-      double best = 0.0;
-      if (hit) {
-        best = rows.row(0).back().is_numeric() ? rows.row(0).back().ToNumeric()
-                                               : 0.0;
-        for (size_t r = 1; r < rows.num_rows(); ++r) {
-          const auto& v = rows.row(r).back();
-          if (v.is_numeric()) best = std::max(best, v.ToNumeric());
-        }
-      }
+      // The map holds the S (satisfaction) or A (violation) query's hits;
+      // for 1-1 absence the S query's WHERE holds when the preference is
+      // *satisfied*, so a hit reads by query kind, not truth.
+      const HitMap& hits = *hit_maps[pplan.pref_index];
+      const auto it = hits.find(tid);
+      const bool hit = it != hits.end();
       if (pplan.kind == PreferenceKind::kAbsenceOneN) {
         // Violation query: hit == truth.
-        if (hit) return ProbeOutcome{false, best};
+        if (hit) return ProbeOutcome{false, it->second};
         return ProbeOutcome{true, pplan.satisfaction_degree};
       }
       // Satisfaction query: hit == satisfied.
-      if (hit) return ProbeOutcome{true, best};
+      if (hit) return ProbeOutcome{true, it->second};
       return ProbeOutcome{false, pplan.failure_degree};
     }
     if (pplan.satisfied_when_true) {
@@ -499,8 +533,8 @@ Result<PersonalizedAnswer> PpaGenerator::GenerateWithPlan(
       fresh.push_back(&row);
     }
     std::vector<TupleRecord> recs(fresh.size());
-    const Status probe_status = RunProbeTasks(
-        probe_pool, rep.walks.size(), fresh.size(),
+    const Status probe_status = probe_fresh(
+        i + 1, 0, round_span, fresh.size(),
         [&](size_t j, ProbeContext& ctx) -> Status {
           // Deadline/cancel can fire mid-batch; stopping at the next probe
           // (instead of finishing the batch) bounds the cut latency. The
@@ -523,8 +557,7 @@ Result<PersonalizedAnswer> PpaGenerator::GenerateWithPlan(
                 {s_plans[k].pref_index, s_plans[k].failure_degree});
           }
           for (size_t k = i + 1; k < s_plans.size(); ++k) {
-            QP_ASSIGN_OR_RETURN(ProbeOutcome outcome,
-                                run_probe(s_plans[k], tid, ctx));
+            const ProbeOutcome outcome = run_probe(s_plans[k], tid, ctx);
             if (outcome.satisfied) {
               rec.satisfied.push_back({s_plans[k].pref_index, outcome.degree});
             } else {
@@ -532,7 +565,7 @@ Result<PersonalizedAnswer> PpaGenerator::GenerateWithPlan(
             }
           }
           for (const auto& a : a_plans) {
-            QP_ASSIGN_OR_RETURN(ProbeOutcome outcome, run_probe(a, tid, ctx));
+            const ProbeOutcome outcome = run_probe(a, tid, ctx);
             if (outcome.satisfied) {
               rec.satisfied.push_back({a.pref_index, outcome.degree});
             } else {
@@ -599,8 +632,8 @@ Result<PersonalizedAnswer> PpaGenerator::GenerateWithPlan(
       fresh.push_back(&row);
     }
     std::vector<TupleRecord> recs(fresh.size());
-    const Status probe_status = RunProbeTasks(
-        probe_pool, rep.walks.size(), fresh.size(),
+    const Status probe_status = probe_fresh(
+        s_plans.size(), i + 1, round_span, fresh.size(),
         [&](size_t j, ProbeContext& ctx) -> Status {
           ctx.Reset();
           const storage::Row& row = *fresh[j];
@@ -616,8 +649,7 @@ Result<PersonalizedAnswer> PpaGenerator::GenerateWithPlan(
                 {a_plans[k].pref_index, a_plans[k].satisfaction_degree});
           }
           for (size_t k = i + 1; k < a_plans.size(); ++k) {
-            QP_ASSIGN_OR_RETURN(ProbeOutcome outcome,
-                                run_probe(a_plans[k], tid, ctx));
+            const ProbeOutcome outcome = run_probe(a_plans[k], tid, ctx);
             if (outcome.satisfied) {
               rec.satisfied.push_back({a_plans[k].pref_index, outcome.degree});
             } else {

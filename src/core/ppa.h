@@ -60,7 +60,8 @@ class PpaGenerator {
     /// the pending queue serially in base-row order.
     exec::ExecOptions exec;
     /// Optional trace sink. Each S/A query round records one span (with the
-    /// executor's plan as children and pref/selectivity/rows/fresh attrs),
+    /// executor's plan and one "hit map pref i" span per hit map the round
+    /// builds as children, and pref/selectivity/rows/fresh attrs),
     /// the complement scan records one, and a final "first_response" span
     /// carries AnswerStats::first_response_seconds. Everything but the
     /// timings is deterministic across thread counts. Not owned; must not

@@ -613,6 +613,21 @@ void HeapSampleFree(void* p) {
   }
 }
 
+/// Marks this thread as inside the heap hook for a scope. Reset and
+/// FoldedText allocate and free while holding a shard mutex or alloc_mu;
+/// without the mark the interposed new/delete would re-lock that mutex on
+/// the same thread and deadlock.
+class HeapHookScope {
+ public:
+  HeapHookScope() : prev_(tl_in_heap_hook) { tl_in_heap_hook = true; }
+  ~HeapHookScope() { tl_in_heap_hook = prev_; }
+  HeapHookScope(const HeapHookScope&) = delete;
+  HeapHookScope& operator=(const HeapHookScope&) = delete;
+
+ private:
+  const bool prev_;
+};
+
 #endif  // QP_HEAP_INTERPOSED
 
 }  // namespace
@@ -642,6 +657,9 @@ bool HeapProfiler::enabled() const {
 }
 
 void HeapProfiler::Reset() {
+#if QP_HEAP_INTERPOSED
+  HeapHookScope in_hook;
+#endif
   HeapState& s = HeapS();
   uint64_t forgotten = 0;
   for (HeapShard& shard : s.shards) {
@@ -664,6 +682,9 @@ void HeapProfiler::Reset() {
 }
 
 std::string HeapProfiler::FoldedText(bool live) {
+#if QP_HEAP_INTERPOSED
+  HeapHookScope in_hook;
+#endif
   HeapState& s = HeapS();
   std::map<Stack, uint64_t> folds;
   if (live) {

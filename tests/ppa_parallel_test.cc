@@ -102,6 +102,29 @@ class PpaParallelTest : public ::testing::Test {
   }
 };
 
+/// The study's genre-join query. PPA anchors tuples at movie, its first
+/// FROM relation, so genre-anchored preferences have no prepared walk and
+/// probe through per-call hit maps built before the probe fan-out.
+constexpr char kGenreJoinSql[] =
+    "select movie.mid, movie.title from movie, genre "
+    "where movie.mid = genre.mid and genre.genre = 'comedy'";
+
+/// True when selection for `sql` (K = 8) picks a genre-anchored preference.
+bool SelectsGenreAnchored(const storage::Database& db,
+                          const UserProfile& profile, const std::string& sql) {
+  auto personalizer = Personalizer::Make(&db, &profile);
+  auto query = sql::ParseQuery(sql);
+  if (!personalizer.ok() || !query.ok()) return false;
+  PersonalizeOptions options;
+  options.k = 8;
+  auto prefs = personalizer->SelectPreferences((*query)->single(), options);
+  if (!prefs.ok()) return false;
+  for (const auto& p : *prefs) {
+    if (p.pref.AnchorRelation() == "genre") return true;
+  }
+  return false;
+}
+
 TEST_F(PpaParallelTest, MixedProfilesAcrossSeedsAndLAndCombinators) {
   const CombinationStyle styles[] = {CombinationStyle::kInflationary,
                                      CombinationStyle::kDominant,
@@ -122,10 +145,19 @@ TEST_F(PpaParallelTest, MixedProfilesAcrossSeedsAndLAndCombinators) {
     ASSERT_TRUE(db.ok());
     auto profile = datagen::GenerateProfile(config);
     ASSERT_TRUE(profile.ok()) << profile.status();
+    // A strongly disliked genre: on the join query it anchors at genre.
+    UserProfile join_profile = *profile;
+    ASSERT_TRUE(join_profile
+                    .AddSelection("genre.genre", sql::BinaryOp::kEq,
+                                  Value("horror"), *DoiPair::Exact(-0.9, 0.6))
+                    .ok());
+    ASSERT_TRUE(SelectsGenreAnchored(*db, join_profile, kGenreJoinSql))
+        << "seed=" << seed;
     for (size_t l : {size_t{1}, size_t{2}, size_t{3}}) {
       for (CombinationStyle style : styles) {
         ExpectThreadCountInvariant(*db, *profile,
                                    "select mid, title from movie", l, style);
+        ExpectThreadCountInvariant(*db, join_profile, kGenreJoinSql, l, style);
       }
     }
   }

@@ -6,9 +6,12 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <optional>
 
 #include "core/personalizer.h"
+#include "core/rewrite.h"
 #include "datagen/moviegen.h"
+#include "exec/executor.h"
 #include "sql/parser.h"
 
 namespace qp::core {
@@ -265,6 +268,154 @@ TEST_F(PpaSemanticsTest, ReservedColumnNamesRejected) {
   options.k = 2;
   options.l = 1;
   EXPECT_FALSE(personalizer->Personalize((*query)->single(), options).ok());
+}
+
+// ---------------------------------------------------------------------------
+// Preferences anchored off the first FROM relation. On the movie-genre join
+// the genre-anchored preferences have no prepared walk, so PPA answers their
+// probes from one run of each preference's own S/A query per call. The
+// reference below runs one query per tuple and preference instead.
+
+/// One base tuple's outcomes: preference index -> degree.
+struct ReferenceTuple {
+  storage::Row values;
+  std::map<size_t, double> satisfied;
+  std::map<size_t, double> failed;
+};
+
+/// Probes every preference for every tuple of `base` separately: the
+/// satisfaction query (violation query for 1-n absence) with
+/// `movie.mid = t` appended. A hit carries the max degree of its rows.
+Result<std::map<Value, ReferenceTuple>> PerTupleReference(
+    const storage::Database& db, const sql::SelectQuery& base,
+    const std::vector<SelectedPreference>& prefs) {
+  const QueryRewriter rewriter(&db);
+  const exec::Executor executor(&db);
+  QP_ASSIGN_OR_RETURN(exec::RowSet rows,
+                      executor.Execute(*sql::Query::Single(base)));
+  std::map<Value, ReferenceTuple> out;
+  for (const auto& row : rows.rows()) {
+    const Value& mid = row[0];
+    if (out.count(mid) > 0) continue;
+    ReferenceTuple& t = out[mid];
+    t.values = row;
+    for (size_t i = 0; i < prefs.size(); ++i) {
+      const ImplicitPreference& pref = prefs[i].pref;
+      QP_ASSIGN_OR_RETURN(RewrittenPreference parts,
+                          rewriter.Rewrite(base, pref));
+      const bool violation = parts.kind == PreferenceKind::kAbsenceOneN;
+      QP_ASSIGN_OR_RETURN(
+          sql::SelectQuery q,
+          violation ? rewriter.BuildViolationQuery(base, pref)
+                    : rewriter.BuildSatisfactionQuery(base, pref));
+      q.where = sql::Expr::And(
+          q.where, sql::Expr::Compare(BinaryOp::kEq,
+                                      sql::Expr::Column("movie", "mid"),
+                                      sql::Expr::Literal(mid)));
+      QP_ASSIGN_OR_RETURN(exec::RowSet hits,
+                          executor.Execute(*sql::Query::Single(q)));
+      std::optional<double> degree;
+      for (const auto& hit : hits.rows()) {
+        const double d = hit.back().ToNumeric();
+        degree = degree.has_value() ? std::max(*degree, d) : d;
+      }
+      // A violation-query hit fails the preference; any other hit
+      // satisfies it.
+      if (degree.has_value() != violation) {
+        t.satisfied[i] = degree.value_or(parts.satisfaction_degree);
+      } else {
+        t.failed[i] = degree.value_or(parts.failure_degree);
+      }
+    }
+  }
+  return out;
+}
+
+TEST_F(PpaSemanticsTest,
+       PreferencesAnchoredOffTheFirstRelationMatchPerTupleProbes) {
+  UserProfile profile;
+  ASSERT_TRUE(profile.AddJoin("movie.mid", "genre.mid", 0.9).ok());
+  // The genre preferences anchor at genre, a query relation after the
+  // first: no prepared walk. The year preference walks from movie.
+  ASSERT_TRUE(profile.AddSelection("genre.genre", BinaryOp::kEq,
+                                   Value("comedy"), *DoiPair::Exact(0.8, 0))
+                  .ok());
+  ASSERT_TRUE(profile.AddSelection("genre.genre", BinaryOp::kEq,
+                                   Value("horror"), *DoiPair::Exact(-0.7, 0.4))
+                  .ok());
+  // m3 (mid 3) satisfies this one on the genre anchor, m1 fails it.
+  ASSERT_TRUE(profile.AddSelection("genre.mid", BinaryOp::kNe,
+                                   Value(int64_t{1}), *DoiPair::Exact(0.5, 0))
+                  .ok());
+  // m1 (1990) satisfies this one on the movie anchor, m3 (2000) fails it.
+  ASSERT_TRUE(profile.AddSelection("movie.year", BinaryOp::kLe,
+                                   Value(int64_t{1990}),
+                                   *DoiPair::Exact(0.6, 0))
+                  .ok());
+  auto personalizer = Personalizer::Make(&db_, &profile);
+  ASSERT_TRUE(personalizer.ok());
+  auto query = sql::ParseQuery(
+      "select movie.mid, movie.title from movie, genre "
+      "where movie.mid = genre.mid and genre.genre = 'comedy'");
+  ASSERT_TRUE(query.ok());
+  PersonalizeOptions options;
+  options.k = 10;
+  options.l = 1;
+  // Sum mixing with only zero failure degrees: the doi is the positive
+  // combination SPA ranks by, so both algorithms must agree on it.
+  options.ranking = RankingFunction::Make(CombinationStyle::kInflationary,
+                                          MixedStyle::kSum);
+  auto ppa = personalizer->Personalize((*query)->single(), options);
+  ASSERT_TRUE(ppa.ok()) << ppa.status();
+
+  size_t off_anchor = 0;
+  for (const auto& p : ppa->preferences) {
+    if (p.pref.AnchorRelation() == "genre") ++off_anchor;
+  }
+  ASSERT_GE(off_anchor, 2u) << "no genre-anchored preference was selected";
+
+  auto reference =
+      PerTupleReference(db_, (*query)->single(), ppa->preferences);
+  ASSERT_TRUE(reference.ok()) << reference.status();
+  ASSERT_EQ(reference->size(), 2u);  // m1 and m3 are the comedies
+  ASSERT_EQ(ppa->tuples.size(), reference->size());
+  for (size_t i = 0; i < ppa->tuples.size(); ++i) {
+    const PersonalizedTuple& t = ppa->tuples[i];
+    if (i > 0) {
+      EXPECT_GE(ppa->tuples[i - 1].doi, t.doi);
+    }
+    ASSERT_TRUE(reference->count(t.values[0])) << t.values[0];
+    const ReferenceTuple& want = reference->at(t.values[0]);
+    EXPECT_EQ(t.values, want.values);
+    std::map<size_t, double> satisfied, failed;
+    std::vector<double> pos, neg;
+    for (const auto& o : t.satisfied) satisfied[o.pref_index] = o.degree;
+    for (const auto& o : t.failed) failed[o.pref_index] = o.degree;
+    EXPECT_EQ(satisfied, want.satisfied) << t.values[1];
+    EXPECT_EQ(failed, want.failed) << t.values[1];
+    for (const auto& [k, d] : want.satisfied) pos.push_back(d);
+    for (const auto& [k, d] : want.failed) neg.push_back(d);
+    EXPECT_NEAR(t.doi, options.ranking.Rank(pos, neg), 1e-12) << t.values[1];
+  }
+  // By hand: m1 satisfies comedy, horror-absent and year at 0.8/0.4/0.6,
+  // m3 comedy, horror-absent and mid at 0.8/0.4/0.5.
+  EXPECT_EQ(ppa->tuples[0].values[1], Value("m1"));
+  EXPECT_NEAR(ppa->tuples[0].doi, 1.0 - 0.2 * 0.6 * 0.4, 1e-12);
+  EXPECT_NEAR(ppa->tuples[1].doi, 1.0 - 0.2 * 0.6 * 0.5, 1e-12);
+
+  options.algorithm = AnswerAlgorithm::kSpa;
+  auto spa = personalizer->Personalize((*query)->single(), options);
+  ASSERT_TRUE(spa.ok()) << spa.status();
+  ASSERT_EQ(spa->tuples.size(), ppa->tuples.size());
+  for (size_t i = 0; i < spa->tuples.size(); ++i) {
+    EXPECT_EQ(spa->tuples[i].values, ppa->tuples[i].values) << i;
+    EXPECT_NEAR(spa->tuples[i].doi, ppa->tuples[i].doi, 1e-12) << i;
+  }
+
+  // Rounds plus at most one hit-map query per genre-anchored preference,
+  // however many tuples probe it.
+  EXPECT_LE(ppa->stats.queries_executed,
+            ppa->stats.rounds_run + off_anchor);
 }
 
 }  // namespace

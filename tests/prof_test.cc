@@ -13,6 +13,9 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -298,6 +301,41 @@ TEST(HeapProfilerTest, FreesMatchedAfterDisable) {
   chunks.clear();  // frees AFTER Disable must still decrement live bytes
   EXPECT_LT(prof.totals().live_sampled_bytes, live_before);
   prof.Reset();
+}
+
+TEST(HeapProfilerTest, FoldAndResetWithManyLiveRecordsDoNotSelfDeadlock) {
+  if (!obs::HeapProfiler::Available()) {
+    GTEST_SKIP() << "heap interposition compiled out in this build";
+  }
+  // FoldedText and Reset allocate and free while holding a heap shard mutex
+  // or alloc_mu. With every allocation sampled, the new/delete hook must not
+  // re-lock those on this thread. A self-deadlock would hang the whole
+  // binary, so a watchdog turns it into a failure.
+  std::atomic<bool> done{false};
+  std::thread watchdog([&done] {
+    for (int i = 0; i < 200 && !done.load(); ++i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    }
+    if (!done.load()) {
+      std::fprintf(stderr, "HeapProfiler FoldedText/Reset self-deadlocked\n");
+      std::_Exit(1);
+    }
+  });
+  obs::HeapProfiler& prof = obs::HeapProfiler::Global();
+  prof.Reset();
+  prof.Enable(/*mean_sample_bytes=*/1);
+  std::vector<std::unique_ptr<int>> records;
+  records.reserve(4096);
+  for (int i = 0; i < 4096; ++i) records.push_back(std::make_unique<int>(i));
+  EXPECT_GT(prof.totals().sampled_allocs, 1000u);
+  EXPECT_FALSE(prof.FoldedText(/*live=*/true).empty());
+  EXPECT_FALSE(prof.FoldedText(/*live=*/false).empty());
+  prof.Reset();  // forgets every live record while sampling stays on
+  prof.Disable();
+  records.clear();
+  prof.Reset();
+  done = true;
+  watchdog.join();
 }
 
 }  // namespace

@@ -14,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <condition_variable>
 #include <mutex>
 #include <optional>
@@ -48,6 +49,29 @@ datagen::ProfileGenConfig SmallConfig(uint64_t seed) {
   config.db_config.num_theatres = 6;
   config.db_config.plays_per_theatre = 8;
   return config;
+}
+
+/// The study's genre-join query. PPA anchors tuples at movie, its first
+/// FROM relation.
+constexpr char kGenreJoinSql[] =
+    "select movie.mid, movie.title from movie, genre "
+    "where movie.mid = genre.mid and genre.genre = 'comedy'";
+
+/// `profile` plus a strongly disliked genre. On the genre-join query that
+/// preference anchors at genre, off PPA's first FROM relation, so its
+/// rounds build hit maps serially before the probe fan-out.
+Result<UserProfile> WithGenreDislike(UserProfile profile) {
+  QP_RETURN_IF_ERROR(profile.AddSelection("genre.genre", sql::BinaryOp::kEq,
+                                          storage::Value("horror"),
+                                          *core::DoiPair::Exact(-0.9, 0.6)));
+  return profile;
+}
+
+bool SelectsGenreAnchored(const PersonalizedAnswer& answer) {
+  for (const auto& p : answer.preferences) {
+    if (p.pref.AnchorRelation() == "genre") return true;
+  }
+  return false;
 }
 
 Result<PersonalizedAnswer> ColdAnswer(const storage::Database& db,
@@ -132,19 +156,15 @@ Request InterceptRequest(const std::string& user, Lane lane,
 // Deadline cuts: partial answers are deterministic prefixes.
 // ---------------------------------------------------------------------------
 
-TEST(SchedulerDeadlineTest, ForcedCutIsAPrefixAtEveryRoundAndThreadCount) {
-  const std::string sql = "select mid, title from movie";
-  const auto config = SmallConfig(5);
-  auto db = datagen::GenerateMovieDatabase(config.db_config);
-  ASSERT_TRUE(db.ok());
-  auto profile = datagen::GenerateProfile(config);
-  ASSERT_TRUE(profile.ok()) << profile.status();
-
-  PersonalizeOptions base;
-  base.k = 6;
-  base.l = 1;
-  base.algorithm = AnswerAlgorithm::kPpa;
-  auto full = ColdAnswer(*db, *profile, sql, base);
+/// Forces a cut at every round boundary of `sql`'s PPA plan at 1/2/8
+/// threads: each answer is a prefix of the full one and identical across
+/// thread counts.
+void ExpectForcedCutsArePrefixes(const storage::Database& db,
+                                 const UserProfile& profile,
+                                 const std::string& sql,
+                                 const PersonalizeOptions& base) {
+  SCOPED_TRACE(sql);
+  auto full = ColdAnswer(db, profile, sql, base);
   ASSERT_TRUE(full.ok()) << full.status();
   const size_t total_rounds = full->stats.rounds_run;
   ASSERT_GE(total_rounds, 2u) << "plan too small to exercise cuts";
@@ -158,7 +178,7 @@ TEST(SchedulerDeadlineTest, ForcedCutIsAPrefixAtEveryRoundAndThreadCount) {
       PersonalizeOptions options = base;
       options.exec.num_threads = threads;
       options.cancel = &token;
-      auto answer = ColdAnswer(*db, *profile, sql, options);
+      auto answer = ColdAnswer(db, profile, sql, options);
       ASSERT_TRUE(answer.ok())
           << "round=" << round << " threads=" << threads << ": "
           << answer.status();
@@ -182,6 +202,111 @@ TEST(SchedulerDeadlineTest, ForcedCutIsAPrefixAtEveryRoundAndThreadCount) {
       }
     }
   }
+}
+
+TEST(SchedulerDeadlineTest, ForcedCutIsAPrefixAtEveryRoundAndThreadCount) {
+  const auto config = SmallConfig(5);
+  auto db = datagen::GenerateMovieDatabase(config.db_config);
+  ASSERT_TRUE(db.ok());
+  auto profile = datagen::GenerateProfile(config);
+  ASSERT_TRUE(profile.ok()) << profile.status();
+
+  PersonalizeOptions base;
+  base.k = 6;
+  base.l = 1;
+  base.algorithm = AnswerAlgorithm::kPpa;
+  ExpectForcedCutsArePrefixes(*db, *profile, "select mid, title from movie",
+                              base);
+
+  auto join_profile = WithGenreDislike(*profile);
+  ASSERT_TRUE(join_profile.ok()) << join_profile.status();
+  auto join = ColdAnswer(*db, *join_profile, kGenreJoinSql, base);
+  ASSERT_TRUE(join.ok()) << join.status();
+  ASSERT_TRUE(SelectsGenreAnchored(*join));
+  ExpectForcedCutsArePrefixes(*db, *join_profile, kGenreJoinSql, base);
+}
+
+TEST(SchedulerDeadlineTest, CancelInsideARoundEqualsACutBeforeIt) {
+  // A cancel landing anywhere inside round r (its S/A query, a hit-map
+  // build or a probe batch) must discard the round: the answer is exactly
+  // the one a cut before round r gives. A base-query predicate that
+  // requests cancellation on its n-th evaluation sweeps n over every row
+  // any query of the call filters, hit-map builds included.
+  const auto config = SmallConfig(5);
+  auto db = datagen::GenerateMovieDatabase(config.db_config);
+  ASSERT_TRUE(db.ok());
+  auto generated = datagen::GenerateProfile(config);
+  ASSERT_TRUE(generated.ok()) << generated.status();
+  auto profile = WithGenreDislike(*generated);
+  ASSERT_TRUE(profile.ok()) << profile.status();
+  auto personalizer = Personalizer::Make(&*db, &*profile);
+  ASSERT_TRUE(personalizer.ok());
+  auto parsed = sql::ParseQuery(kGenreJoinSql);
+  ASSERT_TRUE(parsed.ok());
+
+  std::atomic<size_t> evaluations{0};
+  std::atomic<size_t> trip_at{0};  // 0 = never
+  common::CancelToken* token = nullptr;
+  sql::SelectQuery query = (*parsed)->single();
+  query.where = sql::Expr::And(
+      query.where,
+      sql::Expr::Compare(
+          sql::BinaryOp::kEq,
+          sql::Expr::ScalarFn(
+              "trip",
+              [&](const storage::Value&) {
+                if (evaluations.fetch_add(1) + 1 == trip_at.load()) {
+                  token->RequestCancel();
+                }
+                return storage::Value(int64_t{1});
+              },
+              sql::Expr::Column("movie", "mid")),
+          sql::Expr::Literal(storage::Value(int64_t{1}))));
+
+  PersonalizeOptions base;
+  base.k = 6;
+  base.l = 1;
+  base.algorithm = AnswerAlgorithm::kPpa;
+  base.exec.morsel_rows = 1;  // an executor checkpoint before every row
+  auto full = personalizer->Personalize(query, base);
+  ASSERT_TRUE(full.ok()) << full.status();
+  ASSERT_TRUE(SelectsGenreAnchored(*full));
+  ASSERT_GT(full->stats.queries_executed, full->stats.rounds_run)
+      << "no hit map was built";
+  const size_t total = evaluations.load();
+
+  std::vector<PersonalizedAnswer> cut_before;
+  for (size_t round = 0; round <= full->stats.rounds_run; ++round) {
+    common::CancelToken cut;
+    cut.ForceCutAtRound(round);
+    PersonalizeOptions options = base;
+    options.cancel = &cut;
+    auto answer = personalizer->Personalize(query, options);
+    ASSERT_TRUE(answer.ok()) << answer.status();
+    cut_before.push_back(std::move(answer).value());
+  }
+
+  for (size_t threads : {1u, 4u}) {
+    for (size_t n = 1; n <= total; ++n) {
+      common::CancelToken cancel;
+      token = &cancel;
+      evaluations = 0;
+      trip_at = n;
+      PersonalizeOptions options = base;
+      options.exec.num_threads = threads;
+      options.cancel = &cancel;
+      auto answer = personalizer->Personalize(query, options);
+      ASSERT_TRUE(answer.ok())
+          << "n=" << n << " threads=" << threads << ": " << answer.status();
+      const size_t r = answer->stats.rounds_run;
+      ASSERT_LT(r, cut_before.size());
+      EXPECT_EQ(answer->tuples, cut_before[r].tuples)
+          << "n=" << n << " threads=" << threads;
+      EXPECT_EQ(answer->stats.partial, cut_before[r].stats.partial)
+          << "n=" << n << " threads=" << threads;
+    }
+  }
+  trip_at = 0;
 }
 
 TEST(SchedulerDeadlineTest, WallClockDeadlineYieldsPrefixOrError) {
