@@ -277,10 +277,9 @@ void BM_ProfileParse(benchmark::State& state) {
 }
 BENCHMARK(BM_ProfileParse);
 
-// Serve warm path with the full observability stack (QueryLog + flight
-// recorder + qp_query_* mirroring) off vs on. The ISSUE budget is < 5%
-// overhead; the pair below feeds both the google-benchmark console table
-// and the BENCH_micro.json report written from main().
+// Serve warm path with the query log and flight recorder off vs on. The
+// budget is < 5% overhead; the pair below feeds both the google-benchmark
+// console table and the BENCH_micro.json report written from main().
 double WarmServeSecondsPerCall(bool observability_on, size_t iters) {
   const auto& db = SharedDb();
   obs::FlightRecorder flight(256);

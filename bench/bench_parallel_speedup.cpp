@@ -170,7 +170,7 @@ int main() {
       options.k = 10;
       options.l = 1;
       options.algorithm = algorithm;
-      options.num_threads = kThreadCounts[i];
+      options.exec.num_threads = kThreadCounts[i];
       std::string fp;
       seconds[i] = bench::TimeSeconds([&] {
         auto answer = personalizer->Personalize(base, options);

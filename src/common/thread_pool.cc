@@ -138,11 +138,16 @@ void ThreadPool::RunAll(std::vector<std::function<void()>> tasks) {
   // other threads are still running.
   while (batch->RunOne()) {
   }
+  // The error moves out under the lock: a worker may drop the last
+  // reference to the batch, and the exception must not be released on that
+  // thread while the caller's handler still reads it.
+  std::exception_ptr error;
   {
     std::unique_lock<std::mutex> lock(batch->m);
     batch->done_cv.wait(lock, [&] { return batch->unfinished == 0; });
+    error = std::move(batch->error);
   }
-  if (batch->error != nullptr) std::rethrow_exception(batch->error);
+  if (error != nullptr) std::rethrow_exception(error);
 }
 
 void ThreadPool::ParallelFor(size_t begin, size_t end, size_t grain,

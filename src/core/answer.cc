@@ -39,7 +39,7 @@ std::string PersonalizedAnswer::ToString(size_t max_rows) const {
   const size_t shown = std::min(max_rows, tuples.size());
   for (size_t i = 0; i < shown; ++i) {
     storage::Row row = tuples[i].values;
-    row.push_back(storage::Value(tuples[i].doi));
+    row.emplace_back(tuples[i].doi);
     view.Add(std::move(row));
   }
   std::string out = view.ToString(max_rows);
@@ -47,6 +47,21 @@ std::string PersonalizedAnswer::ToString(size_t max_rows) const {
     out += "... (" + std::to_string(tuples.size() - shown) + " more)\n";
   }
   return out;
+}
+
+void FillWorkStats(const exec::Executor& executor, PersonalizedAnswer* answer) {
+  const exec::ExecStats exec_stats = executor.stats();
+  AnswerStats& stats = answer->stats;
+  stats.queries_executed = exec_stats.queries_executed;
+  stats.tuples_returned = answer->tuples.size();
+  stats.rows_scanned = exec_stats.rows_scanned;
+  stats.rows_joined = exec_stats.rows_joined;
+  stats.rows_materialized = exec_stats.rows_output;
+  stats.paths_scan = exec_stats.paths_scan;
+  stats.paths_probe = exec_stats.paths_probe;
+  stats.paths_range = exec_stats.paths_range;
+  stats.thread_seconds = executor.thread_seconds();
+  stats.rows_examined = executor.rows_examined();
 }
 
 bool SameAnswerPayload(const PersonalizedAnswer& a,

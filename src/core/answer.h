@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "core/select_top_k.h"
+#include "exec/executor.h"
 #include "exec/row_set.h"
 
 namespace qp::core {
@@ -99,6 +100,12 @@ struct PersonalizedAnswer {
   /// Renders the whole answer as a table (capped at `max_rows`).
   std::string ToString(size_t max_rows = 20) const;
 };
+
+/// Fills the answer's work and resource statistics from the executor that
+/// generated it: tuples_returned, the ExecStats-derived counters,
+/// thread_seconds and the executor's rows_examined (PPA adds its prepared
+/// walks' rows on top).
+void FillWorkStats(const exec::Executor& executor, PersonalizedAnswer* answer);
 
 /// True when two answers carry the same payload: columns, tuples (values,
 /// dois, explanations, order), selected preferences, and the deterministic

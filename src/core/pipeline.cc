@@ -91,7 +91,7 @@ Result<PersonalizedAnswer> ExecuteIntegrationPlan(
           : nullptr;
   obs::SpanTimer exec_timer(exec_span);
   if (plan.algorithm == AnswerAlgorithm::kSpa) {
-    exec::ExecOptions spa_exec = options.EffectiveExec();
+    exec::ExecOptions spa_exec = options.exec;
     if (spa_exec.cancel == nullptr) spa_exec.cancel = options.cancel;
     SpaGenerator spa(db, resolved.ranking, spa_exec);
     QP_ASSIGN_OR_RETURN(PersonalizedAnswer answer,
@@ -113,7 +113,7 @@ Result<PersonalizedAnswer> ExecuteIntegrationPlan(
   ppa_options.ranking = resolved.ranking;
   ppa_options.on_emit = options.on_emit;
   ppa_options.top_n = options.top_n;
-  ppa_options.exec = options.EffectiveExec();
+  ppa_options.exec = options.exec;
   ppa_options.trace = exec_span;
   ppa_options.cancel = options.cancel;
   QP_ASSIGN_OR_RETURN(PersonalizedAnswer answer,

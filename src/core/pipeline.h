@@ -86,10 +86,6 @@ struct PersonalizeOptions {
   /// no prefix to salvage: its single integrated query aborts and the call
   /// fails with kDeadlineExceeded / kCancelled.
   const common::CancelToken* cancel = nullptr;
-  /// \deprecated Alias for exec.num_threads, honored only while
-  /// exec.num_threads is left at its default of 1. Kept for one release and
-  /// read nowhere but EffectiveExec(); use `exec` instead.
-  size_t num_threads = 1;
 
   SelectionAlgorithm selection = SelectionAlgorithm::kFakeCrit;
   AnswerAlgorithm algorithm = AnswerAlgorithm::kPpa;
@@ -97,14 +93,6 @@ struct PersonalizeOptions {
       RankingFunction::Make(CombinationStyle::kInflationary);
   /// Progressive emission callback (PPA only).
   std::function<void(const PersonalizedTuple&)> on_emit;
-
-  /// The execution options actually applied: `exec` with the deprecated
-  /// num_threads alias folded in.
-  exec::ExecOptions EffectiveExec() const {
-    exec::ExecOptions e = exec;
-    if (e.num_threads == 1 && num_threads > 1) e.num_threads = num_threads;
-    return e;
-  }
 };
 
 /// The per-call bindings derived from options + profile: the effective

@@ -272,22 +272,20 @@ Result<PersonalizedAnswer> PpaGenerator::GenerateWithPlan(
   const PpaPlanRep& rep = *plan.rep_;
   const auto start = std::chrono::steady_clock::now();
 
-  exec::ExecOptions exec_options = options.EffectiveExec();
+  exec::ExecOptions exec_options = options.exec;
   if (exec_options.cancel == nullptr) exec_options.cancel = options.cancel;
-  exec::Executor executor(db_, nullptr, exec_options);
-  // Point probes fan out over the same pool the executor uses: the shared
-  // one when injected, else a pool owned by this call.
-  common::ThreadPool* probe_pool = nullptr;
+  // One pool per call: the executor's parallel regions and the point probes
+  // fan out over the same workers — the shared pool when one is injected,
+  // else a pool this call owns and injects.
   std::unique_ptr<common::ThreadPool> owned_pool;
-  if (exec_options.parallelism() > 1) {
-    if (exec_options.pool != nullptr) {
-      probe_pool = exec_options.pool;
-    } else {
-      owned_pool =
-          std::make_unique<common::ThreadPool>(exec_options.num_threads - 1);
-      probe_pool = owned_pool.get();
-    }
+  if (exec_options.pool == nullptr && exec_options.num_threads > 1) {
+    owned_pool =
+        std::make_unique<common::ThreadPool>(exec_options.num_threads - 1);
+    exec_options.pool = owned_pool.get();
   }
+  common::ThreadPool* probe_pool =
+      exec_options.parallelism() > 1 ? exec_options.pool : nullptr;
+  exec::Executor executor(db_, nullptr, exec_options);
 
   PersonalizedAnswer answer;
   answer.preferences = rep.preferences;
@@ -738,18 +736,8 @@ Result<PersonalizedAnswer> PpaGenerator::GenerateWithPlan(
   if (!first_emitted) {
     answer.stats.first_response_seconds = answer.stats.generation_seconds;
   }
-  const exec::ExecStats exec_stats = executor.stats();
-  answer.stats.queries_executed = exec_stats.queries_executed;
-  answer.stats.tuples_returned = answer.tuples.size();
-  answer.stats.rows_scanned = exec_stats.rows_scanned;
-  answer.stats.rows_joined = exec_stats.rows_joined;
-  answer.stats.rows_materialized = exec_stats.rows_output;
-  answer.stats.paths_scan = exec_stats.paths_scan;
-  answer.stats.paths_probe = exec_stats.paths_probe;
-  answer.stats.paths_range = exec_stats.paths_range;
-  answer.stats.thread_seconds = executor.thread_seconds();
-  answer.stats.rows_examined =
-      executor.rows_examined() +
+  FillWorkStats(executor, &answer);
+  answer.stats.rows_examined +=
       walk_rows_examined.load(std::memory_order_relaxed);
   answer.stats.partial = cut;
   answer.stats.rounds_run = rounds_run;

@@ -54,7 +54,8 @@ class PpaGenerator {
     size_t top_n = 0;
     /// Unified execution options: morsel-driven parallelism for the S/A
     /// queries and for the per-tuple point probes, which are independent
-    /// and fan out across a (possibly shared) pool. Emission order — and
+    /// and fan out across one pool: `exec.pool` when injected, else one the
+    /// call owns and shares with its executor. Emission order — and
     /// hence every MEDI progressiveness guarantee — is identical at every
     /// thread count: probes compute into per-tuple slots and tuples enter
     /// the pending queue serially in base-row order.
@@ -78,18 +79,6 @@ class PpaGenerator {
     /// forced cut round is set (CancelToken::ForceCutAtRound) cuts at that
     /// exact boundary independent of wall time.
     const common::CancelToken* cancel = nullptr;
-    /// \deprecated Alias for exec.num_threads, honored only while
-    /// exec.num_threads is left at its default of 1. Kept for one release
-    /// and read nowhere but EffectiveExec(); use `exec` instead.
-    size_t num_threads = 1;
-
-    /// The options actually applied: `exec` with the deprecated alias
-    /// folded in.
-    exec::ExecOptions EffectiveExec() const {
-      exec::ExecOptions e = exec;
-      if (e.num_threads == 1 && num_threads > 1) e.num_threads = num_threads;
-      return e;
-    }
   };
 
   /// \brief An immutable, reusable PPA plan: rewritten S/A query sets in

@@ -134,17 +134,7 @@ Result<PersonalizedAnswer> SpaGenerator::GenerateWithPlan(
   answer.stats.generation_seconds =
       std::chrono::duration<double>(end - start).count();
   answer.stats.first_response_seconds = answer.stats.generation_seconds;
-  const exec::ExecStats exec_stats = executor.stats();
-  answer.stats.queries_executed = exec_stats.queries_executed;
-  answer.stats.tuples_returned = answer.tuples.size();
-  answer.stats.rows_scanned = exec_stats.rows_scanned;
-  answer.stats.rows_joined = exec_stats.rows_joined;
-  answer.stats.rows_materialized = exec_stats.rows_output;
-  answer.stats.paths_scan = exec_stats.paths_scan;
-  answer.stats.paths_probe = exec_stats.paths_probe;
-  answer.stats.paths_range = exec_stats.paths_range;
-  answer.stats.thread_seconds = executor.thread_seconds();
-  answer.stats.rows_examined = executor.rows_examined();
+  FillWorkStats(executor, &answer);
   return answer;
 }
 

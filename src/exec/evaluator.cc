@@ -86,8 +86,9 @@ Result<Value> EvalValue(const Expr& expr, const Scope& scope,
     }
     default: {
       QP_ASSIGN_OR_RETURN(Truth t, EvalTruth(expr, scope, row, subqueries));
-      if (t == Truth::kNull) return Value::Null();
-      return Value(static_cast<int64_t>(t == Truth::kTrue ? 1 : 0));
+      return t == Truth::kNull
+                 ? Value::Null()
+                 : Value(static_cast<int64_t>(t == Truth::kTrue ? 1 : 0));
     }
   }
 }

@@ -221,7 +221,61 @@ void CollectAggregateCalls(const ExprPtr& e,
   }
 }
 
+constexpr char kPathHelp[] =
+    "Access-path choices by kind (logical: independent of which indexes "
+    "exist)";
+
+/// The executor's counters, one row each, in Executor::ExecCounter order.
+/// rows_examined and rows_saved are physical (they move with the set of
+/// registered indexes), so no ExecStats field carries them.
+constexpr obs::CounterRow<ExecStats> kCounterTable[] = {
+    {"qp_exec_queries_total", "Queries executed",
+     &ExecStats::queries_executed},
+    {"qp_exec_rows_scanned_total", "Base/derived rows scanned",
+     &ExecStats::rows_scanned},
+    {"qp_exec_rows_joined_total", "Rows produced by join steps",
+     &ExecStats::rows_joined},
+    {"qp_exec_rows_output_total", "Rows returned to callers",
+     &ExecStats::rows_output},
+    {"qp_exec_subqueries_materialized_total",
+     "IN-subqueries materialized to hash sets",
+     &ExecStats::subqueries_materialized},
+    {"qp_exec_rows_examined_total",
+     "Rows physically examined by access paths"},
+    {"qp_index_path_total{kind=\"scan\"}", kPathHelp, &ExecStats::paths_scan},
+    {"qp_index_path_total{kind=\"probe\"}", kPathHelp,
+     &ExecStats::paths_probe},
+    {"qp_index_path_total{kind=\"range\"}", kPathHelp,
+     &ExecStats::paths_range},
+    {"qp_index_rows_saved_total",
+     "Rows an index snapshot avoided examining vs a full scan (table rows "
+     "minus rows examined, summed per indexed source)"},
+};
+
 }  // namespace
+
+Executor::Executor(const storage::Database* db,
+                   const AggregateRegistry* aggregates, ExecOptions options)
+    : db_(db), aggregates_(aggregates), options_(options) {
+  static_assert(std::size(kCounterTable) == kNumCounters);
+  if (options_.pool == nullptr && options_.num_threads > 1) {
+    pool_ = std::make_unique<common::ThreadPool>(options_.num_threads - 1);
+  }
+  if (options_.metrics != nullptr) {
+    mirrors_ = obs::RegisterCounters(*options_.metrics, kCounterTable);
+  }
+}
+
+ExecStats Executor::stats() const {
+  return obs::SnapshotOf(kCounterTable, [this](size_t i) {
+    return counts_[i].load(std::memory_order_relaxed);
+  });
+}
+
+void Executor::ResetStats() {
+  for (auto& count : counts_) count.store(0, std::memory_order_relaxed);
+  thread_seconds_.Set(0.0);
+}
 
 Result<RowSet> Executor::ExecuteSql(const std::string& sql) const {
   QP_ASSIGN_OR_RETURN(sql::QueryPtr q, sql::ParseQuery(sql));
@@ -274,18 +328,6 @@ Result<std::string> Executor::ExplainAnalyzeChromeJsonSql(
   return ExplainAnalyzeChromeJson(*q);
 }
 
-void Executor::AddThreadSeconds(double s) const {
-  uint64_t old_bits = thread_seconds_bits_.load(std::memory_order_relaxed);
-  double old_value, new_value;
-  uint64_t new_bits;
-  do {
-    std::memcpy(&old_value, &old_bits, sizeof(old_value));
-    new_value = old_value + s;
-    std::memcpy(&new_bits, &new_value, sizeof(new_bits));
-  } while (!thread_seconds_bits_.compare_exchange_weak(
-      old_bits, new_bits, std::memory_order_relaxed));
-}
-
 Status Executor::RunTasks(std::vector<std::function<Status()>> tasks) const {
   if (tasks.empty()) return Status::OK();
   std::vector<Status> statuses(tasks.size());
@@ -296,7 +338,7 @@ Status Executor::RunTasks(std::vector<std::function<Status()>> tasks) const {
       if (statuses[i].ok()) {
         const auto t0 = std::chrono::steady_clock::now();
         statuses[i] = tasks[i]();
-        AddThreadSeconds(SecondsSince(t0));
+        thread_seconds_.Add(SecondsSince(t0));
       }
       if (!statuses[i].ok()) return statuses[i];
     }
@@ -310,7 +352,7 @@ Status Executor::RunTasks(std::vector<std::function<Status()>> tasks) const {
       if (!statuses[i].ok()) return;
       const auto t0 = std::chrono::steady_clock::now();
       statuses[i] = tasks[i]();
-      AddThreadSeconds(SecondsSince(t0));
+      thread_seconds_.Add(SecondsSince(t0));
     });
   }
   pool->RunAll(std::move(wrapped));
@@ -322,7 +364,7 @@ Status Executor::RunTasks(std::vector<std::function<Status()>> tasks) const {
 
 Result<RowSet> Executor::Execute(const sql::Query& query,
                                  obs::TraceSpan* trace) const {
-  BumpQueries();
+  Add(kQueries);
   RowSet out;
   bool first = true;
   size_t branch_no = 0;
@@ -396,7 +438,7 @@ Result<RowSet> Executor::ExecuteSelect(const SelectQuery& q,
       if (derived_span != nullptr) {
         derived_span->AddAttr("rows", src.rows.size());
       }
-      BumpRowsScanned(src.rows.size());
+      Add(kRowsScanned, src.rows.size());
     } else {
       QP_ASSIGN_OR_RETURN(src.base, db_->GetTable(ref.table));
       for (const auto& col : src.base->schema().columns()) {
@@ -462,7 +504,7 @@ Result<RowSet> Executor::ExecuteSelect(const SelectQuery& q,
         }
         subquery_sets.emplace(sub_nodes[n], std::move(sets[n]));
       }
-      BumpSubqueries(sub_nodes.size());
+      Add(kSubqueries, sub_nodes.size());
     } else {
       size_t sub_index = 0;
       for (const Expr* node : sub_nodes) {
@@ -488,7 +530,7 @@ Result<RowSet> Executor::ExecuteSelect(const SelectQuery& q,
         }
         if (sub_span != nullptr) sub_span->AddAttr("rows", set.size());
         subquery_sets.emplace(node, std::move(set));
-        BumpSubqueries(1);
+        Add(kSubqueries, 1);
       }
     }
   }
@@ -698,9 +740,9 @@ Result<RowSet> Executor::ExecuteSelect(const SelectQuery& q,
   for (size_t s = 0; s < sources.size(); ++s) {
     if (sources[s].materialized) continue;
     switch (access[s].kind) {
-      case index::AccessPath::Kind::kFullScan: BumpPathScan(); break;
-      case index::AccessPath::Kind::kHashProbe: BumpPathProbe(); break;
-      case index::AccessPath::Kind::kBTreeRange: BumpPathRange(); break;
+      case index::AccessPath::Kind::kFullScan: Add(kPathScan); break;
+      case index::AccessPath::Kind::kHashProbe: Add(kPathProbe); break;
+      case index::AccessPath::Kind::kBTreeRange: Add(kPathRange); break;
     }
   }
 
@@ -716,7 +758,7 @@ Result<RowSet> Executor::ExecuteSelect(const SelectQuery& q,
     if (access[s].kind == index::AccessPath::Kind::kFullScan) {
       candidates.reserve(src.base->num_rows());
       for (const auto& row : src.base->rows()) candidates.push_back(&row);
-      BumpRowsExamined(src.base->num_rows());
+      Add(kRowsExamined, src.base->num_rows());
     } else {
       // Candidates come back in ascending row order whether an index
       // snapshot or the scan fallback produced them — the backing is
@@ -724,17 +766,17 @@ Result<RowSet> Executor::ExecuteSelect(const SelectQuery& q,
       // tell the difference.
       std::vector<size_t> positions;
       const size_t examined = access[s].Collect(*src.base, &positions);
-      BumpRowsExamined(examined);
+      Add(kRowsExamined, examined);
       // Physical win of the index snapshot: the rows a full scan would have
       // touched that the probe/range never did. Zero when Collect fell back
       // to scanning (no index registered).
       if (access[s].indexed() && examined < src.base->num_rows()) {
-        BumpRowsSaved(src.base->num_rows() - examined);
+        Add(kRowsSaved, src.base->num_rows() - examined);
       }
       candidates.reserve(positions.size());
       for (size_t pos : positions) candidates.push_back(&src.base->row(pos));
     }
-    BumpRowsScanned(candidates.size());
+    Add(kRowsScanned, candidates.size());
     const auto morsels = MorselsFor(candidates.size());
     if (ParallelEnabled() && morsels.size() > 1) {
       std::vector<std::vector<Row>> kept(morsels.size());
@@ -915,7 +957,7 @@ Result<RowSet> Executor::ExecuteSelect(const SelectQuery& q,
             const Value& v = next.base->row(i)[build_col];
             if (!v.is_null()) transient[v].push_back(i);
           }
-          BumpRowsExamined(next.base->num_rows());
+          Add(kRowsExamined, next.base->num_rows());
         }
         const auto match_positions =
             [&](const Value& key) -> const std::vector<size_t>* {
@@ -953,7 +995,7 @@ Result<RowSet> Executor::ExecuteSelect(const SelectQuery& q,
               out->push_back(std::move(merged));
             }
           }
-          BumpRowsExamined(examined);
+          Add(kRowsExamined, examined);
           return Status::OK();
         };
         if (parallel_probe) {
@@ -1060,7 +1102,7 @@ Result<RowSet> Executor::ExecuteSelect(const SelectQuery& q,
           probe_range(0, combined.size(), &result);
         }
       }
-      BumpRowsJoined(result.size());
+      Add(kRowsJoined, result.size());
       if (span != nullptr) {
         // The morsel split is parallelism-dependent and therefore omitted.
         obs::TraceSpan* join_span = span->AddChild(
@@ -1098,7 +1140,7 @@ Result<RowSet> Executor::ExecuteSelect(const SelectQuery& q,
           result.push_back(std::move(merged));
         }
       }
-      BumpRowsJoined(result.size());
+      Add(kRowsJoined, result.size());
       if (span != nullptr) {
         obs::TraceSpan* cross_span =
             span->AddChild("cross product with '" + next.alias + "' -> " +
@@ -1403,7 +1445,7 @@ Result<RowSet> Executor::ExecuteSelect(const SelectQuery& q,
       agg_span->AddAttr("groups", group_indices.size());
       agg_span->AddAttr("rows", out.num_rows());
     }
-    BumpRowsOutput(out.num_rows());
+    Add(kRowsOutput, out.num_rows());
     return out;
   }
 
@@ -1516,7 +1558,7 @@ Result<RowSet> Executor::ExecuteSelect(const SelectQuery& q,
       if (q.limit.has_value() && out.num_rows() >= *q.limit) break;
     }
   }
-  BumpRowsOutput(out.num_rows());
+  Add(kRowsOutput, out.num_rows());
   return out;
 }
 

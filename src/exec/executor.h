@@ -25,8 +25,8 @@
 
 #pragma once
 
+#include <array>
 #include <atomic>
-#include <cstring>
 #include <memory>
 
 #include "common/cancel.h"
@@ -131,41 +131,7 @@ class Executor {
  public:
   explicit Executor(const storage::Database* db,
                     const AggregateRegistry* aggregates = nullptr,
-                    ExecOptions options = {})
-      : db_(db), aggregates_(aggregates), options_(options) {
-    if (options_.pool == nullptr && options_.num_threads > 1) {
-      pool_ = std::make_unique<common::ThreadPool>(options_.num_threads - 1);
-    }
-    if (options_.metrics != nullptr) {
-      m_queries_ = options_.metrics->GetCounter("qp_exec_queries_total",
-                                                "Queries executed");
-      m_rows_scanned_ = options_.metrics->GetCounter(
-          "qp_exec_rows_scanned_total", "Base/derived rows scanned");
-      m_rows_joined_ = options_.metrics->GetCounter(
-          "qp_exec_rows_joined_total", "Rows produced by join steps");
-      m_rows_output_ = options_.metrics->GetCounter(
-          "qp_exec_rows_output_total", "Rows returned to callers");
-      m_subqueries_ = options_.metrics->GetCounter(
-          "qp_exec_subqueries_materialized_total",
-          "IN-subqueries materialized to hash sets");
-      m_rows_examined_ = options_.metrics->GetCounter(
-          "qp_exec_rows_examined_total",
-          "Rows physically examined by access paths");
-      const std::string path_help =
-          "Access-path choices by kind (logical: independent of which "
-          "indexes exist)";
-      m_paths_scan_ = options_.metrics->GetCounter(
-          "qp_index_path_total", {{"kind", "scan"}}, path_help);
-      m_paths_probe_ = options_.metrics->GetCounter(
-          "qp_index_path_total", {{"kind", "probe"}}, path_help);
-      m_paths_range_ = options_.metrics->GetCounter(
-          "qp_index_path_total", {{"kind", "range"}}, path_help);
-      m_rows_saved_ = options_.metrics->GetCounter(
-          "qp_index_rows_saved_total",
-          "Rows an index snapshot avoided examining vs a full scan "
-          "(table rows minus rows examined, summed per indexed source)");
-    }
-  }
+                    ExecOptions options = {});
 
   /// Executes a full query (single select or UNION ALL). When `trace` is
   /// non-null, the physical plan taken is recorded as children of it (one
@@ -202,31 +168,10 @@ class Executor {
   const ExecOptions& options() const { return options_; }
 
   /// Snapshot of the cumulative counters.
-  ExecStats stats() const {
-    ExecStats s;
-    s.queries_executed = queries_executed_.load(std::memory_order_relaxed);
-    s.rows_scanned = rows_scanned_.load(std::memory_order_relaxed);
-    s.rows_joined = rows_joined_.load(std::memory_order_relaxed);
-    s.rows_output = rows_output_.load(std::memory_order_relaxed);
-    s.subqueries_materialized =
-        subqueries_materialized_.load(std::memory_order_relaxed);
-    s.paths_scan = paths_scan_.load(std::memory_order_relaxed);
-    s.paths_probe = paths_probe_.load(std::memory_order_relaxed);
-    s.paths_range = paths_range_.load(std::memory_order_relaxed);
-    return s;
-  }
-  void ResetStats() {
-    queries_executed_.store(0, std::memory_order_relaxed);
-    rows_scanned_.store(0, std::memory_order_relaxed);
-    rows_joined_.store(0, std::memory_order_relaxed);
-    rows_output_.store(0, std::memory_order_relaxed);
-    subqueries_materialized_.store(0, std::memory_order_relaxed);
-    paths_scan_.store(0, std::memory_order_relaxed);
-    paths_probe_.store(0, std::memory_order_relaxed);
-    paths_range_.store(0, std::memory_order_relaxed);
-    rows_examined_.store(0, std::memory_order_relaxed);
-    thread_seconds_bits_.store(0, std::memory_order_relaxed);
-  }
+  ExecStats stats() const;
+  /// Zeroes every local counter and thread_seconds() (registry mirrors
+  /// keep their totals).
+  void ResetStats();
 
   /// Rows physically examined by access paths: the whole table on a scan,
   /// only the matches when an index snapshot answers a probe. This is the
@@ -235,22 +180,33 @@ class Executor {
   /// with indexes on or off; rows_examined is the physical work, which is
   /// exactly what indexes are allowed to change.
   size_t rows_examined() const {
-    return rows_examined_.load(std::memory_order_relaxed);
+    return counts_[kRowsExamined].load(std::memory_order_relaxed);
   }
 
   /// Cumulative wall time spent inside RunTasks task bodies, summed across
   /// all workers — the "thread-seconds" a query burned, as opposed to its
   /// elapsed time. Deliberately NOT part of ExecStats: it is timing-derived
   /// and would break ExecStats's cross-thread-count equality contract.
-  double thread_seconds() const {
-    uint64_t bits = thread_seconds_bits_.load(std::memory_order_relaxed);
-    double out;
-    static_assert(sizeof(out) == sizeof(bits));
-    std::memcpy(&out, &bits, sizeof(out));
-    return out;
-  }
+  double thread_seconds() const { return thread_seconds_.Value(); }
 
  private:
+  /// Every counter the executor keeps, indexing the counter table in
+  /// executor.cc (one row each: series, help, ExecStats field). The order
+  /// is the registration order, hence the exposition order.
+  enum ExecCounter : size_t {
+    kQueries,
+    kRowsScanned,
+    kRowsJoined,
+    kRowsOutput,
+    kSubqueries,
+    kRowsExamined,
+    kPathScan,
+    kPathProbe,
+    kPathRange,
+    kRowsSaved,
+    kNumCounters,
+  };
+
   Result<RowSet> ExecuteSelect(const sql::SelectQuery& q,
                                obs::TraceSpan* span) const;
 
@@ -284,51 +240,12 @@ class Executor {
                                       : options_.cancel->Check();
   }
 
-  /// Accumulates one task's wall time into thread_seconds() (CAS loop over
-  /// raw double bits; atomic<double>::fetch_add is not portable).
-  void AddThreadSeconds(double s) const;
-
-  /// Bulk counter accumulation, mirrored into the metrics registry when one
-  /// is configured. Called at region boundaries, never per row.
-  void BumpQueries() const {
-    queries_executed_.fetch_add(1, std::memory_order_relaxed);
-    if (m_queries_ != nullptr) m_queries_->Increment();
-  }
-  void BumpRowsScanned(size_t n) const {
-    rows_scanned_.fetch_add(n, std::memory_order_relaxed);
-    if (m_rows_scanned_ != nullptr) m_rows_scanned_->Increment(n);
-  }
-  void BumpRowsJoined(size_t n) const {
-    rows_joined_.fetch_add(n, std::memory_order_relaxed);
-    if (m_rows_joined_ != nullptr) m_rows_joined_->Increment(n);
-  }
-  void BumpRowsOutput(size_t n) const {
-    rows_output_.fetch_add(n, std::memory_order_relaxed);
-    if (m_rows_output_ != nullptr) m_rows_output_->Increment(n);
-  }
-  void BumpSubqueries(size_t n) const {
-    subqueries_materialized_.fetch_add(n, std::memory_order_relaxed);
-    if (m_subqueries_ != nullptr) m_subqueries_->Increment(n);
-  }
-  void BumpRowsExamined(size_t n) const {
-    rows_examined_.fetch_add(n, std::memory_order_relaxed);
-    if (m_rows_examined_ != nullptr) m_rows_examined_->Increment(n);
-  }
-  void BumpPathScan() const {
-    paths_scan_.fetch_add(1, std::memory_order_relaxed);
-    if (m_paths_scan_ != nullptr) m_paths_scan_->Increment();
-  }
-  void BumpPathProbe() const {
-    paths_probe_.fetch_add(1, std::memory_order_relaxed);
-    if (m_paths_probe_ != nullptr) m_paths_probe_->Increment();
-  }
-  void BumpPathRange() const {
-    paths_range_.fetch_add(1, std::memory_order_relaxed);
-    if (m_paths_range_ != nullptr) m_paths_range_->Increment();
-  }
-  /// Physical-only (like rows_examined): rows an index let us skip.
-  void BumpRowsSaved(size_t n) const {
-    if (m_rows_saved_ != nullptr) m_rows_saved_->Increment(n);
+  /// Bulk counter accumulation into the local counter and its registry
+  /// mirror (when a registry is configured). Called at region boundaries,
+  /// never per row.
+  void Add(ExecCounter counter, size_t n = 1) const {
+    counts_[counter].fetch_add(n, std::memory_order_relaxed);
+    if (mirrors_[counter] != nullptr) mirrors_[counter]->Increment(n);
   }
 
   const storage::Database* db_;
@@ -338,28 +255,10 @@ class Executor {
   /// Counters are atomic so concurrent Execute() calls and parallel morsels
   /// accumulate exactly; increments are bulk (per region / per worker
   /// merge), never per-row.
-  mutable std::atomic<size_t> queries_executed_{0};
-  mutable std::atomic<size_t> rows_scanned_{0};
-  mutable std::atomic<size_t> rows_joined_{0};
-  mutable std::atomic<size_t> rows_output_{0};
-  mutable std::atomic<size_t> subqueries_materialized_{0};
-  mutable std::atomic<size_t> paths_scan_{0};
-  mutable std::atomic<size_t> paths_probe_{0};
-  mutable std::atomic<size_t> paths_range_{0};
-  mutable std::atomic<size_t> rows_examined_{0};
-  /// Raw double bits of thread_seconds() (see AddThreadSeconds).
-  mutable std::atomic<uint64_t> thread_seconds_bits_{0};
-  /// Registry mirrors of the counters above (null when no registry).
-  obs::Counter* m_queries_ = nullptr;
-  obs::Counter* m_rows_scanned_ = nullptr;
-  obs::Counter* m_rows_joined_ = nullptr;
-  obs::Counter* m_rows_output_ = nullptr;
-  obs::Counter* m_subqueries_ = nullptr;
-  obs::Counter* m_rows_examined_ = nullptr;
-  obs::Counter* m_paths_scan_ = nullptr;
-  obs::Counter* m_paths_probe_ = nullptr;
-  obs::Counter* m_paths_range_ = nullptr;
-  obs::Counter* m_rows_saved_ = nullptr;
+  mutable std::array<std::atomic<size_t>, kNumCounters> counts_{};
+  /// Registry mirrors of counts_ (all null when no registry).
+  std::array<obs::Counter*, kNumCounters> mirrors_{};
+  mutable obs::Gauge thread_seconds_;
 };
 
 }  // namespace qp::exec

@@ -10,6 +10,8 @@
 // `qp_serve_personalize_seconds`. A series may carry a fixed label set by
 // registering the full series name `base{key="value"}`; series sharing a
 // base name are grouped under one # TYPE header in the exposition.
+// Components declare their counters as one CounterRow table each and
+// register it with RegisterCounters; one fact, one series.
 //
 // Concurrency: Counter::Increment and Histogram::Observe are lock-free
 // (relaxed atomics — totals are exact, cross-metric ordering is not
@@ -21,6 +23,7 @@
 
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <cstring>
@@ -293,5 +296,43 @@ class MetricsRegistry {
 /// Free-function spellings of the renders (the canonical API surface).
 std::string RenderText(const MetricsRegistry& registry);
 std::string RenderJson(const MetricsRegistry& registry);
+
+/// \brief One row of a component's counter table: the full series name
+/// (fixed labels included, e.g. `qp_index_path_total{kind="scan"}`), its
+/// help text, and the field of the component's snapshot struct the counter
+/// fills (null when no snapshot carries it). A component spells each of its
+/// counters in exactly one row and indexes the table with its own enum, so
+/// adding, renaming or auditing a counter is a one-row edit.
+template <typename Snapshot, typename Field = size_t>
+struct CounterRow {
+  const char* series;
+  const char* help;
+  Field Snapshot::*field = nullptr;
+};
+
+/// Registers one counter per row of `table`, in row order (the order
+/// RenderText lists the families in), and returns them index-aligned with
+/// the rows.
+template <typename Snapshot, typename Field, size_t N>
+std::array<Counter*, N> RegisterCounters(
+    MetricsRegistry& registry, const CounterRow<Snapshot, Field> (&table)[N]) {
+  std::array<Counter*, N> counters{};
+  for (size_t i = 0; i < N; ++i) {
+    counters[i] = registry.GetCounter(table[i].series, table[i].help);
+  }
+  return counters;
+}
+
+/// The snapshot a table describes: every row with a field takes `value(i)`,
+/// the current value of the row's counter.
+template <typename Snapshot, typename Field, size_t N, typename ValueOf>
+Snapshot SnapshotOf(const CounterRow<Snapshot, Field> (&table)[N],
+                    const ValueOf& value) {
+  Snapshot snapshot{};
+  for (size_t i = 0; i < N; ++i) {
+    if (table[i].field != nullptr) snapshot.*(table[i].field) = value(i);
+  }
+  return snapshot;
+}
 
 }  // namespace qp::obs

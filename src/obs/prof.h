@@ -1,4 +1,4 @@
-// qp::obs phase 4 — continuous profiling: where do the cycles, the lock
+// qp::obs continuous profiling: where do the cycles, the lock
 // waits and the bytes go?
 //
 // Three collectors, all cheap enough to leave on in a serving process:

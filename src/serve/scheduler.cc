@@ -33,6 +33,33 @@ uint64_t SplitMix64(uint64_t& state) {
   return z ^ (z >> 31);
 }
 
+/// The scheduler's counters, one row each, in Scheduler::SchedCounter
+/// order. SchedulerStats::max_queue_depth is a high-water mark, not a
+/// counter, so no row fills it.
+constexpr obs::CounterRow<SchedulerStats, uint64_t> kCounterTable[] = {
+    {"qp_sched_submitted_total", "Requests admitted by the scheduler",
+     &SchedulerStats::submitted},
+    {"qp_sched_shed_total",
+     "Requests rejected with kOverloaded at admission (full shard queue)",
+     &SchedulerStats::shed},
+    {"qp_sched_dispatched_total",
+     "Requests dequeued onto a worker (includes ones that then expire)",
+     &SchedulerStats::dispatched},
+    {"qp_sched_deadline_expired_total",
+     "Requests whose deadline passed while still queued (never executed)",
+     &SchedulerStats::expired_in_queue},
+    {"qp_sched_deadline_cut_total",
+     "Requests that completed with a partial (deadline-cut) answer",
+     &SchedulerStats::deadline_cut},
+    {"qp_sched_retries_total",
+     "Re-execution attempts after retryable failures",
+     &SchedulerStats::retries},
+    {"qp_sched_completed_total", "Requests finished OK (incl. partial)",
+     &SchedulerStats::completed},
+    {"qp_sched_failed_total", "Requests finished with a non-OK status",
+     &SchedulerStats::failed},
+};
+
 }  // namespace
 
 const char* LaneName(Lane lane) {
@@ -84,27 +111,8 @@ Scheduler::Scheduler(ServingContext* ctx, Options options)
   for (size_t& w : options_.lane_weights) w = std::max<size_t>(w, 1);
 
   obs::MetricsRegistry* metrics = ctx_->metrics();
-  submitted_ = metrics->GetCounter("qp_sched_submitted_total",
-                                   "Requests admitted by the scheduler");
-  shed_ = metrics->GetCounter(
-      "qp_sched_shed_total",
-      "Requests rejected with kOverloaded at admission (full shard queue)");
-  dispatched_ = metrics->GetCounter(
-      "qp_sched_dispatched_total",
-      "Requests dequeued onto a worker (includes ones that then expire)");
-  expired_ = metrics->GetCounter(
-      "qp_sched_deadline_expired_total",
-      "Requests whose deadline passed while still queued (never executed)");
-  cut_ = metrics->GetCounter(
-      "qp_sched_deadline_cut_total",
-      "Requests that completed with a partial (deadline-cut) answer");
-  retries_ = metrics->GetCounter(
-      "qp_sched_retries_total",
-      "Re-execution attempts after retryable failures");
-  completed_ = metrics->GetCounter("qp_sched_completed_total",
-                                   "Requests finished OK (incl. partial)");
-  failed_ = metrics->GetCounter("qp_sched_failed_total",
-                                "Requests finished with a non-OK status");
+  static_assert(std::size(kCounterTable) == kNumCounters);
+  counters_ = obs::RegisterCounters(*metrics, kCounterTable);
   queue_seconds_ =
       metrics->GetHistogram("qp_sched_queue_seconds",
                             obs::DefaultLatencyBuckets(),
@@ -202,7 +210,7 @@ Result<std::shared_ptr<RequestHandle>> Scheduler::Submit(Request request) {
   {
     std::lock_guard<common::ProfiledMutex> lock(shard.mu);
     if (shard.queued >= options_.shard_queue_capacity) {
-      shed_->Increment();
+      Count(kShed);
       window_shed_->Add();
       // A shed request never executes, so the Session will never classify
       // it — the scheduler owns its SLO verdict (always bad).
@@ -228,7 +236,7 @@ Result<std::shared_ptr<RequestHandle>> Scheduler::Submit(Request request) {
   }
   shard.cv.notify_one();
 
-  submitted_->Increment();
+  Count(kSubmitted);
   window_admitted_->Add();
   depth_at_enqueue_->Observe(static_cast<double>(depth_after));
   size_t prev = max_queue_depth_.load(std::memory_order_relaxed);
@@ -316,7 +324,7 @@ void Scheduler::WorkerLoop(size_t shard_index) {
       --shard.queued;
       depth_gauges_[shard_index][lane]->Add(-1.0);
     }
-    dispatched_->Increment();
+    Count(kDispatched);
     Execute(shard_index, std::move(item));
   }
 }
@@ -334,7 +342,7 @@ void Scheduler::Execute(size_t shard_index, QueuedRequest&& item) {
   // request without executing: the answer could only be empty, and the
   // worker's time belongs to requests that can still meet their deadline.
   if (handle.token_.deadline_passed() && !handle.token_.cancel_requested()) {
-    expired_->Increment();
+    Count(kExpired);
     // Never executed -> the Session records no SLO verdict; classify here.
     ctx_->slo()->RecordBad();
     response.status = Status::DeadlineExceeded(
@@ -364,7 +372,7 @@ void Scheduler::Execute(size_t shard_index, QueuedRequest&& item) {
   Status status = Status::OK();
   for (size_t attempt = 0; attempt < options_.max_attempts; ++attempt) {
     response.attempts = attempt + 1;
-    if (attempt > 0) retries_->Increment();
+    if (attempt > 0) Count(kRetries);
 
     std::optional<Status> scripted;
     if (item.request.intercept) scripted = item.request.intercept(attempt);
@@ -429,10 +437,10 @@ void Scheduler::Execute(size_t shard_index, QueuedRequest&& item) {
 
 void Scheduler::FinishRequest(QueuedRequest&& item, Response&& response) {
   if (response.status.ok()) {
-    completed_->Increment();
-    if (response.partial) cut_->Increment();
+    Count(kCompleted);
+    if (response.partial) Count(kCut);
   } else {
-    failed_->Increment();
+    Count(kFailed);
   }
   if (ctx_->flight() != nullptr && !response.status.ok()) {
     ctx_->flight()->Record(
@@ -495,15 +503,8 @@ void Scheduler::Shutdown(bool drain) {
 }
 
 SchedulerStats Scheduler::stats() const {
-  SchedulerStats s;
-  s.submitted = submitted_->Value();
-  s.shed = shed_->Value();
-  s.dispatched = dispatched_->Value();
-  s.expired_in_queue = expired_->Value();
-  s.deadline_cut = cut_->Value();
-  s.retries = retries_->Value();
-  s.completed = completed_->Value();
-  s.failed = failed_->Value();
+  SchedulerStats s = obs::SnapshotOf(
+      kCounterTable, [this](size_t i) { return counters_[i]->Value(); });
   s.max_queue_depth = max_queue_depth_.load(std::memory_order_relaxed);
   return s;
 }

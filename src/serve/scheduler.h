@@ -261,15 +261,24 @@ class Scheduler {
   std::mutex lifecycle_mu_;  ///< serializes Shutdown
   bool joined_ = false;
 
+  /// The scheduler's counters, indexing the counter table in scheduler.cc
+  /// (one row each: series, help, SchedulerStats field), in registration
+  /// order.
+  enum SchedCounter : size_t {
+    kSubmitted,
+    kShed,
+    kDispatched,
+    kExpired,
+    kCut,
+    kRetries,
+    kCompleted,
+    kFailed,
+    kNumCounters,
+  };
+  void Count(SchedCounter counter) { counters_[counter]->Increment(); }
+
   // qp_sched_* series in the context registry, resolved once.
-  obs::Counter* submitted_ = nullptr;
-  obs::Counter* shed_ = nullptr;
-  obs::Counter* dispatched_ = nullptr;
-  obs::Counter* expired_ = nullptr;
-  obs::Counter* cut_ = nullptr;
-  obs::Counter* retries_ = nullptr;
-  obs::Counter* completed_ = nullptr;
-  obs::Counter* failed_ = nullptr;
+  std::array<obs::Counter*, kNumCounters> counters_{};
   obs::Histogram* queue_seconds_ = nullptr;
   obs::Histogram* depth_at_enqueue_ = nullptr;
   /// Live qp_sched_queue_depth{shard,lane} gauges, push-model: +1 on

@@ -149,6 +149,53 @@ bool ClosureTouches(const core::PersonalizationGraph& graph,
   return false;
 }
 
+/// The context's counters, one row each, in ServingContext::ServeCounter
+/// order. The two qp_query_* rows have no ServeCounters field.
+constexpr obs::CounterRow<ServeCounters> kCounterTable[] = {
+    {"qp_serve_personalize_calls_total", "Personalize calls served",
+     &ServeCounters::personalize_calls},
+    {"qp_serve_graph_builds_total",
+     "Wholesale personalization-graph constructions (cold sessions + "
+     "journal-gap fallbacks)",
+     &ServeCounters::graph_builds},
+    {"qp_serve_graph_repairs_total",
+     "Delta-sized personalization-graph repairs (mutation journal hits)",
+     &ServeCounters::graph_repairs},
+    {"qp_serve_wholesale_rebuilds_total",
+     "Profile invalidations that outran the mutation journal and paid a "
+     "full rebuild",
+     &ServeCounters::wholesale_rebuilds},
+    {"qp_serve_selection_cache_hits_total", "Selection cache hits",
+     &ServeCounters::selection_cache_hits},
+    {"qp_serve_selection_cache_misses_total", "Selection cache misses",
+     &ServeCounters::selection_cache_misses},
+    {"qp_serve_plan_cache_hits_total", "Plan cache hits",
+     &ServeCounters::plan_cache_hits},
+    {"qp_serve_plan_cache_misses_total", "Plan cache misses",
+     &ServeCounters::plan_cache_misses},
+    {"qp_serve_epoch_invalidations_total",
+     "Snapshot rebuilds forced by a profile- or stats-epoch change",
+     &ServeCounters::epoch_invalidations},
+    {"qp_serve_selection_entries_retained_total",
+     "Cached selections carried across an epoch transition",
+     &ServeCounters::selection_entries_retained},
+    {"qp_serve_selection_entries_dropped_total",
+     "Cached selections dropped by an epoch transition",
+     &ServeCounters::selection_entries_dropped},
+    {"qp_serve_plan_entries_retained_total",
+     "Cached plans carried across an epoch transition",
+     &ServeCounters::plan_entries_retained},
+    {"qp_serve_plan_entries_dropped_total",
+     "Cached plans dropped by an epoch transition",
+     &ServeCounters::plan_entries_dropped},
+    {"qp_serve_sessions_evicted_total",
+     "Sessions evicted by the LRU capacity cap",
+     &ServeCounters::sessions_evicted},
+    {"qp_query_rows_returned_total", "Answer tuples returned to callers"},
+    {"qp_query_log_retained_total",
+     "Query-log records retained (sampled or slow)"},
+};
+
 }  // namespace
 
 const char* StateOutcomeName(StateOutcome outcome) {
@@ -178,67 +225,13 @@ ServingContext::ServingContext(const storage::Database* db, Options options)
   if (options.query_log_enabled) {
     query_log_ = std::make_unique<obs::QueryLog>(options.query_log);
   }
-  personalize_calls_ = metrics_.GetCounter("qp_serve_personalize_calls_total",
-                                           "Personalize calls served");
-  graph_builds_ = metrics_.GetCounter(
-      "qp_serve_graph_builds_total",
-      "Wholesale personalization-graph constructions (cold sessions + "
-      "journal-gap fallbacks)");
-  graph_repairs_ = metrics_.GetCounter(
-      "qp_serve_graph_repairs_total",
-      "Delta-sized personalization-graph repairs (mutation journal hits)");
-  wholesale_rebuilds_ = metrics_.GetCounter(
-      "qp_serve_wholesale_rebuilds_total",
-      "Profile invalidations that outran the mutation journal and paid a "
-      "full rebuild");
-  selection_cache_hits_ = metrics_.GetCounter(
-      "qp_serve_selection_cache_hits_total", "Selection cache hits");
-  selection_cache_misses_ = metrics_.GetCounter(
-      "qp_serve_selection_cache_misses_total", "Selection cache misses");
-  plan_cache_hits_ =
-      metrics_.GetCounter("qp_serve_plan_cache_hits_total", "Plan cache hits");
-  plan_cache_misses_ = metrics_.GetCounter("qp_serve_plan_cache_misses_total",
-                                           "Plan cache misses");
-  epoch_invalidations_ = metrics_.GetCounter(
-      "qp_serve_epoch_invalidations_total",
-      "Snapshot rebuilds forced by a profile- or stats-epoch change");
-  selection_entries_retained_ = metrics_.GetCounter(
-      "qp_serve_selection_entries_retained_total",
-      "Cached selections carried across an epoch transition");
-  selection_entries_dropped_ = metrics_.GetCounter(
-      "qp_serve_selection_entries_dropped_total",
-      "Cached selections dropped by an epoch transition");
-  plan_entries_retained_ =
-      metrics_.GetCounter("qp_serve_plan_entries_retained_total",
-                          "Cached plans carried across an epoch transition");
-  plan_entries_dropped_ =
-      metrics_.GetCounter("qp_serve_plan_entries_dropped_total",
-                          "Cached plans dropped by an epoch transition");
-  sessions_evicted_ =
-      metrics_.GetCounter("qp_serve_sessions_evicted_total",
-                          "Sessions evicted by the LRU capacity cap");
-  q_rows_scanned_ = metrics_.GetCounter(
-      "qp_query_rows_scanned_total",
-      "Rows scanned during answer generation, summed per request");
-  q_rows_joined_ = metrics_.GetCounter(
-      "qp_query_rows_joined_total",
-      "Rows produced by join steps during answer generation");
-  q_rows_materialized_ = metrics_.GetCounter(
-      "qp_query_rows_materialized_total",
-      "Rows materialized into operator outputs during answer generation");
-  q_subqueries_ = metrics_.GetCounter(
-      "qp_query_subqueries_total",
-      "Subqueries executed during answer generation");
-  q_rows_returned_ = metrics_.GetCounter("qp_query_rows_returned_total",
-                                         "Answer tuples returned to callers");
-  q_log_retained_ = metrics_.GetCounter(
-      "qp_query_log_retained_total",
-      "Query-log records retained (sampled or slow)");
+  static_assert(std::size(kCounterTable) == kNumCounters);
+  counters_ = obs::RegisterCounters(metrics_, kCounterTable);
   q_thread_seconds_ = metrics_.GetHistogram(
       "qp_query_thread_seconds", obs::DefaultLatencyBuckets(),
       "Per-request thread-seconds (task wall time summed across workers)");
 
-  // --- obs phase 3: windowed SLO engine, scrape-time gauges, endpoints ---
+  // --- Windowed SLO engine, scrape-time gauges, endpoints ---
   if (!options_.clock) options_.clock = obs::MonotonicClock;
   const std::function<double()>& clock = options_.clock;
   obs::SloTracker::Options slo_opts;
@@ -289,7 +282,7 @@ ServingContext::ServingContext(const storage::Database* db, Options options)
   slo_1m_ = make_slo_gauges("1m");
   slo_5m_ = make_slo_gauges("5m");
 
-  // --- obs phase 4: profiling totals, refreshed on scrape. Monotonic
+  // --- Profiling totals, refreshed on scrape. Monotonic
   // absolute reads from the collectors, so they render as counters.
   g_cpu_seconds_ = metrics_.GetCounterGauge(
       "qp_process_cpu_seconds_total",
@@ -334,6 +327,11 @@ ServingContext::~ServingContext() {
   introspect_.Stop();
   if (gauge_hook_registered_) metrics_.RemoveCollectionHook(gauge_hook_id_);
   db_->indexes().BindMetrics(nullptr);
+}
+
+ServeCounters ServingContext::counters() const {
+  return obs::SnapshotOf(kCounterTable,
+                         [this](size_t i) { return counters_[i]->Value(); });
 }
 
 void ServingContext::RefreshGauges() {
@@ -514,7 +512,7 @@ void ServingContext::StartIntrospection() {
     return obs::HttpResponse{200, "application/json", TracezJson()};
   });
 
-  // --- obs phase 4: profiling endpoints. All three render collapsed-stack
+  // --- Profiling endpoints. All three render collapsed-stack
   // or per-site text; none of them touches the deterministic surface.
   introspect_.Handle("/pprofz", [this](const obs::HttpRequest& request) {
     obs::CpuProfiler& prof = obs::CpuProfiler::Global();
@@ -648,9 +646,10 @@ Result<std::shared_ptr<const Session::State>> Session::CurrentState(
     // must go.
     next->snapshot = state->snapshot;
     next->selections = state->selections;
-    ctx_->epoch_invalidations_->Increment();
-    ctx_->selection_entries_retained_->Increment(state->selections.size());
-    ctx_->plan_entries_dropped_->Increment(state->plans.size());
+    ctx_->Count(ServingContext::kEpochInvalidations);
+    ctx_->Count(ServingContext::kSelectionEntriesRetained,
+                 state->selections.size());
+    ctx_->Count(ServingContext::kPlanEntriesDropped, state->plans.size());
     *outcome = StateOutcome::kStatsRefresh;
   } else if (state == nullptr) {
     auto snapshot = std::make_shared<ProfileSnapshot>(std::move(profile_copy));
@@ -658,11 +657,11 @@ Result<std::shared_ptr<const Session::State>> Session::CurrentState(
         core::PersonalizationGraph graph,
         core::PersonalizationGraph::Build(ctx_->db_, &snapshot->profile));
     snapshot->graph.emplace(std::move(graph));
-    ctx_->graph_builds_->Increment();
+    ctx_->Count(ServingContext::kGraphBuilds);
     next->snapshot = std::move(snapshot);
     *outcome = StateOutcome::kBuilt;
   } else {
-    ctx_->epoch_invalidations_->Increment();
+    ctx_->Count(ServingContext::kEpochInvalidations);
     // A lineage change means the caller wholesale-replaced the profile:
     // the new journal describes a different history, so the delta — even
     // if the epochs look comparable — must not be trusted.
@@ -679,7 +678,7 @@ Result<std::shared_ptr<const Session::State>> Session::CurrentState(
                               *state->snapshot->graph, ctx_->db_,
                               &snapshot->profile, *delta));
       snapshot->graph.emplace(std::move(graph));
-      ctx_->graph_repairs_->Increment();
+      ctx_->Count(ServingContext::kGraphRepairs);
       *repaired_mutations = delta->size();
       next->snapshot = std::move(snapshot);
 
@@ -708,9 +707,9 @@ Result<std::shared_ptr<const Session::State>> Session::CurrentState(
         }
         if (survives) {
           next->selections.emplace(key, entry);
-          ctx_->selection_entries_retained_->Increment();
+          ctx_->Count(ServingContext::kSelectionEntriesRetained);
         } else {
-          ctx_->selection_entries_dropped_->Increment();
+          ctx_->Count(ServingContext::kSelectionEntriesDropped);
         }
       }
       const bool stats_unchanged = state->stats_epoch == stats_epoch;
@@ -718,9 +717,9 @@ Result<std::shared_ptr<const Session::State>> Session::CurrentState(
         if (stats_unchanged &&
             next->selections.count(entry.selection_key) > 0) {
           next->plans.emplace(key, entry);
-          ctx_->plan_entries_retained_->Increment();
+          ctx_->Count(ServingContext::kPlanEntriesRetained);
         } else {
-          ctx_->plan_entries_dropped_->Increment();
+          ctx_->Count(ServingContext::kPlanEntriesDropped);
         }
       }
       *outcome = StateOutcome::kRepaired;
@@ -733,10 +732,11 @@ Result<std::shared_ptr<const Session::State>> Session::CurrentState(
           core::PersonalizationGraph graph,
           core::PersonalizationGraph::Build(ctx_->db_, &snapshot->profile));
       snapshot->graph.emplace(std::move(graph));
-      ctx_->graph_builds_->Increment();
-      ctx_->wholesale_rebuilds_->Increment();
-      ctx_->selection_entries_dropped_->Increment(state->selections.size());
-      ctx_->plan_entries_dropped_->Increment(state->plans.size());
+      ctx_->Count(ServingContext::kGraphBuilds);
+      ctx_->Count(ServingContext::kWholesaleRebuilds);
+      ctx_->Count(ServingContext::kSelectionEntriesDropped,
+                 state->selections.size());
+      ctx_->Count(ServingContext::kPlanEntriesDropped, state->plans.size());
       next->snapshot = std::move(snapshot);
       *outcome = StateOutcome::kRebuilt;
     }
@@ -788,15 +788,13 @@ Result<PersonalizedAnswer> Session::PersonalizeAdmitted(
     ~InFlightGuard() { n->fetch_sub(1, std::memory_order_acq_rel); }
   } guard{&inflight_};
 
-  ctx_->personalize_calls_->Increment();
+  ctx_->Count(ServingContext::kPersonalizeCalls);
   const auto call_start = std::chrono::steady_clock::now();
 
-  // Fold the deprecated alias in once, then inject the context's shared
-  // pool and registry: every session's queries and probes fan out over the
-  // same workers, and every executor reports into the same qp_exec_* series.
+  // Inject the context's shared pool and registry: every session's queries
+  // and probes fan out over the same workers, and every executor reports
+  // into the same qp_exec_* series.
   PersonalizeOptions opts = options;
-  opts.exec = options.EffectiveExec();
-  opts.num_threads = 1;
   if (ctx_->pool_ != nullptr) opts.exec.pool = ctx_->pool_.get();
   if (opts.exec.metrics == nullptr) opts.exec.metrics = &ctx_->metrics_;
 
@@ -832,6 +830,8 @@ Result<PersonalizedAnswer> Session::PersonalizeAdmitted(
     latency_->Observe(total_seconds);
     ctx_->slo_->Record(total_seconds);
     ctx_->latency_window_->Observe(total_seconds);
+    ctx_->Count(ServingContext::kRowsReturned, result->tuples.size());
+    ctx_->q_thread_seconds_->Observe(result->stats.thread_seconds);
   } else {
     ctx_->slo_->RecordBad();
   }
@@ -848,38 +848,30 @@ Result<PersonalizedAnswer> Session::PersonalizeAdmitted(
         total_seconds);
   }
 
-  if (log != nullptr) {
-    if (result.ok()) {
-      const core::AnswerStats& stats = result.value().stats;
-      record.user_id = user_id_;
-      record.rows_returned = result.value().tuples.size();
-      record.subqueries_executed = stats.queries_executed;
-      record.rows_scanned = stats.rows_scanned;
-      record.rows_joined = stats.rows_joined;
-      record.rows_materialized = stats.rows_materialized;
-      record.partial = stats.partial;
-      record.rounds_run = stats.rounds_run;
-      record.paths_scan = stats.paths_scan;
-      record.paths_probe = stats.paths_probe;
-      record.paths_range = stats.paths_range;
-      if (admission != nullptr) {
-        record.scheduled = true;
-        record.lane = admission->lane;
-        record.shard = admission->shard;
-        record.attempt = admission->attempt;
-        record.queue_seconds = admission->queue_seconds;
-      }
-      record.thread_seconds = stats.thread_seconds;
-      record.total_seconds = total_seconds;
-      ctx_->q_rows_scanned_->Increment(stats.rows_scanned);
-      ctx_->q_rows_joined_->Increment(stats.rows_joined);
-      ctx_->q_rows_materialized_->Increment(stats.rows_materialized);
-      ctx_->q_subqueries_->Increment(stats.queries_executed);
-      ctx_->q_rows_returned_->Increment(record.rows_returned);
-      ctx_->q_thread_seconds_->Observe(stats.thread_seconds);
-      if (log->Record(std::move(record))) {
-        ctx_->q_log_retained_->Increment();
-      }
+  if (log != nullptr && result.ok()) {
+    const core::AnswerStats& stats = result.value().stats;
+    record.user_id = user_id_;
+    record.rows_returned = result.value().tuples.size();
+    record.subqueries_executed = stats.queries_executed;
+    record.rows_scanned = stats.rows_scanned;
+    record.rows_joined = stats.rows_joined;
+    record.rows_materialized = stats.rows_materialized;
+    record.partial = stats.partial;
+    record.rounds_run = stats.rounds_run;
+    record.paths_scan = stats.paths_scan;
+    record.paths_probe = stats.paths_probe;
+    record.paths_range = stats.paths_range;
+    if (admission != nullptr) {
+      record.scheduled = true;
+      record.lane = admission->lane;
+      record.shard = admission->shard;
+      record.attempt = admission->attempt;
+      record.queue_seconds = admission->queue_seconds;
+    }
+    record.thread_seconds = stats.thread_seconds;
+    record.total_seconds = total_seconds;
+    if (log->Record(std::move(record))) {
+      ctx_->Count(ServingContext::kLogRetained);
     }
   }
   return result;
@@ -926,10 +918,10 @@ Result<PersonalizedAnswer> Session::PersonalizeImpl(
   if (auto it = state->selections.find(selection_key);
       it != state->selections.end()) {
     preferences = it->second.prefs;
-    ctx_->selection_cache_hits_->Increment();
+    ctx_->Count(ServingContext::kSelectionCacheHits);
   } else {
     selection_cached = false;
-    ctx_->selection_cache_misses_->Increment();
+    ctx_->Count(ServingContext::kSelectionCacheMisses);
     const auto select_start = std::chrono::steady_clock::now();
     QP_ASSIGN_OR_RETURN(std::vector<SelectedPreference> selected,
                         core::RunSelection(*state->snapshot->graph, query,
@@ -971,10 +963,10 @@ Result<PersonalizedAnswer> Session::PersonalizeImpl(
   const auto plan_start = std::chrono::steady_clock::now();
   if (auto it = state->plans.find(plan_key); it != state->plans.end()) {
     plan = it->second.plan;
-    ctx_->plan_cache_hits_->Increment();
+    ctx_->Count(ServingContext::kPlanCacheHits);
   } else {
     plan_cached = false;
-    ctx_->plan_cache_misses_->Increment();
+    ctx_->Count(ServingContext::kPlanCacheMisses);
     QP_ASSIGN_OR_RETURN(core::IntegrationPlan built,
                         core::BuildIntegrationPlan(ctx_->db_, &ctx_->stats_,
                                                    query, *preferences, opts));
@@ -1045,7 +1037,7 @@ void ServingContext::EvictOverCapLocked() {
     if (found == sessions_.end() || found->second->InFlight() > 0) continue;
     it = lru_.erase(it);
     sessions_.erase(found);
-    sessions_evicted_->Increment();
+    Count(kSessionsEvicted);
   }
 }
 

@@ -62,6 +62,7 @@
 
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <functional>
@@ -373,8 +374,9 @@ class ServingContext {
   /// The context's metrics registry: the qp_serve_* counters, the per-user
   /// qp_serve_personalize_seconds histograms (cardinality-capped; overflow
   /// users share the user="__other__" series), the qp_query_* per-request
-  /// resource series, and the qp_exec_* counters of every executor sessions
-  /// run. Callers may register their own series.
+  /// series (rows returned, thread-seconds, log retention), and the
+  /// qp_exec_* counters of every executor sessions run. Callers may
+  /// register their own series.
   obs::MetricsRegistry* metrics() { return &metrics_; }
 
   /// The context's query log; null when Options::query_log_enabled is
@@ -433,24 +435,7 @@ class ServingContext {
   std::string MetricsJson() const { return metrics_.RenderJson(); }
 
   /// Snapshot view over the registry's qp_serve_* counters.
-  ServeCounters counters() const {
-    ServeCounters c;
-    c.personalize_calls = personalize_calls_->Value();
-    c.graph_builds = graph_builds_->Value();
-    c.graph_repairs = graph_repairs_->Value();
-    c.wholesale_rebuilds = wholesale_rebuilds_->Value();
-    c.selection_cache_hits = selection_cache_hits_->Value();
-    c.selection_cache_misses = selection_cache_misses_->Value();
-    c.plan_cache_hits = plan_cache_hits_->Value();
-    c.plan_cache_misses = plan_cache_misses_->Value();
-    c.epoch_invalidations = epoch_invalidations_->Value();
-    c.selection_entries_retained = selection_entries_retained_->Value();
-    c.selection_entries_dropped = selection_entries_dropped_->Value();
-    c.plan_entries_retained = plan_entries_retained_->Value();
-    c.plan_entries_dropped = plan_entries_dropped_->Value();
-    c.sessions_evicted = sessions_evicted_->Value();
-    return c;
-  }
+  ServeCounters counters() const;
 
  private:
   friend class Session;
@@ -487,32 +472,39 @@ class ServingContext {
   /// its own iterator (lru_it_).
   std::list<std::string> lru_;
 
-  /// Views into metrics_ (stable pointers), resolved once at construction.
-  obs::Counter* personalize_calls_ = nullptr;
-  obs::Counter* graph_builds_ = nullptr;
-  obs::Counter* graph_repairs_ = nullptr;
-  obs::Counter* wholesale_rebuilds_ = nullptr;
-  obs::Counter* selection_cache_hits_ = nullptr;
-  obs::Counter* selection_cache_misses_ = nullptr;
-  obs::Counter* plan_cache_hits_ = nullptr;
-  obs::Counter* plan_cache_misses_ = nullptr;
-  obs::Counter* epoch_invalidations_ = nullptr;
-  obs::Counter* selection_entries_retained_ = nullptr;
-  obs::Counter* selection_entries_dropped_ = nullptr;
-  obs::Counter* plan_entries_retained_ = nullptr;
-  obs::Counter* plan_entries_dropped_ = nullptr;
-  obs::Counter* sessions_evicted_ = nullptr;
-  /// Per-request resource accounting mirrored from each answer's
-  /// AnswerStats (qp_query_*; null only before construction finishes).
-  obs::Counter* q_rows_scanned_ = nullptr;
-  obs::Counter* q_rows_joined_ = nullptr;
-  obs::Counter* q_rows_materialized_ = nullptr;
-  obs::Counter* q_subqueries_ = nullptr;
-  obs::Counter* q_rows_returned_ = nullptr;
-  obs::Counter* q_log_retained_ = nullptr;
+  /// The context's counters, indexing the counter table in
+  /// serving_context.cc (one row each: series, help, ServeCounters field).
+  /// The order is the registration order, hence the exposition order.
+  enum ServeCounter : size_t {
+    kPersonalizeCalls,
+    kGraphBuilds,
+    kGraphRepairs,
+    kWholesaleRebuilds,
+    kSelectionCacheHits,
+    kSelectionCacheMisses,
+    kPlanCacheHits,
+    kPlanCacheMisses,
+    kEpochInvalidations,
+    kSelectionEntriesRetained,
+    kSelectionEntriesDropped,
+    kPlanEntriesRetained,
+    kPlanEntriesDropped,
+    kSessionsEvicted,
+    kRowsReturned,
+    kLogRetained,
+    kNumCounters,
+  };
+  void Count(ServeCounter counter, uint64_t n = 1) {
+    counters_[counter]->Increment(n);
+  }
+
+  /// The counters' series in metrics_ (stable pointers), resolved once at
+  /// construction.
+  std::array<obs::Counter*, kNumCounters> counters_{};
+  /// qp_query_thread_seconds: thread-seconds of each successful call.
   obs::Histogram* q_thread_seconds_ = nullptr;
 
-  // --- obs phase 3: windowed SLO, scrape-time gauges, introspection ---
+  // --- Windowed SLO, scrape-time gauges, introspection ---
 
   /// Personalize-latency SLO tracker and the rolling-percentile window
   /// behind the qp_slo_* gauges (both on Options::clock).
@@ -535,7 +527,7 @@ class ServingContext {
   SloGauges slo_1m_;
   SloGauges slo_5m_;
 
-  // --- obs phase 4: continuous profiling (src/obs/prof.h) ---
+  // --- Continuous profiling (src/obs/prof.h) ---
 
   /// Counter-rendered gauges (GetCounterGauge) mirroring the profiling
   /// collectors' cumulative totals at scrape time, plus process CPU seconds

@@ -93,7 +93,8 @@ Result<Value> Value::Parse(const std::string& text, DataType type) {
       if (end == text.c_str() || *end != '\0') {
         return Status::ParseError("not an integer: '" + text + "'");
       }
-      return Value(static_cast<int64_t>(v));
+      const Value value(static_cast<int64_t>(v));
+      return value;
     }
     case DataType::kDouble: {
       char* end = nullptr;
@@ -101,7 +102,8 @@ Result<Value> Value::Parse(const std::string& text, DataType type) {
       if (end == text.c_str() || *end != '\0') {
         return Status::ParseError("not a double: '" + text + "'");
       }
-      return Value(v);
+      const Value value(v);
+      return value;
     }
     case DataType::kString:
       return Value(text);

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <optional>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -195,20 +196,59 @@ TEST_F(ExplainAnalyzeTest, TracedAndMeteredAnswersMatchUntraced) {
 }
 
 TEST_F(ExplainAnalyzeTest, ExecStatsMirrorRegistryCounters) {
+  // Every row of the executor's counter table against the counter it
+  // mirrors: a row with a wrong series or a wrong ExecStats field fails.
+  // The workload moves every counter, each to a distinct value: a join,
+  // IN-subqueries, hash probes and a B+-tree range over the fixture's
+  // default indexes (which is what rows_saved counts).
   obs::MetricsRegistry registry;
   ExecOptions options = OptionsFor(8);
   options.metrics = &registry;
   Executor executor(db_, nullptr, options);
-  auto rows = executor.ExecuteSql(
-      "select m.title from movie m, genre g where m.mid = g.mid");
-  ASSERT_TRUE(rows.ok()) << rows.status();
+  const auto run = [&](const std::string& sql) -> size_t {
+    auto rows = executor.ExecuteSql(sql);
+    EXPECT_TRUE(rows.ok()) << sql << ": " << rows.status();
+    return rows.ok() ? rows->num_rows() : 0;
+  };
+  run("select m.title from movie m, genre g where m.mid = g.mid");
+  for (int i = 0; i < 3; ++i) {
+    run("select title from movie where movie.mid not in "
+        "(select mid from genre where genre.genre = 'musical')");
+  }
+  // Each indexed source saves the movies its probe or range skipped.
+  const size_t movies = (*db_->GetTable("movie"))->num_rows();
+  size_t saved = 0;
+  saved += movies - run("select title from movie where movie.mid = 7");
+  saved += movies - run("select title from movie where movie.mid = 11");
+  saved += movies - run("select title from movie where movie.mid = 13");
+  saved += movies - run("select title from movie where movie.year >= 2000");
+
   const ExecStats stats = executor.stats();
-  EXPECT_EQ(registry.GetCounter("qp_exec_rows_scanned_total")->Value(),
-            stats.rows_scanned);
-  EXPECT_EQ(registry.GetCounter("qp_exec_rows_joined_total")->Value(),
-            stats.rows_joined);
-  EXPECT_EQ(registry.GetCounter("qp_exec_rows_output_total")->Value(),
-            stats.rows_output);
+  EXPECT_EQ(stats.subqueries_materialized, 3u);
+  const std::pair<std::string, size_t> expected[] = {
+      {"qp_exec_queries_total", stats.queries_executed},
+      {"qp_exec_rows_scanned_total", stats.rows_scanned},
+      {"qp_exec_rows_joined_total", stats.rows_joined},
+      {"qp_exec_rows_output_total", stats.rows_output},
+      {"qp_exec_subqueries_materialized_total",
+       stats.subqueries_materialized},
+      {"qp_exec_rows_examined_total", executor.rows_examined()},
+      {"qp_index_path_total{kind=\"scan\"}", stats.paths_scan},
+      {"qp_index_path_total{kind=\"probe\"}", stats.paths_probe},
+      {"qp_index_path_total{kind=\"range\"}", stats.paths_range},
+      {"qp_index_rows_saved_total", saved},
+  };
+  const std::string text = obs::RenderText(registry);
+  std::set<size_t> values;
+  for (const auto& [series, value] : expected) {
+    EXPECT_NE(text.find("\n" + series + " " + std::to_string(value) + "\n"),
+              std::string::npos)
+        << series << " != " << value << "\n"
+        << text;
+    values.insert(value);
+  }
+  // Distinct values, so no row can pass by mirroring the wrong counter.
+  EXPECT_EQ(values.size(), std::size(expected)) << text;
 }
 
 }  // namespace

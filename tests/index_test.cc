@@ -45,7 +45,8 @@ std::vector<std::pair<Value, size_t>> OracleRange(
     const RangeBounds& bounds) {
   std::vector<std::pair<Value, size_t>> out;
   for (const auto& [key, pos] : oracle) {
-    if (bounds.Contains(Value(key))) out.emplace_back(Value(key), pos);
+    const Value value(key);
+    if (bounds.Contains(value)) out.emplace_back(value, pos);
   }
   return out;
 }

@@ -291,8 +291,12 @@ TEST_F(ParallelExecTest, ResetStatsClearsAllCounters) {
   Executor executor(db_, nullptr, OptionsFor(8));
   ASSERT_TRUE(executor.ExecuteSql("select title from movie").ok());
   EXPECT_GT(executor.stats().rows_scanned, 0u);
+  EXPECT_GT(executor.rows_examined(), 0u);
+  EXPECT_GT(executor.thread_seconds(), 0.0);
   executor.ResetStats();
   EXPECT_EQ(executor.stats(), ExecStats{});
+  EXPECT_EQ(executor.rows_examined(), 0u);
+  EXPECT_EQ(executor.thread_seconds(), 0.0);
 }
 
 TEST_F(ParallelExecTest, ErrorsAreThreadCountInvariant) {

@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <fstream>
 #include <string>
 #include <vector>
 
@@ -64,7 +66,7 @@ class PpaParallelTest : public ::testing::Test {
     options.l = l;
     options.algorithm = algorithm;
     options.ranking = RankingFunction::Make(style);
-    options.num_threads = num_threads;
+    options.exec.num_threads = num_threads;
     options.top_n = top_n;
     RunTrace trace;
     options.on_emit = [&trace](const PersonalizedTuple& t) {
@@ -198,6 +200,50 @@ TEST_F(PpaParallelTest, SpaIntegratedQueryIsThreadCountInvariant) {
   }
 }
 
+/// Threads of this process right now (the Threads: line of
+/// /proc/self/status), or 0 when unreadable.
+size_t ProcessThreads() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("Threads:", 0) == 0) return std::stoul(line.substr(8));
+  }
+  return 0;
+}
+
+TEST_F(PpaParallelTest, ColdParallelCallRunsOnePool) {
+  // With no pool injected, an 8-thread call owns one pool of 7 workers:
+  // the executor's parallel regions and the point probes share it.
+  const size_t before = ProcessThreads();
+  if (before == 0) GTEST_SKIP() << "/proc/self/status unreadable";
+  datagen::ProfileGenConfig config;
+  config.seed = 5;
+  config.num_presence = 5;
+  config.num_negative = 2;
+  config.db_config.num_movies = 200;
+  auto db = datagen::GenerateMovieDatabase(config.db_config);
+  ASSERT_TRUE(db.ok());
+  auto profile = datagen::GenerateProfile(config);
+  ASSERT_TRUE(profile.ok());
+  auto personalizer = Personalizer::Make(&*db, &*profile);
+  ASSERT_TRUE(personalizer.ok());
+  auto query = sql::ParseQuery("select mid, title from movie");
+  ASSERT_TRUE(query.ok());
+  PersonalizeOptions options;
+  options.k = 8;
+  options.l = 1;
+  options.exec.num_threads = 8;
+  size_t during = 0;
+  options.on_emit = [&during](const PersonalizedTuple&) {
+    during = std::max(during, ProcessThreads());
+  };
+  auto answer = personalizer->Personalize((*query)->single(), options);
+  ASSERT_TRUE(answer.ok()) << answer.status();
+  ASSERT_FALSE(answer->tuples.empty());
+  EXPECT_GT(during, before);
+  EXPECT_LE(during, before + 7);
+}
+
 TEST_F(PpaParallelTest, CountWeightedMixedStyleKeepsEmissionOrder) {
   // The count-weighted mixed style drives the tightest MEDI decay — the
   // most emission rounds and the strongest ordering constraint.
@@ -221,7 +267,7 @@ TEST_F(PpaParallelTest, CountWeightedMixedStyleKeepsEmissionOrder) {
     options.l = 1;
     options.ranking = RankingFunction::Make(CombinationStyle::kInflationary,
                                             MixedStyle::kCountWeighted);
-    options.num_threads = threads;
+    options.exec.num_threads = threads;
     RunTrace trace;
     options.on_emit = [&trace](const PersonalizedTuple& t) {
       trace.emitted.push_back(RenderTuple(t));

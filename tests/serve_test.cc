@@ -185,6 +185,62 @@ TEST(ServeTest, MetricsTextExposesCountersAndPerUserLatency) {
   EXPECT_NE(trace_text.find("execute: ppa"), std::string::npos) << trace_text;
   EXPECT_NE(trace_text.find("first_response"), std::string::npos)
       << trace_text;
+
+  // One series per fact, with the query log on and off: the executor's
+  // qp_exec_* counters carry the answers' work counters and
+  // qp_query_rows_returned_total their tuples; no qp_query_* family repeats
+  // a qp_exec_* fact.
+  for (const bool log_enabled : {true, false}) {
+    SCOPED_TRACE(log_enabled ? "query log on" : "query log off");
+    ServingContext::Options ctx_options;
+    ctx_options.query_log_enabled = log_enabled;
+    ServingContext stream_ctx(&*db, ctx_options);
+    auto session = stream_ctx.OpenSession("al", *profile);
+    ASSERT_TRUE(session.ok());
+    core::AnswerStats sum;
+    for (const char* stream_sql :
+         {"select mid, title from movie",
+          "select movie.mid, movie.title from movie, genre "
+          "where movie.mid = genre.mid and genre.genre = 'comedy'"}) {
+      for (const AnswerAlgorithm algorithm :
+           {AnswerAlgorithm::kPpa, AnswerAlgorithm::kSpa}) {
+        PersonalizeOptions stream_options;
+        stream_options.k = 5;
+        stream_options.l = 1;
+        stream_options.algorithm = algorithm;
+        for (int call = 0; call < 2; ++call) {
+          auto answer = (*session)->Personalize(stream_sql, stream_options);
+          ASSERT_TRUE(answer.ok()) << answer.status();
+          sum.queries_executed += answer->stats.queries_executed;
+          sum.rows_scanned += answer->stats.rows_scanned;
+          sum.rows_joined += answer->stats.rows_joined;
+          sum.rows_materialized += answer->stats.rows_materialized;
+          sum.tuples_returned += answer->tuples.size();
+        }
+      }
+    }
+    ASSERT_GT(sum.tuples_returned, 0u);
+    const std::string stream_text = stream_ctx.MetricsText();
+    const std::pair<std::string, size_t> facts[] = {
+        {"qp_exec_queries_total", sum.queries_executed},
+        {"qp_exec_rows_scanned_total", sum.rows_scanned},
+        {"qp_exec_rows_joined_total", sum.rows_joined},
+        {"qp_exec_rows_output_total", sum.rows_materialized},
+        {"qp_query_rows_returned_total", sum.tuples_returned},
+    };
+    for (const auto& [series, value] : facts) {
+      EXPECT_NE(stream_text.find("\n" + series + " " + std::to_string(value) +
+                                 "\n"),
+                std::string::npos)
+          << series << " != " << value << "\n"
+          << stream_text;
+    }
+    for (const char* deleted :
+         {"qp_query_rows_scanned_total", "qp_query_rows_joined_total",
+          "qp_query_rows_materialized_total", "qp_query_subqueries_total"}) {
+      EXPECT_EQ(stream_text.find(deleted), std::string::npos) << deleted;
+    }
+  }
 }
 
 TEST(ServeTest, ProfileMutationsInvalidateAndMatchFreshCold) {
