@@ -1111,7 +1111,6 @@ int main(int argc, char** argv) {
     sched_options.num_shards = num_shards;
     sched_options.shard_queue_capacity = queue_capacity;
     Scheduler scheduler(&ctx, sched_options);
-    const auto before = scheduler.stats();
 
     const double interval_seconds = 1.0 / (offered * saturation_rps);
     std::vector<std::shared_ptr<RequestHandle>> handles;
@@ -1155,15 +1154,15 @@ int main(int argc, char** argv) {
       }
     }
     scheduler.Shutdown();
-    const auto after = scheduler.stats();
-    const size_t expired = after.expired_in_queue - before.expired_in_queue;
+    const auto stats = scheduler.stats();
+    const size_t expired = stats.expired_in_queue;
     const double p50 = Percentile(latencies, 0.50);
     const double p99 = Percentile(latencies, 0.99);
     const double denom = static_cast<double>(num_requests);
 
     std::printf("%-8.2f %10zu %10zu %10zu %10zu %10.2f %10.2f %10zu\n",
                 offered, completed, partial, shed, expired, p50 * 1e3,
-                p99 * 1e3, after.max_queue_depth);
+                p99 * 1e3, stats.max_queue_depth);
     report.BeginPoint();
     report.Metric("phase", "sweep");
     report.Metric("offered_multiplier", offered);
@@ -1180,7 +1179,7 @@ int main(int argc, char** argv) {
     report.Metric("p99_seconds", p99);
     report.Metric("deadline_seconds", deadline_seconds);
     report.Metric("max_queue_depth",
-                  static_cast<double>(after.max_queue_depth));
+                  static_cast<double>(stats.max_queue_depth));
   }
 
   std::printf(

@@ -3,7 +3,10 @@
 // num_threads in {1, 2, 4, 8}. Prints wall-clock per thread count and the
 // speedup over serial, and verifies on the fly that every parallel run
 // returns byte-identical results to the serial one (the determinism
-// contract — speedup must never change answers).
+// contract — speedup must never change answers): rows with ExecStats for
+// the executor queries, tuples and dois with the AnswerStats work counters
+// for SPA and PPA. Any difference marks its cell !!DIFF and makes the
+// program exit 1.
 //
 // Speedup naturally tops out at the machine's core count: on a single-core
 // container every configuration measures pool overhead only (expect ~1.0x
@@ -35,9 +38,20 @@ std::string Fingerprint(const exec::RowSet& rows) {
   return out;
 }
 
+std::string Fingerprint(const exec::ExecStats& s) {
+  char buf[256];
+  std::snprintf(buf, sizeof(buf),
+                "queries=%zu scanned=%zu joined=%zu output=%zu subqueries=%zu "
+                "paths=%zu/%zu/%zu\n",
+                s.queries_executed, s.rows_scanned, s.rows_joined,
+                s.rows_output, s.subqueries_materialized, s.paths_scan,
+                s.paths_probe, s.paths_range);
+  return buf;
+}
+
 std::string Fingerprint(const core::PersonalizedAnswer& answer) {
   std::string out;
-  char buf[48];
+  char buf[256];
   for (const auto& t : answer.tuples) {
     for (const auto& v : t.values) {
       out += v.ToString();
@@ -46,20 +60,34 @@ std::string Fingerprint(const core::PersonalizedAnswer& answer) {
     std::snprintf(buf, sizeof(buf), "%.12f\n", t.doi);
     out += buf;
   }
-  return out;
+  const core::AnswerStats& s = answer.stats;
+  std::snprintf(buf, sizeof(buf),
+                "queries=%zu tuples=%zu scanned=%zu joined=%zu "
+                "materialized=%zu paths=%zu/%zu/%zu examined=%zu partial=%d "
+                "rounds=%zu\n",
+                s.queries_executed, s.tuples_returned, s.rows_scanned,
+                s.rows_joined, s.rows_materialized, s.paths_scan,
+                s.paths_probe, s.paths_range, s.rows_examined,
+                s.partial ? 1 : 0, s.rounds_run);
+  return out + buf;
 }
 
 constexpr size_t kThreadCounts[] = {1, 2, 4, 8};
 
-void PrintRow(const char* label, const double (&seconds)[4],
+/// Prints one workload row; returns false when any run differed from the
+/// serial one.
+bool PrintRow(const char* label, const double (&seconds)[4],
               const bool (&identical)[4]) {
   std::printf("%-34s", label);
+  bool all_identical = true;
   for (size_t i = 0; i < 4; ++i) {
     std::printf("  %8.3fs %5.2fx%s", seconds[i],
                 seconds[i] > 0 ? seconds[0] / seconds[i] : 0.0,
                 identical[i] ? "" : " !!DIFF");
+    all_identical = all_identical && identical[i];
   }
   std::printf("\n");
+  return all_identical;
 }
 
 }  // namespace
@@ -84,6 +112,7 @@ int main() {
 
   std::printf("%-34s  %16s  %16s  %16s  %16s\n", "workload", "1 thread",
               "2 threads", "4 threads", "8 threads");
+  bool all_identical = true;
 
   // ---- Raw executor queries. ----
   const struct {
@@ -131,13 +160,14 @@ int main() {
           if (rep == 0) fp = Fingerprint(*rows);
         }
       });
+      fp += Fingerprint(executor.stats());
       if (i == 0) {
         serial_fp = std::move(fp);
       } else {
         identical[i] = fp == serial_fp;
       }
     }
-    PrintRow(q.label, seconds, identical);
+    all_identical = PrintRow(q.label, seconds, identical) && all_identical;
   }
 
   // ---- SPA / PPA on the Figure 7 profile. ----
@@ -186,11 +216,17 @@ int main() {
         identical[i] = fp == serial_fp;
       }
     }
-    PrintRow(spa ? "SPA (K=10, L=1)" : "PPA (K=10, L=1)", seconds, identical);
+    all_identical = PrintRow(spa ? "SPA (K=10, L=1)" : "PPA (K=10, L=1)",
+                             seconds, identical) &&
+                    all_identical;
   }
 
   std::printf(
       "\nAll rows must show no !!DIFF marks: parallel runs return results\n"
       "byte-identical to serial by construction (morsel-order merges).\n");
+  if (!all_identical) {
+    std::fprintf(stderr, "!!DIFF: a parallel run differed from serial\n");
+    return 1;
+  }
   return 0;
 }

@@ -150,22 +150,4 @@ void ThreadPool::RunAll(std::vector<std::function<void()>> tasks) {
   if (error != nullptr) std::rethrow_exception(error);
 }
 
-void ThreadPool::ParallelFor(size_t begin, size_t end, size_t grain,
-                             const std::function<void(size_t, size_t)>& body) {
-  if (end <= begin) return;
-  const auto ranges =
-      MorselRanges(end - begin, grain, 4 * (threads_.size() + 1));
-  if (ranges.size() == 1) {
-    body(begin, end);
-    return;
-  }
-  std::vector<std::function<void()>> tasks;
-  tasks.reserve(ranges.size());
-  for (const auto& [lo, hi] : ranges) {
-    tasks.emplace_back(
-        [&body, begin, lo = lo, hi = hi] { body(begin + lo, begin + hi); });
-  }
-  RunAll(std::move(tasks));
-}
-
 }  // namespace qp::common

@@ -11,8 +11,9 @@
 //      nested batch and always makes progress even when every other worker
 //      is busy. This is the "caller helps" half of work stealing; idle
 //      workers take tasks from whichever batch is at the front of the queue.
-//   3. Exact exception propagation: the lowest-index failing task wins,
-//      which matches what a serial loop over the same tasks would report.
+//   3. Exact error propagation: the lowest-index failing task wins (its
+//      exception from RunAll, its Status from ParallelFor), which matches
+//      what a serial loop over the same tasks would report.
 //
 // A pool with W workers gives W+1-way parallelism (workers + caller), so
 // code exposing a `num_threads` knob should construct ThreadPool with
@@ -33,6 +34,7 @@
 #include <vector>
 
 #include "common/profiled_mutex.h"
+#include "common/status.h"
 
 namespace qp::common {
 
@@ -74,11 +76,34 @@ class ThreadPool {
   /// (every task still runs — no cancellation).
   void RunAll(std::vector<std::function<void()>> tasks);
 
-  /// Morsel loop: splits [begin, end) with MorselRanges(n, grain,
-  /// 4 * (workers + 1)) and invokes body(lo, hi) per morsel, possibly
-  /// concurrently. Safe to call from inside a task (nested parallelism).
-  void ParallelFor(size_t begin, size_t end, size_t grain,
-                   const std::function<void(size_t, size_t)>& body);
+  /// Runs body(i) -> Status for every i in [0, n) and returns the
+  /// lowest-index failure. With no pool (null or zero workers) or n <= 1
+  /// the indices run in order on the calling thread, stopping at the first
+  /// failure; being a template, that path builds no std::function.
+  /// Otherwise every index runs as a RunAll task of `pool` (the caller
+  /// included, so a body may fan out again). Callers split rows into
+  /// index-ordered morsels (MorselRanges) and write morsel i's output to
+  /// slot i, which keeps results identical at every worker count.
+  template <typename Body>
+  static Status ParallelFor(ThreadPool* pool, size_t n, const Body& body) {
+    if (pool == nullptr || pool->workers() == 0 || n <= 1) {
+      for (size_t i = 0; i < n; ++i) {
+        QP_RETURN_IF_ERROR(body(i));
+      }
+      return Status::OK();
+    }
+    std::vector<Status> statuses(n);
+    std::vector<std::function<void()>> tasks;
+    tasks.reserve(n);
+    for (size_t i = 0; i < n; ++i) {
+      tasks.emplace_back([&body, &statuses, i] { statuses[i] = body(i); });
+    }
+    pool->RunAll(std::move(tasks));
+    for (Status& status : statuses) {
+      if (!status.ok()) return std::move(status);
+    }
+    return Status::OK();
+  }
 
  private:
   struct Batch;

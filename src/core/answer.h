@@ -59,8 +59,8 @@ struct AnswerStats {
   size_t paths_range = 0;
   /// Rows materialized into operator outputs (ExecStats::rows_output).
   size_t rows_materialized = 0;
-  /// Summed task wall time across workers (timing-derived; excluded from
-  /// every determinism comparison).
+  /// Summed morsel wall time across threads, the caller's inline morsels
+  /// included (timing-derived; excluded from every determinism comparison).
   double thread_seconds = 0.0;
   /// Rows *physically* examined: executor access paths plus PPA's prepared
   /// probe walks. Unlike rows_scanned (the logical plan cost, identical

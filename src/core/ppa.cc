@@ -77,8 +77,8 @@ struct TupleRecord {
   double doi = 0.0;
 };
 
-/// Per-task probe scratch: the walk frontiers for one tuple, shared across
-/// the preferences probing the same path. Each concurrent probe task owns
+/// Per-morsel probe scratch: the walk frontiers for one tuple, shared across
+/// the preferences probing the same path. Each concurrent probe morsel owns
 /// its own context, so frontier reuse needs no synchronization.
 struct ProbeContext {
   std::vector<std::vector<const storage::Row*>> frontiers;
@@ -90,35 +90,6 @@ struct ProbeContext {
   /// Invalidates cached frontiers when the context moves to a new tuple.
   void Reset() { std::fill(valid.begin(), valid.end(), 0); }
 };
-
-/// Runs `fn(j, ctx)` for j in [0, n): serially with one reused context when
-/// no pool is given (or the batch is trivial), otherwise as independent pool
-/// tasks with a context each. Reports the lowest-index failure — exactly the
-/// error a serial loop would have hit first.
-Status RunProbeTasks(common::ThreadPool* pool, size_t walk_count, size_t n,
-                     const std::function<Status(size_t, ProbeContext&)>& fn) {
-  if (pool == nullptr || n <= 1) {
-    ProbeContext ctx(walk_count);
-    for (size_t j = 0; j < n; ++j) {
-      QP_RETURN_IF_ERROR(fn(j, ctx));
-    }
-    return Status::OK();
-  }
-  std::vector<Status> statuses(n);
-  std::vector<std::function<void()>> tasks;
-  tasks.reserve(n);
-  for (size_t j = 0; j < n; ++j) {
-    tasks.emplace_back([&, j]() {
-      ProbeContext ctx(walk_count);
-      statuses[j] = fn(j, ctx);
-    });
-  }
-  pool->RunAll(std::move(tasks));
-  for (const Status& s : statuses) {
-    if (!s.ok()) return s;
-  }
-  return Status::OK();
-}
 
 /// Upper bound on the positive combination any subset of `degrees` can
 /// achieve: the inflationary function is monotone in set extension, but
@@ -375,12 +346,15 @@ Result<PersonalizedAnswer> PpaGenerator::GenerateWithPlan(
     if (span != nullptr) span->AddAttr("rows", rows.num_rows());
     return Status::OK();
   };
-  // Probes a round's `n` fresh tuples with `fn`: first builds, serially,
-  // the missing hit maps among the plans the round probes (S plans from
-  // `s_from` on, A plans from `a_from` on), then fans the probes out.
-  const auto probe_fresh =
-      [&](size_t s_from, size_t a_from, obs::TraceSpan* round_span, size_t n,
-          const std::function<Status(size_t, ProbeContext&)>& fn) -> Status {
+  // Probes a round's `n` fresh tuples with `fn(j, ctx)`: first builds,
+  // serially, the missing hit maps among the plans the round probes (S
+  // plans from `s_from` on, A plans from `a_from` on), then fans the probes
+  // out in morsels of consecutive tuples — one morsel with one reused
+  // context when serial, else up to four per thread with a context each.
+  // The grain is one tuple: a probe walks whole join paths.
+  const auto probe_fresh = [&](size_t s_from, size_t a_from,
+                               obs::TraceSpan* round_span, size_t n,
+                               const auto& fn) -> Status {
     if (n == 0) return Status::OK();
     for (size_t k = s_from; k < rep.s_plans.size(); ++k) {
       QP_RETURN_IF_ERROR(build_hit_map(rep.s_plans[k], round_span));
@@ -388,18 +362,27 @@ Result<PersonalizedAnswer> PpaGenerator::GenerateWithPlan(
     for (size_t k = a_from; k < rep.a_plans.size(); ++k) {
       QP_RETURN_IF_ERROR(build_hit_map(rep.a_plans[k], round_span));
     }
-    return RunProbeTasks(probe_pool, rep.walks.size(), n, fn);
+    const auto morsels = common::MorselRanges(
+        n, 1, probe_pool != nullptr ? 4 * exec_options.parallelism() : 1);
+    return common::ThreadPool::ParallelFor(
+        probe_pool, morsels.size(), [&](size_t m) -> Status {
+          ProbeContext ctx(rep.walks.size());
+          for (size_t j = morsels[m].first; j < morsels[m].second; ++j) {
+            QP_RETURN_IF_ERROR(fn(j, ctx));
+          }
+          return Status::OK();
+        });
   };
 
   // One parameterized probe Q_i(t): the prepared index-walk when available,
   // otherwise a lookup in the plan's hit map. Satisfaction depends on the
   // preference kind.
   // `ctx` caches walk frontiers for the current tuple; it belongs to the
-  // calling task, so concurrent probes never share mutable state (the walks
-  // and hit maps are safe for concurrent readers).
+  // calling morsel, so concurrent probes never share mutable state (the
+  // walks and hit maps are safe for concurrent readers).
   // Physical rows examined by prepared walk frontiers. Each (tuple, walk)
   // frontier is computed exactly once (the per-tuple cache resets per
-  // record in both the serial and pooled probe paths), so the sum is
+  // record, whichever morsel probes it), so the sum is
   // deterministic at every thread count; the atomic only makes concurrent
   // accumulation exact.
   std::atomic<size_t> walk_rows_examined{0};
@@ -494,8 +477,8 @@ Result<PersonalizedAnswer> PpaGenerator::GenerateWithPlan(
 
   // ---- Phase 1: presence queries. ----
   // Each round: claim fresh tuple ids serially in row order, probe the
-  // claimed tuples' remaining preferences as independent pool tasks (each
-  // writes its own record slot), then queue records serially in that same
+  // claimed tuples' remaining preferences in morsels (each tuple writes
+  // its own record slot), then queue records serially in that same
   // row order — byte-identical to the serial walk at every thread count.
   for (size_t i = 0; i < s_plans.size(); ++i) {
     if (top_n_reached()) break;

@@ -4,7 +4,6 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <functional>
 #include <optional>
 #include <set>
 #include <unordered_map>
@@ -193,7 +192,33 @@ class AggregateEnv {
   const std::unordered_map<std::string, Value>* agg_values_;
 };
 
-/// Wall time since `t0` in seconds (trace timing only).
+/// True when every predicate in `filters` holds on `row` (stops at the
+/// first that does not).
+Result<bool> AllHold(const std::vector<ExprPtr>& filters, const Scope& scope,
+                     const Row& row, const SubqueryResults* subqueries) {
+  for (const auto& f : filters) {
+    QP_ASSIGN_OR_RETURN(bool ok, EvalPredicate(*f, scope, row, subqueries));
+    if (!ok) return false;
+  }
+  return true;
+}
+
+/// Concatenates per-morsel outputs in morsel order; a single part is moved
+/// whole.
+std::vector<Row> Splice(std::vector<std::vector<Row>>&& parts) {
+  if (parts.size() == 1) return std::move(parts[0]);
+  size_t total = 0;
+  for (const auto& part : parts) total += part.size();
+  std::vector<Row> out;
+  out.reserve(total);
+  for (auto& part : parts) {
+    out.insert(out.end(), std::make_move_iterator(part.begin()),
+               std::make_move_iterator(part.end()));
+  }
+  return out;
+}
+
+/// Wall time since `t0` in seconds (trace and thread_seconds timing).
 double SecondsSince(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
       .count();
@@ -262,18 +287,14 @@ Executor::Executor(const storage::Database* db,
     pool_ = std::make_unique<common::ThreadPool>(options_.num_threads - 1);
   }
   if (options_.metrics != nullptr) {
-    mirrors_ = obs::RegisterCounters(*options_.metrics, kCounterTable);
+    counters_.Mirror(*options_.metrics, kCounterTable);
   }
 }
 
-ExecStats Executor::stats() const {
-  return obs::SnapshotOf(kCounterTable, [this](size_t i) {
-    return counts_[i].load(std::memory_order_relaxed);
-  });
-}
+ExecStats Executor::stats() const { return counters_.Read(kCounterTable); }
 
 void Executor::ResetStats() {
-  for (auto& count : counts_) count.store(0, std::memory_order_relaxed);
+  counters_.Reset();
   thread_seconds_.Set(0.0);
 }
 
@@ -328,38 +349,18 @@ Result<std::string> Executor::ExplainAnalyzeChromeJsonSql(
   return ExplainAnalyzeChromeJson(*q);
 }
 
-Status Executor::RunTasks(std::vector<std::function<Status()>> tasks) const {
-  if (tasks.empty()) return Status::OK();
-  std::vector<Status> statuses(tasks.size());
-  common::ThreadPool* pool = ActivePool();
-  if (pool == nullptr || tasks.size() == 1) {
-    for (size_t i = 0; i < tasks.size(); ++i) {
-      statuses[i] = CheckCancel();
-      if (statuses[i].ok()) {
-        const auto t0 = std::chrono::steady_clock::now();
-        statuses[i] = tasks[i]();
-        thread_seconds_.Add(SecondsSince(t0));
-      }
-      if (!statuses[i].ok()) return statuses[i];
-    }
-    return Status::OK();
-  }
-  std::vector<std::function<void()>> wrapped;
-  wrapped.reserve(tasks.size());
-  for (size_t i = 0; i < tasks.size(); ++i) {
-    wrapped.emplace_back([this, &tasks, &statuses, i] {
-      statuses[i] = CheckCancel();
-      if (!statuses[i].ok()) return;
-      const auto t0 = std::chrono::steady_clock::now();
-      statuses[i] = tasks[i]();
-      thread_seconds_.Add(SecondsSince(t0));
-    });
-  }
-  pool->RunAll(std::move(wrapped));
-  for (const Status& s : statuses) {
-    if (!s.ok()) return s;
-  }
-  return Status::OK();
+template <typename Body>
+Status Executor::ForEachMorsel(size_t n, const Scope& scope,
+                               const Body& body) const {
+  common::ThreadPool* pool = ParallelEnabled() ? ActivePool() : nullptr;
+  const bool pooled = pool != nullptr && n > 1;
+  return common::ThreadPool::ParallelFor(pool, n, [&](size_t m) -> Status {
+    QP_RETURN_IF_ERROR(CheckCancel());
+    const auto t0 = std::chrono::steady_clock::now();
+    const Status status = pooled ? body(m, Scope(scope)) : body(m, scope);
+    thread_seconds_.Add(SecondsSince(t0));
+    return status;
+  });
 }
 
 Result<RowSet> Executor::Execute(const sql::Query& query,
@@ -450,34 +451,27 @@ Result<RowSet> Executor::ExecuteSelect(const SelectQuery& q,
 
   // ---- Materialize IN-subqueries. Independent subqueries execute
   // concurrently across the pool; each one's hash set is built inside its
-  // task and slotted by subquery index, so the resulting sets (and the
+  // morsel and slotted by subquery index, so the resulting sets (and the
   // lowest-index error, if any) never depend on scheduling. ----
   SubqueryResults subquery_sets;
   {
     std::vector<const Expr*> sub_nodes;
     CollectSubqueries(q.where, &sub_nodes);
     CollectSubqueries(q.having, &sub_nodes);
-    const auto subquery_span_name = [](const Expr* node) {
-      return std::string(node->negated() ? "NOT IN" : "IN") +
-             " subquery (materialized to a hash set):";
-    };
-    if (ParallelEnabled() && sub_nodes.size() > 1) {
-      std::vector<std::unordered_set<Value, storage::ValueHash>> sets(
-          sub_nodes.size());
-      // Each task records into its own preallocated span slot; slots are
-      // adopted in index order after the join, so the trace tree matches the
-      // serial path exactly.
-      std::vector<obs::TraceSpan> slots =
-          obs::TraceSpan::MakeSlots(span != nullptr ? sub_nodes.size() : 0);
-      std::vector<std::function<Status()>> tasks;
-      tasks.reserve(sub_nodes.size());
-      for (size_t n = 0; n < sub_nodes.size(); ++n) {
-        tasks.emplace_back(
-            [this, &sub_nodes, &sets, &slots, &subquery_span_name, span,
-             n]() -> Status {
+    std::vector<std::unordered_set<Value, storage::ValueHash>> sets(
+        sub_nodes.size());
+    // Each subquery records into its own preallocated span slot; slots are
+    // adopted in index order afterwards, so the trace tree is the same at
+    // every thread count.
+    std::vector<obs::TraceSpan> slots =
+        obs::TraceSpan::MakeSlots(span != nullptr ? sub_nodes.size() : 0);
+    QP_RETURN_IF_ERROR(ForEachMorsel(
+        sub_nodes.size(), Scope(), [&](size_t n, const Scope&) -> Status {
           obs::TraceSpan* sub_span = span != nullptr ? &slots[n] : nullptr;
           if (sub_span != nullptr) {
-            sub_span->set_name(subquery_span_name(sub_nodes[n]));
+            sub_span->set_name(
+                std::string(sub_nodes[n]->negated() ? "NOT IN" : "IN") +
+                " subquery (materialized to a hash set):");
           }
           obs::SpanTimer sub_timer(sub_span);
           QP_ASSIGN_OR_RETURN(RowSet sub,
@@ -492,46 +486,17 @@ Result<RowSet> Executor::ExecuteSelect(const SelectQuery& q,
             if (!row[0].is_null()) sets[n].insert(row[0]);
           }
           if (sub_span != nullptr) sub_span->AddAttr("rows", sets[n].size());
+          Add(kSubqueries);
           return Status::OK();
-        });
+        }));
+    for (size_t n = 0; n < sub_nodes.size(); ++n) {
+      if (span != nullptr) {
+        obs::TraceSpan* sub_span = span->Adopt(std::move(slots[n]));
+        // Track n+1 when there are several; a lone subquery stays on its
+        // parent's track.
+        if (sub_nodes.size() > 1) sub_span->set_track(n + 1);
       }
-      QP_RETURN_IF_ERROR(RunTasks(std::move(tasks)));
-      for (size_t n = 0; n < sub_nodes.size(); ++n) {
-        // track n+1: slot n of the fan-out. The serial branch tags the same
-        // way, so the trace shape stays identical across thread counts.
-        if (span != nullptr) {
-          span->Adopt(std::move(slots[n]))->set_track(n + 1);
-        }
-        subquery_sets.emplace(sub_nodes[n], std::move(sets[n]));
-      }
-      Add(kSubqueries, sub_nodes.size());
-    } else {
-      size_t sub_index = 0;
-      for (const Expr* node : sub_nodes) {
-        obs::TraceSpan* sub_span =
-            span != nullptr ? span->AddChild(subquery_span_name(node))
-                            : nullptr;
-        if (sub_span != nullptr && sub_nodes.size() > 1) {
-          sub_span->set_track(sub_index + 1);
-        }
-        ++sub_index;
-        obs::SpanTimer sub_timer(sub_span);
-        auto sub_result = Execute(*node->subquery(), sub_span);
-        sub_timer.Stop();
-        QP_ASSIGN_OR_RETURN(RowSet sub, std::move(sub_result));
-        if (sub.num_columns() != 1) {
-          return Status::InvalidArgument(
-              "IN-subquery must return exactly one column");
-        }
-        std::unordered_set<Value, storage::ValueHash> set;
-        set.reserve(sub.num_rows());
-        for (const auto& row : sub.rows()) {
-          if (!row[0].is_null()) set.insert(row[0]);
-        }
-        if (sub_span != nullptr) sub_span->AddAttr("rows", set.size());
-        subquery_sets.emplace(node, std::move(set));
-        Add(kSubqueries, 1);
-      }
+      subquery_sets.emplace(sub_nodes[n], std::move(sets[n]));
     }
   }
 
@@ -580,6 +545,33 @@ Result<RowSet> Executor::ExecuteSelect(const SelectQuery& q,
     }
   }
 
+  // The one filter pass over materialized rows (derived tables, join edges
+  // internal to the joined result, residual predicates): keeps, in order,
+  // the rows of `*rows` on which every predicate in `filters` holds. Each
+  // morsel writes its survivors to its own slot; slots splice in morsel
+  // order, so row order and the first error match at every thread count.
+  const auto filter_rows = [&](const std::vector<ExprPtr>& filters,
+                               const Scope& scope,
+                               std::vector<Row>* rows) -> Status {
+    const auto morsels = MorselsFor(rows->size());
+    std::vector<std::vector<Row>> kept(morsels.size());
+    QP_RETURN_IF_ERROR(ForEachMorsel(
+        morsels.size(), scope,
+        [&](size_t m, const Scope& row_scope) -> Status {
+          const auto [lo, hi] = morsels[m];
+          kept[m].reserve(hi - lo);
+          for (size_t r = lo; r < hi; ++r) {
+            QP_ASSIGN_OR_RETURN(
+                bool pass,
+                AllHold(filters, row_scope, (*rows)[r], &subquery_sets));
+            if (pass) kept[m].push_back(std::move((*rows)[r]));
+          }
+          return Status::OK();
+        }));
+    *rows = Splice(std::move(kept));
+    return Status::OK();
+  };
+
   // ---- Plan per-source access paths without materializing base tables.
   // The path *choice* is logical: predicate shape plus an index-independent
   // cardinality estimate (exact match counts by default, histogram
@@ -592,24 +584,11 @@ Result<RowSet> Executor::ExecuteSelect(const SelectQuery& q,
   std::vector<index::AccessPath> access(sources.size());
   for (size_t s = 0; s < sources.size(); ++s) {
     Source& src = sources[s];
-    Scope scope(src.columns);
     if (src.materialized) {
       // Derived table: apply filters now.
       if (!source_filters[s].empty()) {
-        std::vector<Row> kept;
-        for (auto& row : src.rows) {
-          bool pass = true;
-          for (const auto& f : source_filters[s]) {
-            QP_ASSIGN_OR_RETURN(bool ok,
-                                EvalPredicate(*f, scope, row, &subquery_sets));
-            if (!ok) {
-              pass = false;
-              break;
-            }
-          }
-          if (pass) kept.push_back(std::move(row));
-        }
-        src.rows = std::move(kept);
+        QP_RETURN_IF_ERROR(
+            filter_rows(source_filters[s], Scope(src.columns), &src.rows));
       }
       access[s].estimated_rows = src.rows.size();
       continue;
@@ -748,9 +727,8 @@ Result<RowSet> Executor::ExecuteSelect(const SelectQuery& q,
 
   // Materializes a base source through its planned access path. The filter
   // pass is morsel-parallel: each morsel evaluates the filters over its
-  // candidate range with a private Scope (the resolution memo is not
-  // thread-safe to share) into a private output, and outputs are spliced in
-  // morsel order — identical row order and first-error at any thread count.
+  // candidate range into its own output, and outputs are spliced in morsel
+  // order — identical row order and first-error at any thread count.
   const auto materialize = [&](size_t s) -> Status {
     Source& src = sources[s];
     if (src.materialized) return Status::OK();
@@ -778,50 +756,19 @@ Result<RowSet> Executor::ExecuteSelect(const SelectQuery& q,
     }
     Add(kRowsScanned, candidates.size());
     const auto morsels = MorselsFor(candidates.size());
-    if (ParallelEnabled() && morsels.size() > 1) {
-      std::vector<std::vector<Row>> kept(morsels.size());
-      std::vector<std::function<Status()>> tasks;
-      tasks.reserve(morsels.size());
-      for (size_t m = 0; m < morsels.size(); ++m) {
-        tasks.emplace_back([&, m]() -> Status {
-          Scope local_scope(src.columns);
+    std::vector<std::vector<Row>> kept(morsels.size());
+    QP_RETURN_IF_ERROR(ForEachMorsel(
+        morsels.size(), Scope(src.columns),
+        [&](size_t m, const Scope& scope) -> Status {
           for (size_t i = morsels[m].first; i < morsels[m].second; ++i) {
-            bool pass = true;
-            for (const auto& f : source_filters[s]) {
-              QP_ASSIGN_OR_RETURN(
-                  bool ok,
-                  EvalPredicate(*f, local_scope, *candidates[i],
-                                &subquery_sets));
-              if (!ok) {
-                pass = false;
-                break;
-              }
-            }
+            QP_ASSIGN_OR_RETURN(bool pass,
+                                AllHold(source_filters[s], scope,
+                                        *candidates[i], &subquery_sets));
             if (pass) kept[m].push_back(*candidates[i]);
           }
           return Status::OK();
-        });
-      }
-      QP_RETURN_IF_ERROR(RunTasks(std::move(tasks)));
-      for (auto& part : kept) {
-        src.rows.insert(src.rows.end(), std::make_move_iterator(part.begin()),
-                        std::make_move_iterator(part.end()));
-      }
-    } else {
-      Scope scope(src.columns);
-      for (const Row* row : candidates) {
-        bool pass = true;
-        for (const auto& f : source_filters[s]) {
-          QP_ASSIGN_OR_RETURN(bool ok,
-                              EvalPredicate(*f, scope, *row, &subquery_sets));
-          if (!ok) {
-            pass = false;
-            break;
-          }
-        }
-        if (pass) src.rows.push_back(*row);
-      }
-    }
+        }));
+    src.rows = Splice(std::move(kept));
     src.materialized = true;
     return Status::OK();
   };
@@ -932,10 +879,11 @@ Result<RowSet> Executor::ExecuteSelect(const SelectQuery& q,
           combined_scope.Resolve(probe_attr.table, probe_attr.column));
       const size_t build_col = new_on_right ? edge.right_col : edge.left_col;
 
-      std::vector<Row> result;
+      // Both probes are morsel-parallel over `combined`; matches per left
+      // row keep ascending row order and morsel outputs are spliced in
+      // morsel order, so the joined row order is scheduling-independent.
       const auto probe_morsels = MorselsFor(combined.size());
-      const bool parallel_probe =
-          ParallelEnabled() && probe_morsels.size() > 1;
+      std::vector<std::vector<Row>> parts(probe_morsels.size());
       if (!next.materialized) {
         // Base table: probe the catalog's hash snapshot on the join column
         // and apply any pending filters only to matched rows. This keeps
@@ -943,10 +891,6 @@ Result<RowSet> Executor::ExecuteSelect(const SelectQuery& q,
         // Without a registered index the probe runs against a transient
         // value -> ascending-positions map built over the base table —
         // identical matches in identical order, just more rows examined.
-        // The probe side is morsel-parallel over `combined`; matches per
-        // left row keep ascending row order and morsel outputs are spliced
-        // in morsel order, so the joined row order is
-        // scheduling-independent.
         const std::shared_ptr<const index::HashIndex> snapshot =
             catalog.Hash(next.base, build_col);
         std::unordered_map<Value, std::vector<size_t>, storage::ValueHash>
@@ -965,88 +909,61 @@ Result<RowSet> Executor::ExecuteSelect(const SelectQuery& q,
           const auto it = transient.find(key);
           return it == transient.end() ? nullptr : &it->second;
         };
-        const auto& filters = source_filters[next_source];
-        const auto probe_range = [&](size_t lo_row, size_t hi_row,
-                                     const Scope& next_scope,
-                                     std::vector<Row>* out) -> Status {
-          size_t examined = 0;
-          for (size_t r = lo_row; r < hi_row; ++r) {
-            const Row& left_row = combined[r];
-            const Value& key = left_row[probe_col];
-            if (key.is_null()) continue;
-            const std::vector<size_t>* matches = match_positions(key);
-            if (matches == nullptr) continue;
-            examined += matches->size();
-            for (size_t match_pos : *matches) {
-              const Row& right_row = next.base->row(match_pos);
-              bool pass = true;
-              for (const auto& f : filters) {
-                QP_ASSIGN_OR_RETURN(
-                    bool ok,
-                    EvalPredicate(*f, next_scope, right_row, &subquery_sets));
-                if (!ok) {
-                  pass = false;
-                  break;
+        QP_RETURN_IF_ERROR(ForEachMorsel(
+            probe_morsels.size(), Scope(next.columns),
+            [&](size_t m, const Scope& next_scope) -> Status {
+              size_t examined = 0;
+              for (size_t r = probe_morsels[m].first;
+                   r < probe_morsels[m].second; ++r) {
+                const Row& left_row = combined[r];
+                const Value& key = left_row[probe_col];
+                if (key.is_null()) continue;
+                const std::vector<size_t>* matches = match_positions(key);
+                if (matches == nullptr) continue;
+                examined += matches->size();
+                for (size_t match_pos : *matches) {
+                  const Row& right_row = next.base->row(match_pos);
+                  QP_ASSIGN_OR_RETURN(
+                      bool pass,
+                      AllHold(source_filters[next_source], next_scope,
+                              right_row, &subquery_sets));
+                  if (!pass) continue;
+                  Row merged = left_row;
+                  merged.insert(merged.end(), right_row.begin(),
+                                right_row.end());
+                  parts[m].push_back(std::move(merged));
                 }
               }
-              if (!pass) continue;
-              Row merged = left_row;
-              merged.insert(merged.end(), right_row.begin(), right_row.end());
-              out->push_back(std::move(merged));
-            }
-          }
-          Add(kRowsExamined, examined);
-          return Status::OK();
-        };
-        if (parallel_probe) {
-          std::vector<std::vector<Row>> parts(probe_morsels.size());
-          std::vector<std::function<Status()>> tasks;
-          tasks.reserve(probe_morsels.size());
-          for (size_t m = 0; m < probe_morsels.size(); ++m) {
-            tasks.emplace_back([&, m]() -> Status {
-              const Scope local_scope(next.columns);
-              return probe_range(probe_morsels[m].first,
-                                 probe_morsels[m].second, local_scope,
-                                 &parts[m]);
-            });
-          }
-          QP_RETURN_IF_ERROR(RunTasks(std::move(tasks)));
-          for (auto& part : parts) {
-            result.insert(result.end(), std::make_move_iterator(part.begin()),
-                          std::make_move_iterator(part.end()));
-          }
-        } else {
-          const Scope next_scope(next.columns);
-          QP_RETURN_IF_ERROR(
-              probe_range(0, combined.size(), next_scope, &result));
-        }
+              Add(kRowsExamined, examined);
+              return Status::OK();
+            }));
       } else {
         // Build a transient hash table on the (already filtered) rows:
         // key -> build-row positions in ascending order, so probe matches
         // replay in build order regardless of how the table was built.
+        // Partitioned build: every morsel builds a partial map over its row
+        // range; partials merge in morsel order, which preserves the
+        // ascending row order inside every key's match list.
         using BuildMap =
             std::unordered_map<Value, std::vector<size_t>, storage::ValueHash>;
-        BuildMap build;
         const auto build_morsels = MorselsFor(next.rows.size());
-        if (ParallelEnabled() && build_morsels.size() > 1) {
-          // Partitioned build: every morsel builds a partial map over its
-          // row range; partials merge in morsel order, which preserves the
-          // ascending row order inside every key's match list.
-          std::vector<BuildMap> partial(build_morsels.size());
-          std::vector<std::function<Status()>> tasks;
-          tasks.reserve(build_morsels.size());
-          for (size_t m = 0; m < build_morsels.size(); ++m) {
-            tasks.emplace_back([&, m]() -> Status {
-              for (size_t i = build_morsels[m].first;
-                   i < build_morsels[m].second; ++i) {
+        std::vector<BuildMap> partial(build_morsels.size());
+        QP_RETURN_IF_ERROR(ForEachMorsel(
+            build_morsels.size(), Scope(),
+            [&](size_t m, const Scope&) -> Status {
+              const auto [lo, hi] = build_morsels[m];
+              partial[m].reserve(hi - lo);
+              for (size_t i = lo; i < hi; ++i) {
                 if (!next.rows[i][build_col].is_null()) {
                   partial[m][next.rows[i][build_col]].push_back(i);
                 }
               }
               return Status::OK();
-            });
-          }
-          QP_RETURN_IF_ERROR(RunTasks(std::move(tasks)));
+            }));
+        BuildMap build;
+        if (partial.size() == 1) {
+          build = std::move(partial[0]);
+        } else {
           build.reserve(next.rows.size());
           for (auto& part : partial) {
             for (auto& [key, positions] : part) {
@@ -1058,50 +975,29 @@ Result<RowSet> Executor::ExecuteSelect(const SelectQuery& q,
               }
             }
           }
-        } else {
-          build.reserve(next.rows.size());
-          for (size_t i = 0; i < next.rows.size(); ++i) {
-            if (!next.rows[i][build_col].is_null()) {
-              build[next.rows[i][build_col]].push_back(i);
-            }
-          }
         }
-        const auto probe_range = [&](size_t lo_row, size_t hi_row,
-                                     std::vector<Row>* out) {
-          for (size_t r = lo_row; r < hi_row; ++r) {
-            const Row& left_row = combined[r];
-            const Value& key = left_row[probe_col];
-            if (key.is_null()) continue;
-            const auto it = build.find(key);
-            if (it == build.end()) continue;
-            for (size_t pos : it->second) {
-              Row merged = left_row;
-              const Row& right_row = next.rows[pos];
-              merged.insert(merged.end(), right_row.begin(), right_row.end());
-              out->push_back(std::move(merged));
-            }
-          }
-        };
-        if (parallel_probe) {
-          std::vector<std::vector<Row>> parts(probe_morsels.size());
-          std::vector<std::function<Status()>> tasks;
-          tasks.reserve(probe_morsels.size());
-          for (size_t m = 0; m < probe_morsels.size(); ++m) {
-            tasks.emplace_back([&, m]() -> Status {
-              probe_range(probe_morsels[m].first, probe_morsels[m].second,
-                          &parts[m]);
+        QP_RETURN_IF_ERROR(ForEachMorsel(
+            probe_morsels.size(), Scope(),
+            [&](size_t m, const Scope&) -> Status {
+              for (size_t r = probe_morsels[m].first;
+                   r < probe_morsels[m].second; ++r) {
+                const Row& left_row = combined[r];
+                const Value& key = left_row[probe_col];
+                if (key.is_null()) continue;
+                const auto it = build.find(key);
+                if (it == build.end()) continue;
+                for (size_t pos : it->second) {
+                  Row merged = left_row;
+                  const Row& right_row = next.rows[pos];
+                  merged.insert(merged.end(), right_row.begin(),
+                                right_row.end());
+                  parts[m].push_back(std::move(merged));
+                }
+              }
               return Status::OK();
-            });
-          }
-          QP_RETURN_IF_ERROR(RunTasks(std::move(tasks)));
-          for (auto& part : parts) {
-            result.insert(result.end(), std::make_move_iterator(part.begin()),
-                          std::make_move_iterator(part.end()));
-          }
-        } else {
-          probe_range(0, combined.size(), &result);
-        }
+            }));
       }
+      std::vector<Row> result = Splice(std::move(parts));
       Add(kRowsJoined, result.size());
       if (span != nullptr) {
         // The morsel split is parallelism-dependent and therefore omitted.
@@ -1157,53 +1053,15 @@ Result<RowSet> Executor::ExecuteSelect(const SelectQuery& q,
     ++num_joined;
 
     // Apply any join edges now internal to the combined result (other
-    // atoms between already-joined sources). Morsel-parallel like every
-    // other per-row filter pass.
-    const auto edge_filter = [&](size_t lo_row, size_t hi_row,
-                                 const Scope& row_scope,
-                                 std::vector<Row>* out) -> Status {
-      for (size_t r = lo_row; r < hi_row; ++r) {
-        bool pass = true;
-        for (const auto& edge : join_edges) {
-          if (!joined[edge.left_source] || !joined[edge.right_source]) {
-            continue;
-          }
-          QP_ASSIGN_OR_RETURN(bool ok,
-                              EvalPredicate(*edge.atom, row_scope, combined[r],
-                                            &subquery_sets));
-          if (!ok) {
-            pass = false;
-            break;
-          }
-        }
-        if (pass) out->push_back(std::move(combined[r]));
+    // atoms between already-joined sources).
+    std::vector<ExprPtr> internal_edges;
+    for (const auto& edge : join_edges) {
+      if (joined[edge.left_source] && joined[edge.right_source]) {
+        internal_edges.push_back(edge.atom);
       }
-      return Status::OK();
-    };
-    const auto filter_morsels = MorselsFor(combined.size());
-    std::vector<Row> kept;
-    kept.reserve(combined.size());
-    if (ParallelEnabled() && filter_morsels.size() > 1) {
-      std::vector<std::vector<Row>> parts(filter_morsels.size());
-      std::vector<std::function<Status()>> tasks;
-      tasks.reserve(filter_morsels.size());
-      for (size_t m = 0; m < filter_morsels.size(); ++m) {
-        tasks.emplace_back([&, m]() -> Status {
-          const Scope local_scope(combined_cols);
-          return edge_filter(filter_morsels[m].first, filter_morsels[m].second,
-                             local_scope, &parts[m]);
-        });
-      }
-      QP_RETURN_IF_ERROR(RunTasks(std::move(tasks)));
-      for (auto& part : parts) {
-        kept.insert(kept.end(), std::make_move_iterator(part.begin()),
-                    std::make_move_iterator(part.end()));
-      }
-    } else {
-      const Scope scope(combined_cols);
-      QP_RETURN_IF_ERROR(edge_filter(0, combined.size(), scope, &kept));
     }
-    combined = std::move(kept);
+    QP_RETURN_IF_ERROR(
+        filter_rows(internal_edges, Scope(combined_cols), &combined));
   }
 
   Scope scope(combined_cols);
@@ -1216,47 +1074,7 @@ Result<RowSet> Executor::ExecuteSelect(const SelectQuery& q,
                                          " residual predicate(s)")
                         : nullptr;
     obs::SpanTimer residual_timer(residual_span);
-    const auto residual_filter = [&](size_t lo_row, size_t hi_row,
-                                     const Scope& row_scope,
-                                     std::vector<Row>* out) -> Status {
-      for (size_t r = lo_row; r < hi_row; ++r) {
-        bool pass = true;
-        for (const auto& f : residual) {
-          QP_ASSIGN_OR_RETURN(
-              bool ok,
-              EvalPredicate(*f, row_scope, combined[r], &subquery_sets));
-          if (!ok) {
-            pass = false;
-            break;
-          }
-        }
-        if (pass) out->push_back(std::move(combined[r]));
-      }
-      return Status::OK();
-    };
-    const auto morsels = MorselsFor(combined.size());
-    std::vector<Row> kept;
-    kept.reserve(combined.size());
-    if (ParallelEnabled() && morsels.size() > 1) {
-      std::vector<std::vector<Row>> parts(morsels.size());
-      std::vector<std::function<Status()>> tasks;
-      tasks.reserve(morsels.size());
-      for (size_t m = 0; m < morsels.size(); ++m) {
-        tasks.emplace_back([&, m]() -> Status {
-          const Scope local_scope(combined_cols);
-          return residual_filter(morsels[m].first, morsels[m].second,
-                                 local_scope, &parts[m]);
-        });
-      }
-      QP_RETURN_IF_ERROR(RunTasks(std::move(tasks)));
-      for (auto& part : parts) {
-        kept.insert(kept.end(), std::make_move_iterator(part.begin()),
-                    std::make_move_iterator(part.end()));
-      }
-    } else {
-      QP_RETURN_IF_ERROR(residual_filter(0, combined.size(), scope, &kept));
-    }
-    combined = std::move(kept);
+    QP_RETURN_IF_ERROR(filter_rows(residual, scope, &combined));
     residual_timer.Stop();
     if (residual_span != nullptr) {
       residual_span->AddAttr("rows", combined.size());
@@ -1309,36 +1127,23 @@ Result<RowSet> Executor::ExecuteSelect(const SelectQuery& q,
     // group iteration order (and hence ungrouped output order) identical at
     // every thread count.
     std::vector<Row> group_keys(combined.size());
-    {
-      const auto eval_keys = [&](size_t lo_row, size_t hi_row,
-                                 const Scope& row_scope) -> Status {
-        for (size_t i = lo_row; i < hi_row; ++i) {
-          Row key;
-          key.reserve(q.group_by.size());
-          for (const auto& g : q.group_by) {
-            QP_ASSIGN_OR_RETURN(
-                Value v, EvalScalar(*g, row_scope, combined[i], &subquery_sets));
-            key.push_back(std::move(v));
+    const auto key_morsels = MorselsFor(combined.size());
+    QP_RETURN_IF_ERROR(ForEachMorsel(
+        key_morsels.size(), scope,
+        [&](size_t m, const Scope& row_scope) -> Status {
+          for (size_t i = key_morsels[m].first; i < key_morsels[m].second;
+               ++i) {
+            Row& key = group_keys[i];
+            key.reserve(q.group_by.size());
+            for (const auto& g : q.group_by) {
+              QP_ASSIGN_OR_RETURN(Value v, EvalScalar(*g, row_scope,
+                                                      combined[i],
+                                                      &subquery_sets));
+              key.push_back(std::move(v));
+            }
           }
-          group_keys[i] = std::move(key);
-        }
-        return Status::OK();
-      };
-      const auto morsels = MorselsFor(combined.size());
-      if (ParallelEnabled() && morsels.size() > 1 && !q.group_by.empty()) {
-        std::vector<std::function<Status()>> tasks;
-        tasks.reserve(morsels.size());
-        for (size_t m = 0; m < morsels.size(); ++m) {
-          tasks.emplace_back([&, m]() -> Status {
-            const Scope local_scope(combined_cols);
-            return eval_keys(morsels[m].first, morsels[m].second, local_scope);
-          });
-        }
-        QP_RETURN_IF_ERROR(RunTasks(std::move(tasks)));
-      } else {
-        QP_RETURN_IF_ERROR(eval_keys(0, combined.size(), scope));
-      }
-    }
+          return Status::OK();
+        }));
     std::unordered_map<Row, std::vector<size_t>, RowHash> groups;
     for (size_t i = 0; i < combined.size(); ++i) {
       groups[std::move(group_keys[i])].push_back(i);
@@ -1364,60 +1169,49 @@ Result<RowSet> Executor::ExecuteSelect(const SelectQuery& q,
     for (const auto& [key, indices] : groups) group_indices.push_back(&indices);
     std::vector<std::optional<GroupOut>> group_slots(group_indices.size());
     const Row empty_row(combined_cols.size());
-    const auto aggregate_groups = [&](size_t lo_group, size_t hi_group,
-                                      const Scope& row_scope) -> Status {
-      for (size_t g_idx = lo_group; g_idx < hi_group; ++g_idx) {
-        const std::vector<size_t>& indices = *group_indices[g_idx];
-        // Compute each distinct aggregate once.
-        std::unordered_map<std::string, Value> agg_values;
-        for (const auto& [text, node] : agg_by_text) {
-          QP_ASSIGN_OR_RETURN(std::unique_ptr<Aggregator> agg,
-                              registry->Create(node->function()));
-          for (size_t idx : indices) {
-            Value arg = Value::Null();
-            if (node->argument() != nullptr) {
-              QP_ASSIGN_OR_RETURN(
-                  arg, EvalScalar(*node->argument(), row_scope, combined[idx],
-                                  &subquery_sets));
-            }
-            agg->Add(arg);
-          }
-          agg_values.emplace(text, agg->Finalize());
-        }
-        const Row& rep = indices.empty() ? empty_row : combined[indices[0]];
-        AggregateEnv env(&row_scope, &rep, &agg_values);
-        if (q.having != nullptr) {
-          QP_ASSIGN_OR_RETURN(Value hv, env.Eval(*q.having));
-          if (hv.is_null() || hv.ToNumeric() == 0) continue;
-        }
-        GroupOut g;
-        for (const auto& item : items) {
-          QP_ASSIGN_OR_RETURN(Value v, env.Eval(*item.expr));
-          g.out_row.push_back(std::move(v));
-        }
-        for (const auto& o : q.order_by) {
-          QP_ASSIGN_OR_RETURN(Value v, env.Eval(*o.expr));
-          g.sort_keys.push_back(std::move(v));
-        }
-        group_slots[g_idx] = std::move(g);
-      }
-      return Status::OK();
-    };
     const auto group_morsels = MorselsFor(group_indices.size());
-    if (ParallelEnabled() && group_morsels.size() > 1) {
-      std::vector<std::function<Status()>> tasks;
-      tasks.reserve(group_morsels.size());
-      for (size_t m = 0; m < group_morsels.size(); ++m) {
-        tasks.emplace_back([&, m]() -> Status {
-          const Scope local_scope(combined_cols);
-          return aggregate_groups(group_morsels[m].first,
-                                  group_morsels[m].second, local_scope);
-        });
-      }
-      QP_RETURN_IF_ERROR(RunTasks(std::move(tasks)));
-    } else {
-      QP_RETURN_IF_ERROR(aggregate_groups(0, group_indices.size(), scope));
-    }
+    QP_RETURN_IF_ERROR(ForEachMorsel(
+        group_morsels.size(), scope,
+        [&](size_t m, const Scope& row_scope) -> Status {
+          for (size_t g_idx = group_morsels[m].first;
+               g_idx < group_morsels[m].second; ++g_idx) {
+            const std::vector<size_t>& indices = *group_indices[g_idx];
+            // Compute each distinct aggregate once.
+            std::unordered_map<std::string, Value> agg_values;
+            for (const auto& [text, node] : agg_by_text) {
+              QP_ASSIGN_OR_RETURN(std::unique_ptr<Aggregator> agg,
+                                  registry->Create(node->function()));
+              for (size_t idx : indices) {
+                Value arg = Value::Null();
+                if (node->argument() != nullptr) {
+                  QP_ASSIGN_OR_RETURN(
+                      arg, EvalScalar(*node->argument(), row_scope,
+                                      combined[idx], &subquery_sets));
+                }
+                agg->Add(arg);
+              }
+              agg_values.emplace(text, agg->Finalize());
+            }
+            const Row& rep =
+                indices.empty() ? empty_row : combined[indices[0]];
+            AggregateEnv env(&row_scope, &rep, &agg_values);
+            if (q.having != nullptr) {
+              QP_ASSIGN_OR_RETURN(Value hv, env.Eval(*q.having));
+              if (hv.is_null() || hv.ToNumeric() == 0) continue;
+            }
+            GroupOut g;
+            for (const auto& item : items) {
+              QP_ASSIGN_OR_RETURN(Value v, env.Eval(*item.expr));
+              g.out_row.push_back(std::move(v));
+            }
+            for (const auto& o : q.order_by) {
+              QP_ASSIGN_OR_RETURN(Value v, env.Eval(*o.expr));
+              g.sort_keys.push_back(std::move(v));
+            }
+            group_slots[g_idx] = std::move(g);
+          }
+          return Status::OK();
+        }));
     std::vector<GroupOut> group_rows;
     group_rows.reserve(group_indices.size());
     for (auto& slot : group_slots) {
@@ -1457,50 +1251,38 @@ Result<RowSet> Executor::ExecuteSelect(const SelectQuery& q,
   for (size_t i = 0; i < order.size(); ++i) order[i] = i;
   if (!q.order_by.empty()) {
     std::vector<Row> sort_keys(combined.size());
-    const auto eval_sort_keys = [&](size_t lo_row, size_t hi_row,
-                                    const Scope& row_scope) -> Status {
-      for (size_t i = lo_row; i < hi_row; ++i) {
-        for (const auto& o : q.order_by) {
-          // Try the combined scope first; fall back to select-item aliases.
-          auto direct =
-              EvalScalar(*o.expr, row_scope, combined[i], &subquery_sets);
-          if (direct.ok()) {
-            sort_keys[i].push_back(std::move(direct).value());
-            continue;
-          }
-          bool matched = false;
-          if (o.expr->kind() == ExprKind::kColumnRef) {
-            for (const auto& item : items) {
-              if (EqualsIgnoreCase(item.OutputName(), o.expr->column())) {
-                QP_ASSIGN_OR_RETURN(
-                    Value v, EvalScalar(*item.expr, row_scope, combined[i],
-                                        &subquery_sets));
-                sort_keys[i].push_back(std::move(v));
-                matched = true;
-                break;
+    const auto morsels = MorselsFor(combined.size());
+    QP_RETURN_IF_ERROR(ForEachMorsel(
+        morsels.size(), scope,
+        [&](size_t m, const Scope& row_scope) -> Status {
+          for (size_t i = morsels[m].first; i < morsels[m].second; ++i) {
+            for (const auto& o : q.order_by) {
+              // Try the combined scope first; fall back to select-item
+              // aliases.
+              auto direct =
+                  EvalScalar(*o.expr, row_scope, combined[i], &subquery_sets);
+              if (direct.ok()) {
+                sort_keys[i].push_back(std::move(direct).value());
+                continue;
               }
+              bool matched = false;
+              if (o.expr->kind() == ExprKind::kColumnRef) {
+                for (const auto& item : items) {
+                  if (EqualsIgnoreCase(item.OutputName(), o.expr->column())) {
+                    QP_ASSIGN_OR_RETURN(
+                        Value v, EvalScalar(*item.expr, row_scope, combined[i],
+                                            &subquery_sets));
+                    sort_keys[i].push_back(std::move(v));
+                    matched = true;
+                    break;
+                  }
+                }
+              }
+              if (!matched) return direct.status();
             }
           }
-          if (!matched) return direct.status();
-        }
-      }
-      return Status::OK();
-    };
-    const auto morsels = MorselsFor(combined.size());
-    if (ParallelEnabled() && morsels.size() > 1) {
-      std::vector<std::function<Status()>> tasks;
-      tasks.reserve(morsels.size());
-      for (size_t m = 0; m < morsels.size(); ++m) {
-        tasks.emplace_back([&, m]() -> Status {
-          const Scope local_scope(combined_cols);
-          return eval_sort_keys(morsels[m].first, morsels[m].second,
-                                local_scope);
-        });
-      }
-      QP_RETURN_IF_ERROR(RunTasks(std::move(tasks)));
-    } else {
-      QP_RETURN_IF_ERROR(eval_sort_keys(0, combined.size(), scope));
-    }
+          return Status::OK();
+        }));
     std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
       for (size_t k = 0; k < q.order_by.size(); ++k) {
         const int cmp = sort_keys[a][k].Compare(sort_keys[b][k]);
@@ -1510,10 +1292,10 @@ Result<RowSet> Executor::ExecuteSelect(const SelectQuery& q,
     });
   }
 
-  // Projection fills per-row slots in sorted order; DISTINCT and LIMIT stay
-  // serial over the slots, so their row selection is order-dependent yet
-  // thread-count independent. With a LIMIT the serial path stops early
-  // instead of projecting rows it would discard.
+  // Projection fills per-row slots in sorted order; DISTINCT stays serial
+  // over the slots, so its row selection is order-dependent yet
+  // thread-count independent. A LIMIT projects in one inline morsel that
+  // stops early instead of projecting rows it would discard.
   const auto project_row = [&](size_t pos, const Scope& row_scope,
                                Row* out_row) -> Status {
     out_row->reserve(items.size());
@@ -1524,38 +1306,36 @@ Result<RowSet> Executor::ExecuteSelect(const SelectQuery& q,
     }
     return Status::OK();
   };
-  const auto project_morsels = MorselsFor(order.size());
-  if (ParallelEnabled() && project_morsels.size() > 1 && !q.limit.has_value()) {
-    std::vector<Row> projected(order.size());
-    std::vector<std::function<Status()>> tasks;
-    tasks.reserve(project_morsels.size());
-    for (size_t m = 0; m < project_morsels.size(); ++m) {
-      tasks.emplace_back([&, m]() -> Status {
-        const Scope local_scope(combined_cols);
-        for (size_t i = project_morsels[m].first;
-             i < project_morsels[m].second; ++i) {
-          QP_RETURN_IF_ERROR(
-              project_row(order[i], local_scope, &projected[i]));
-        }
-        return Status::OK();
-      });
-    }
-    QP_RETURN_IF_ERROR(RunTasks(std::move(tasks)));
-    std::unordered_set<Row, RowHash> seen;
-    for (Row& out_row : projected) {
-      if (q.distinct && !seen.insert(out_row).second) continue;
-      out.Add(std::move(out_row));
-    }
+  std::unordered_set<Row, RowHash> seen;
+  if (q.limit.has_value()) {
+    QP_RETURN_IF_ERROR(ForEachMorsel(
+        1, scope, [&](size_t, const Scope& row_scope) -> Status {
+          for (size_t pos : order) {
+            Row out_row;
+            QP_RETURN_IF_ERROR(project_row(pos, row_scope, &out_row));
+            if (q.distinct && !seen.insert(out_row).second) continue;
+            out.Add(std::move(out_row));
+            if (out.num_rows() >= *q.limit) break;
+          }
+          return Status::OK();
+        }));
   } else {
-    std::unordered_set<Row, RowHash> seen;
-    for (size_t pos : order) {
-      Row out_row;
-      QP_RETURN_IF_ERROR(project_row(pos, scope, &out_row));
-      if (q.distinct) {
-        if (!seen.insert(out_row).second) continue;
+    const auto morsels = MorselsFor(order.size());
+    std::vector<Row> projected(order.size());
+    QP_RETURN_IF_ERROR(ForEachMorsel(
+        morsels.size(), scope,
+        [&](size_t m, const Scope& row_scope) -> Status {
+          for (size_t i = morsels[m].first; i < morsels[m].second; ++i) {
+            QP_RETURN_IF_ERROR(project_row(order[i], row_scope, &projected[i]));
+          }
+          return Status::OK();
+        }));
+    if (!q.distinct) {
+      out.rows() = std::move(projected);
+    } else {
+      for (Row& out_row : projected) {
+        if (seen.insert(out_row).second) out.Add(std::move(out_row));
       }
-      out.Add(std::move(out_row));
-      if (q.limit.has_value() && out.num_rows() >= *q.limit) break;
     }
   }
   Add(kRowsOutput, out.num_rows());

@@ -4,14 +4,15 @@
 // to hash sets), UNION ALL, GROUP BY / HAVING with built-in and user-defined
 // aggregates, DISTINCT, ORDER BY and LIMIT.
 //
-// Execution is morsel-driven when ExecOptions::num_threads > 1: base-table
-// scan+filter, hash-join build (partitioned) and probe, IN-subquery
-// materialization, grouping-key extraction, per-group aggregation, sort-key
-// extraction and projection all split their input into index-ordered row
-// ranges ("morsels") fanned out over a ThreadPool. Morsel outputs are merged
-// in morsel order, so results — row order, ORDER BY tie-breaking, error
-// reporting and ExecStats totals included — are byte-for-byte identical at
-// every thread count; num_threads = 1 is exactly the serial engine.
+// Execution is morsel-driven: base-table scan+filter, hash-join build
+// (partitioned) and probe, the filter passes, IN-subquery materialization,
+// grouping-key extraction, per-group aggregation, sort-key extraction and
+// projection each write one body over index-ordered row ranges ("morsels"),
+// run through common::ThreadPool::ParallelFor — inline as one morsel when
+// num_threads is 1, fanned out over the pool otherwise. Morsel outputs are
+// merged in morsel order, so results — row order, ORDER BY tie-breaking,
+// error reporting and ExecStats totals included — are byte-for-byte
+// identical at every thread count.
 //
 // Observability: Execute() optionally records an obs::TraceSpan tree of the
 // physical plan it actually took (one span per source / join / residual /
@@ -25,8 +26,6 @@
 
 #pragma once
 
-#include <array>
-#include <atomic>
 #include <memory>
 
 #include "common/cancel.h"
@@ -179,14 +178,13 @@ class Executor {
   /// ExecStats is the *logical* cost of the plan and must stay identical
   /// with indexes on or off; rows_examined is the physical work, which is
   /// exactly what indexes are allowed to change.
-  size_t rows_examined() const {
-    return counts_[kRowsExamined].load(std::memory_order_relaxed);
-  }
+  size_t rows_examined() const { return counters_.Value(kRowsExamined); }
 
-  /// Cumulative wall time spent inside RunTasks task bodies, summed across
-  /// all workers — the "thread-seconds" a query burned, as opposed to its
-  /// elapsed time. Deliberately NOT part of ExecStats: it is timing-derived
-  /// and would break ExecStats's cross-thread-count equality contract.
+  /// Cumulative wall time spent inside morsel bodies, summed across all
+  /// threads (the caller's inline morsels included) — the "thread-seconds"
+  /// a query burned, as opposed to its elapsed time. Deliberately NOT part
+  /// of ExecStats: it is timing-derived and would break ExecStats's
+  /// cross-thread-count equality contract.
   double thread_seconds() const { return thread_seconds_.Value(); }
 
  private:
@@ -222,17 +220,23 @@ class Executor {
   /// per-task span slots merged in index order.
   bool ParallelEnabled() const { return options_.parallelism() > 1; }
 
-  /// Deterministic morsel split for an n-row input under current options.
+  /// Deterministic morsel split for an n-row input under current options:
+  /// a single range when the executor is serial.
   std::vector<std::pair<size_t, size_t>> MorselsFor(size_t n) const {
-    return common::MorselRanges(n, options_.morsel_rows,
-                                4 * options_.parallelism());
+    return common::MorselRanges(
+        n, options_.morsel_rows,
+        ParallelEnabled() ? 4 * options_.parallelism() : 1);
   }
 
-  /// Runs `tasks` across the pool (calling thread included); each task
-  /// returns its own Status. Returns the lowest-index failure — the same
-  /// error a serial loop over the tasks would have reported first. Polls
-  /// the cancel token before each task (the morsel-boundary checkpoint).
-  Status RunTasks(std::vector<std::function<Status()>> tasks) const;
+  /// Runs body(m, scope) -> Status for each morsel m in [0, n) through
+  /// common::ThreadPool::ParallelFor: inline with `scope` itself when the
+  /// executor is serial or n == 1, else as pool tasks that each get their
+  /// own copy of `scope` (its resolution memo is not thread-safe to share).
+  /// Polls the cancel token before each morsel (the morsel-boundary
+  /// checkpoint) and adds each body's wall time to thread_seconds().
+  /// Returns the lowest-index failure, as a serial loop would.
+  template <typename Body>
+  Status ForEachMorsel(size_t n, const Scope& scope, const Body& body) const;
 
   /// OK, or the cancellation status when ExecOptions::cancel has fired.
   Status CheckCancel() const {
@@ -244,8 +248,7 @@ class Executor {
   /// mirror (when a registry is configured). Called at region boundaries,
   /// never per row.
   void Add(ExecCounter counter, size_t n = 1) const {
-    counts_[counter].fetch_add(n, std::memory_order_relaxed);
-    if (mirrors_[counter] != nullptr) mirrors_[counter]->Increment(n);
+    counters_.Add(counter, n);
   }
 
   const storage::Database* db_;
@@ -255,9 +258,7 @@ class Executor {
   /// Counters are atomic so concurrent Execute() calls and parallel morsels
   /// accumulate exactly; increments are bulk (per region / per worker
   /// merge), never per-row.
-  mutable std::array<std::atomic<size_t>, kNumCounters> counts_{};
-  /// Registry mirrors of counts_ (all null when no registry).
-  std::array<obs::Counter*, kNumCounters> mirrors_{};
+  mutable obs::MirroredCounters<kNumCounters> counters_;
   mutable obs::Gauge thread_seconds_;
 };
 

@@ -11,7 +11,8 @@
 // registering the full series name `base{key="value"}`; series sharing a
 // base name are grouped under one # TYPE header in the exposition.
 // Components declare their counters as one CounterRow table each and
-// register it with RegisterCounters; one fact, one series.
+// register it with RegisterCounters (or MirroredCounters, when each
+// instance also reports its own counts); one fact, one series.
 //
 // Concurrency: Counter::Increment and Histogram::Observe are lock-free
 // (relaxed atomics — totals are exact, cross-metric ordering is not
@@ -334,5 +335,42 @@ Snapshot SnapshotOf(const CounterRow<Snapshot, Field> (&table)[N],
   }
   return snapshot;
 }
+
+/// \brief One instance's counts for an N-row counter table, each mirrored
+/// into its row's registry series. Snapshots of one instance (an Executor's
+/// ExecStats, a Scheduler's SchedulerStats) read the local counts; the
+/// registry series sum every instance mirrored into them.
+template <size_t N>
+class MirroredCounters {
+ public:
+  /// Registers the table's series as the mirrors; without a call, Add
+  /// counts locally only.
+  template <typename Snapshot, typename Field>
+  void Mirror(MetricsRegistry& registry,
+              const CounterRow<Snapshot, Field> (&table)[N]) {
+    mirrors_ = RegisterCounters(registry, table);
+  }
+
+  void Add(size_t row, uint64_t n = 1) {
+    counts_[row].fetch_add(n, std::memory_order_relaxed);
+    if (mirrors_[row] != nullptr) mirrors_[row]->Increment(n);
+  }
+  uint64_t Value(size_t row) const {
+    return counts_[row].load(std::memory_order_relaxed);
+  }
+  /// The snapshot `table` describes, from the local counts.
+  template <typename Snapshot, typename Field>
+  Snapshot Read(const CounterRow<Snapshot, Field> (&table)[N]) const {
+    return SnapshotOf(table, [this](size_t row) { return Value(row); });
+  }
+  /// Zeroes the local counts; the mirrors keep their totals.
+  void Reset() {
+    for (auto& count : counts_) count.store(0, std::memory_order_relaxed);
+  }
+
+ private:
+  std::array<std::atomic<uint64_t>, N> counts_{};
+  std::array<Counter*, N> mirrors_{};
+};
 
 }  // namespace qp::obs

@@ -98,7 +98,7 @@ struct QueryLogRecord {
   double selection_seconds = 0.0;  ///< "selection" stage
   double plan_seconds = 0.0;       ///< "plan" stage
   double execute_seconds = 0.0;    ///< "execute: spa|ppa" stage
-  double thread_seconds = 0.0;     ///< summed task wall time across workers
+  double thread_seconds = 0.0;     ///< summed morsel wall time, all threads
 
   // --- retention (assigned by Record) ---
   bool sampled = false;  ///< kept by the deterministic sampler

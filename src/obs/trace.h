@@ -47,7 +47,7 @@ class TraceSpan {
   /// Parallel-track hint for trace export: 0 (the default) renders on the
   /// parent's track, i > 0 marks this span as slot i of a parallel fan-out
   /// and TraceToChromeJson gives it its own track (tid). Fan-out sites set
-  /// it from the slot index in BOTH their parallel and serial branches, so
+  /// it from the slot index whether their morsels run pooled or inline, so
   /// it is part of the deterministic shape (SameShape compares it).
   size_t track() const { return track_; }
   void set_track(size_t track) { track_ = track; }

@@ -112,7 +112,7 @@ Scheduler::Scheduler(ServingContext* ctx, Options options)
 
   obs::MetricsRegistry* metrics = ctx_->metrics();
   static_assert(std::size(kCounterTable) == kNumCounters);
-  counters_ = obs::RegisterCounters(*metrics, kCounterTable);
+  counters_.Mirror(*metrics, kCounterTable);
   queue_seconds_ =
       metrics->GetHistogram("qp_sched_queue_seconds",
                             obs::DefaultLatencyBuckets(),
@@ -503,8 +503,7 @@ void Scheduler::Shutdown(bool drain) {
 }
 
 SchedulerStats Scheduler::stats() const {
-  SchedulerStats s = obs::SnapshotOf(
-      kCounterTable, [this](size_t i) { return counters_[i]->Value(); });
+  SchedulerStats s = counters_.Read(kCounterTable);
   s.max_queue_depth = max_queue_depth_.load(std::memory_order_relaxed);
   return s;
 }

@@ -145,9 +145,10 @@ class RequestHandle {
   std::chrono::steady_clock::time_point admitted_at_;
 };
 
-/// Monotonic counter snapshot of a scheduler's lifetime (mirrors the
-/// qp_sched_* series in the context's MetricsRegistry, plus the queue-depth
-/// high-water mark which has no metric spelling).
+/// Monotonic counter snapshot of one scheduler's lifetime: its own
+/// requests only, while the qp_sched_* series it mirrors into sum every
+/// scheduler on the context. Plus the queue-depth high-water mark, which
+/// has no metric spelling.
 struct SchedulerStats {
   uint64_t submitted = 0;        ///< admitted requests
   uint64_t shed = 0;             ///< rejected with kOverloaded at Submit
@@ -275,10 +276,11 @@ class Scheduler {
     kFailed,
     kNumCounters,
   };
-  void Count(SchedCounter counter) { counters_[counter]->Increment(); }
+  void Count(SchedCounter counter) { counters_.Add(counter); }
 
-  // qp_sched_* series in the context registry, resolved once.
-  std::array<obs::Counter*, kNumCounters> counters_{};
+  /// This scheduler's counts, mirrored into the context's qp_sched_* series
+  /// (resolved once).
+  obs::MirroredCounters<kNumCounters> counters_;
   obs::Histogram* queue_seconds_ = nullptr;
   obs::Histogram* depth_at_enqueue_ = nullptr;
   /// Live qp_sched_queue_depth{shard,lane} gauges, push-model: +1 on

@@ -459,33 +459,20 @@ std::string ServingContext::StatuszText() const {
 }
 
 std::string ServingContext::TracezJson() const {
-  std::lock_guard<std::mutex> lock(tracez_mu_);
   std::string out = "[";
-  // The ring rotates only once full; before that insertion order IS index
-  // order. Render oldest first either way.
-  const size_t n = tracez_.size();
-  const size_t start = n < options_.tracez_capacity ? 0 : tracez_next_;
-  for (size_t i = 0; i < n; ++i) {
-    if (i > 0) out += ",";
-    out += tracez_[(start + i) % n];
+  for (const std::string& tree : tracez_.Snapshot()) {
+    if (out.size() > 1) out += ",";
+    out += tree;
   }
   out += "]";
   return out;
 }
 
 void ServingContext::RecordSampledTrace(const obs::TraceSpan& root) {
+  if (tracez_.capacity() == 0) return;
   obs::ChromeTraceOptions copts;
   copts.process_name = "qp-serve";
-  std::string json = obs::TraceToChromeJson(root, copts);
-  std::lock_guard<std::mutex> lock(tracez_mu_);
-  if (options_.tracez_capacity == 0) return;
-  if (tracez_.size() < options_.tracez_capacity) {
-    tracez_.push_back(std::move(json));
-    tracez_next_ = tracez_.size() % options_.tracez_capacity;
-  } else {
-    tracez_[tracez_next_] = std::move(json);
-    tracez_next_ = (tracez_next_ + 1) % options_.tracez_capacity;
-  }
+  tracez_.Append(obs::TraceToChromeJson(root, copts));
 }
 
 void ServingContext::StartIntrospection() {

@@ -82,6 +82,7 @@
 #include "obs/introspect.h"
 #include "obs/metrics.h"
 #include "obs/query_log.h"
+#include "obs/ring.h"
 #include "obs/sliding_histogram.h"
 #include "stats/table_stats.h"
 
@@ -556,9 +557,7 @@ class ServingContext {
       health_sources_;
 
   /// Tracez ring: last-N sampled traces as rendered Chrome JSON strings.
-  mutable std::mutex tracez_mu_;
-  std::vector<std::string> tracez_;
-  size_t tracez_next_ = 0;
+  obs::OverwriteRing<std::string> tracez_{options_.tracez_capacity};
   std::atomic<uint64_t> trace_sample_counter_{0};
 
   std::chrono::steady_clock::time_point start_time_;

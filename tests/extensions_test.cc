@@ -1,7 +1,6 @@
 // Tests for the paper's extension features: qualitative descriptors
-// (Section 2), per-user ranking-function learning (Section 6.3),
-// higher-level schema mappings (Sections 3/7) and context-derived K/L
-// (Sections 1/7).
+// (Section 2), per-user ranking-function learning (Section 6.3) and
+// context-derived K/L (Sections 1/7).
 
 #include <gtest/gtest.h>
 
@@ -9,7 +8,6 @@
 #include "core/descriptor.h"
 #include "core/learn_ranking.h"
 #include "core/personalizer.h"
-#include "core/schema_map.h"
 #include "datagen/moviegen.h"
 #include "datagen/profilegen.h"
 #include "sql/parser.h"
@@ -215,84 +213,6 @@ TEST(LearnRankingTest2, PersonalizerUsesProfileRanking) {
     for (const auto& o : t.failed) neg.push_back(o.degree);
     EXPECT_NEAR(t.doi, dominant.Rank(pos, neg), 1e-9);
   }
-}
-
-// ---------------------------------------------------------------------------
-// Schema mapping
-// ---------------------------------------------------------------------------
-
-TEST(SchemaMappingTest, ResolveFallsThrough) {
-  SchemaMapping mapping;
-  ASSERT_TRUE(mapping.MapRelation("film", "movie").ok());
-  ASSERT_TRUE(mapping.MapAttribute("film.runtime", "movie.duration").ok());
-  EXPECT_EQ(mapping.Resolve(storage::AttributeRef("film", "runtime")),
-            storage::AttributeRef("movie", "duration"));
-  EXPECT_EQ(mapping.Resolve(storage::AttributeRef("film", "year")),
-            storage::AttributeRef("movie", "year"));
-  EXPECT_EQ(mapping.Resolve(storage::AttributeRef("genre", "genre")),
-            storage::AttributeRef("genre", "genre"));
-}
-
-TEST(SchemaMappingTest, Validation) {
-  SchemaMapping mapping;
-  EXPECT_FALSE(mapping.MapRelation("a.b", "c").ok());
-  EXPECT_FALSE(mapping.MapRelation("", "c").ok());
-  EXPECT_FALSE(mapping.MapAttribute("nodot", "movie.duration").ok());
-}
-
-TEST(SchemaMappingTest, ParseSerializeRoundTrip) {
-  auto mapping = SchemaMapping::Parse(
-      "# my higher-level model\n"
-      "film -> movie\n"
-      "film.runtime -> movie.duration\n"
-      "venue -> theatre\n");
-  ASSERT_TRUE(mapping.ok()) << mapping.status();
-  EXPECT_EQ(mapping->NumRelationMappings(), 2u);
-  EXPECT_EQ(mapping->NumAttributeMappings(), 1u);
-  auto reparsed = SchemaMapping::Parse(mapping->Serialize());
-  ASSERT_TRUE(reparsed.ok());
-  EXPECT_EQ(reparsed->Serialize(), mapping->Serialize());
-  EXPECT_FALSE(SchemaMapping::Parse("no arrow here\n").ok());
-}
-
-TEST(SchemaMappingTest, LogicalProfilePersonalizesPhysicalSchema) {
-  auto db = datagen::GenerateMovieDatabase(datagen::MovieGenConfig::TestScale());
-  ASSERT_TRUE(db.ok());
-
-  // A profile written against a higher-level "film" model.
-  UserProfile logical;
-  ASSERT_TRUE(logical.AddSelection("film.year", BinaryOp::kGe,
-                                   Value(int64_t{1990}),
-                                   *DoiPair::Exact(0.8, 0)).ok());
-  ASSERT_TRUE(logical.AddSelection("category.genre", BinaryOp::kEq,
-                                   Value("comedy"),
-                                   *DoiPair::Exact(0.9, 0)).ok());
-  ASSERT_TRUE(logical.AddJoin("film.mid", "category.mid", 0.8).ok());
-  logical.set_preferred_ranking(
-      RankingFunction::Make(CombinationStyle::kDominant));
-
-  // The logical profile does not validate against the physical schema...
-  EXPECT_FALSE(logical.Validate(*db).ok());
-
-  auto mapping = SchemaMapping::Parse(
-      "film -> movie\n"
-      "category -> genre\n");
-  ASSERT_TRUE(mapping.ok());
-  auto physical = mapping->Apply(logical);
-  ASSERT_TRUE(physical.ok());
-  // ...but the mapped one does, and personalization works.
-  EXPECT_TRUE(physical->Validate(*db).ok());
-  EXPECT_TRUE(physical->preferred_ranking().has_value());
-
-  auto personalizer = Personalizer::Make(&*db, &*physical);
-  ASSERT_TRUE(personalizer.ok());
-  auto query = sql::ParseQuery("select mid, title from movie");
-  PersonalizeOptions options;
-  options.k = 2;
-  options.l = 1;
-  auto answer = personalizer->Personalize((*query)->single(), options);
-  ASSERT_TRUE(answer.ok()) << answer.status();
-  EXPECT_GT(answer->tuples.size(), 0u);
 }
 
 // ---------------------------------------------------------------------------

@@ -9,11 +9,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <optional>
 #include <set>
 #include <string>
 #include <vector>
 
+#include "common/cancel.h"
 #include "common/random.h"
 #include "datagen/moviegen.h"
 #include "exec/executor.h"
@@ -288,15 +290,51 @@ TEST_F(ParallelExecTest, ExecStatsAreThreadCountInvariant) {
 }
 
 TEST_F(ParallelExecTest, ResetStatsClearsAllCounters) {
-  Executor executor(db_, nullptr, OptionsFor(8));
-  ASSERT_TRUE(executor.ExecuteSql("select title from movie").ok());
-  EXPECT_GT(executor.stats().rows_scanned, 0u);
-  EXPECT_GT(executor.rows_examined(), 0u);
-  EXPECT_GT(executor.thread_seconds(), 0.0);
-  executor.ResetStats();
-  EXPECT_EQ(executor.stats(), ExecStats{});
-  EXPECT_EQ(executor.rows_examined(), 0u);
-  EXPECT_EQ(executor.thread_seconds(), 0.0);
+  // A serial executor times its inline morsels too.
+  for (size_t threads : {1u, 8u}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    Executor executor(db_, nullptr, OptionsFor(threads));
+    ASSERT_TRUE(executor.ExecuteSql("select title from movie").ok());
+    EXPECT_GT(executor.stats().rows_scanned, 0u);
+    EXPECT_GT(executor.rows_examined(), 0u);
+    EXPECT_GT(executor.thread_seconds(), 0.0);
+    executor.ResetStats();
+    EXPECT_EQ(executor.stats(), ExecStats{});
+    EXPECT_EQ(executor.rows_examined(), 0u);
+    EXPECT_EQ(executor.thread_seconds(), 0.0);
+  }
+}
+
+TEST_F(ParallelExecTest, CancelDuringTheFilterPassCancelsAtEveryThreadCount) {
+  // A predicate requests cancellation on its 10th evaluation, inside the
+  // base filter pass. Every thread count polls the token at a later morsel
+  // boundary — the next filter morsel, or the projection region when the
+  // pass is one inline morsel — and returns kCancelled.
+  for (size_t threads : kThreadCounts) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    common::CancelToken cancel;
+    std::atomic<size_t> evaluations{0};
+    auto parsed = sql::ParseQuery("select title from movie");
+    ASSERT_TRUE(parsed.ok());
+    SelectQuery query = (*parsed)->single();
+    query.where = sql::Expr::Compare(
+        sql::BinaryOp::kEq,
+        sql::Expr::ScalarFn(
+            "trip",
+            [&](const Value&) {
+              if (evaluations.fetch_add(1) + 1 == 10) cancel.RequestCancel();
+              return Value(int64_t{1});
+            },
+            sql::Expr::Column("movie", "mid")),
+        sql::Expr::Literal(Value(int64_t{1})));
+    ExecOptions options = OptionsFor(threads);
+    options.cancel = &cancel;
+    Executor executor(db_, nullptr, options);
+    auto result = executor.Execute(*sql::Query::Single(query));
+    ASSERT_FALSE(result.ok());
+    EXPECT_EQ(result.status().code(), StatusCode::kCancelled)
+        << result.status();
+  }
 }
 
 TEST_F(ParallelExecTest, ErrorsAreThreadCountInvariant) {

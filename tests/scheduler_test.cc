@@ -633,6 +633,38 @@ TEST(SchedulerTest, CancelWhileQueuedFailsWithCancelled) {
   EXPECT_TRUE((*blocker)->Wait().status.ok());
 }
 
+TEST(SchedulerTest, StatsCountOnlyTheirOwnSchedulersRequests) {
+  // Two schedulers on one context: each one's stats() reports its own
+  // requests, while the context's qp_sched_* series sum both.
+  Scheduler::Options options;
+  options.num_shards = 1;
+  Rig rig(options);
+  const auto ok = [](size_t) -> std::optional<Status> { return Status::OK(); };
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_TRUE(rig.scheduler->SubmitAndWait(InterceptRequest(
+                    "a", Lane::kNormal, ok)).status.ok());
+  }
+  Scheduler b(rig.ctx.get(), options);
+  const SchedulerStats fresh = b.stats();
+  for (const uint64_t value :
+       {fresh.submitted, fresh.shed, fresh.dispatched, fresh.expired_in_queue,
+        fresh.deadline_cut, fresh.retries, fresh.completed, fresh.failed}) {
+    EXPECT_EQ(value, 0u);
+  }
+  EXPECT_EQ(fresh.max_queue_depth, 0u);
+  for (int i = 0; i < 2; ++i) {
+    EXPECT_TRUE(
+        b.SubmitAndWait(InterceptRequest("b", Lane::kNormal, ok)).status.ok());
+  }
+  EXPECT_EQ(rig.scheduler->stats().submitted, 3u);
+  EXPECT_EQ(rig.scheduler->stats().completed, 3u);
+  EXPECT_EQ(b.stats().submitted, 2u);
+  EXPECT_EQ(b.stats().completed, 2u);
+  const std::string text = rig.ctx->MetricsText();
+  EXPECT_NE(text.find("\nqp_sched_submitted_total 5\n"), std::string::npos)
+      << text;
+}
+
 TEST(SchedulerTest, UsersHashToStableShardsAndSubmitAfterShutdownFails) {
   Scheduler::Options options;
   options.num_shards = 4;

@@ -164,6 +164,12 @@ TEST(ServeTest, MetricsTextExposesCountersAndPerUserLatency) {
       << text;
   // Executors report into the same registry.
   EXPECT_NE(text.find("qp_exec_queries_total"), std::string::npos) << text;
+  // A serial context's calls still burn thread-seconds: the inline morsels
+  // are timed like pooled ones.
+  const std::string sum_prefix = "\nqp_query_thread_seconds_sum ";
+  const size_t sum_at = text.find(sum_prefix);
+  ASSERT_NE(sum_at, std::string::npos) << text;
+  EXPECT_GT(std::stod(text.substr(sum_at + sum_prefix.size())), 0.0) << text;
   // The JSON snapshot carries the same counter.
   EXPECT_NE(ctx.MetricsJson().find("\"qp_serve_personalize_calls_total\":3"),
             std::string::npos);
@@ -240,6 +246,51 @@ TEST(ServeTest, MetricsTextExposesCountersAndPerUserLatency) {
           "qp_query_rows_materialized_total", "qp_query_subqueries_total"}) {
       EXPECT_EQ(stream_text.find(deleted), std::string::npos) << deleted;
     }
+  }
+}
+
+TEST(ServeTest, TracezKeepsTheLastSampledTreesOldestFirst) {
+  const auto config = SmallConfig(17);
+  auto db = datagen::GenerateMovieDatabase(config.db_config);
+  ASSERT_TRUE(db.ok());
+  auto profile = datagen::GenerateProfile(config);
+  ASSERT_TRUE(profile.ok());
+  PersonalizeOptions options;
+  options.k = 3;
+  options.l = 1;
+  for (const size_t capacity : {2u, 0u}) {
+    SCOPED_TRACE("tracez_capacity=" + std::to_string(capacity));
+    ServingContext::Options ctx_options;
+    ctx_options.trace_sample_every = 1;
+    ctx_options.tracez_capacity = capacity;
+    ServingContext ctx(&*db, ctx_options);
+    for (int u = 0; u < 5; ++u) {
+      auto session = ctx.OpenSession("u" + std::to_string(u), *profile);
+      ASSERT_TRUE(session.ok());
+      ASSERT_TRUE(
+          (*session)->Personalize("select mid, title from movie", options)
+              .ok());
+    }
+    const std::string json = ctx.TracezJson();
+    if (capacity == 0) {
+      EXPECT_EQ(json, "[]");
+      continue;
+    }
+    for (int u = 0; u < 3; ++u) {
+      EXPECT_EQ(json.find("user=u" + std::to_string(u)), std::string::npos)
+          << json;
+    }
+    const size_t u3 = json.find("user=u3");
+    const size_t u4 = json.find("user=u4");
+    ASSERT_NE(u3, std::string::npos) << json;
+    ASSERT_NE(u4, std::string::npos) << json;
+    EXPECT_LT(u3, u4);
+    size_t trees = 0;
+    for (size_t at = json.find("\"traceEvents\""); at != std::string::npos;
+         at = json.find("\"traceEvents\"", at + 1)) {
+      ++trees;
+    }
+    EXPECT_EQ(trees, 2u) << json;
   }
 }
 

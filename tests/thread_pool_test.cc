@@ -1,6 +1,7 @@
 // Unit tests for the morsel thread pool: completion, caller participation,
-// exception propagation (lowest-index wins, like a serial loop), nested
-// ParallelFor, zero-size ranges and destruction with pending work. The whole
+// error propagation (lowest-index wins, like a serial loop) for RunAll's
+// exceptions and ParallelFor's Status both inline and pooled, nested
+// ParallelFor, zero counts and destruction with pending work. The whole
 // file runs under TSan/ASan via the `sanitizer` CTest label.
 
 #include "common/thread_pool.h"
@@ -9,6 +10,9 @@
 #include <numeric>
 #include <set>
 #include <stdexcept>
+#include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -123,47 +127,84 @@ TEST(ThreadPoolTest, AllTasksRunDespiteExceptions) {
 
 TEST(ThreadPoolTest, ParallelForCoversEachIndexExactlyOnce) {
   ThreadPool pool(3);
-  std::vector<std::atomic<int>> hits(1000);
-  pool.ParallelFor(0, hits.size(), 1, [&](size_t lo, size_t hi) {
-    for (size_t i = lo; i < hi; ++i) hits[i].fetch_add(1);
-  });
-  for (size_t i = 0; i < hits.size(); ++i) {
-    EXPECT_EQ(hits[i].load(), 1) << "index " << i;
+  for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+    std::vector<std::atomic<int>> hits(1000);
+    ASSERT_TRUE(ThreadPool::ParallelFor(p, hits.size(), [&](size_t i) {
+                  hits[i].fetch_add(1);
+                  return Status::OK();
+                }).ok());
+    for (size_t i = 0; i < hits.size(); ++i) {
+      EXPECT_EQ(hits[i].load(), 1) << "index " << i;
+    }
   }
 }
 
-TEST(ThreadPoolTest, ParallelForZeroSizeRange) {
+TEST(ThreadPoolTest, ParallelForZeroCount) {
   ThreadPool pool(2);
-  bool called = false;
-  pool.ParallelFor(5, 5, 1, [&](size_t, size_t) { called = true; });
-  EXPECT_FALSE(called);
+  for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+    bool called = false;
+    EXPECT_TRUE(ThreadPool::ParallelFor(p, 0, [&](size_t) {
+                  called = true;
+                  return Status::OK();
+                }).ok());
+    EXPECT_FALSE(called);
+  }
 }
 
-TEST(ThreadPoolTest, ParallelForNonZeroBegin) {
+TEST(ThreadPoolTest, ParallelForRunsInlineWithoutAPool) {
+  // No pool, a zero-worker pool, or a single index: every body runs on the
+  // caller, in index order.
+  ThreadPool idle(0);
   ThreadPool pool(2);
-  std::atomic<size_t> sum{0};
-  pool.ParallelFor(10, 20, 1, [&](size_t lo, size_t hi) {
-    size_t local = 0;
-    for (size_t i = lo; i < hi; ++i) local += i;
-    sum.fetch_add(local);
-  });
-  EXPECT_EQ(sum.load(), 145u);  // 10 + 11 + ... + 19
+  const auto caller = std::this_thread::get_id();
+  const std::pair<ThreadPool*, size_t> cases[] = {
+      {nullptr, 8}, {&idle, 8}, {&pool, 1}};
+  for (const auto& [p, n] : cases) {
+    std::vector<size_t> order;
+    ASSERT_TRUE(ThreadPool::ParallelFor(p, n, [&](size_t i) {
+                  EXPECT_EQ(std::this_thread::get_id(), caller);
+                  order.push_back(i);
+                  return Status::OK();
+                }).ok());
+    std::vector<size_t> expected(n);
+    std::iota(expected.begin(), expected.end(), 0);
+    EXPECT_EQ(order, expected);
+  }
 }
 
 TEST(ThreadPoolTest, NestedParallelForMakesProgress) {
-  // Outer fan-out of width > workers, each task fanning out again: with
+  // Outer fan-out of width > workers, each index fanning out again: with
   // caller participation this must complete instead of deadlocking on a
   // starved pool.
   ThreadPool pool(2);
   std::atomic<size_t> total{0};
-  pool.ParallelFor(0, 8, 1, [&](size_t lo, size_t hi) {
-    for (size_t i = lo; i < hi; ++i) {
-      pool.ParallelFor(0, 100, 1, [&](size_t nlo, size_t nhi) {
-        total.fetch_add(nhi - nlo);
-      });
-    }
+  const Status status = ThreadPool::ParallelFor(&pool, 8, [&](size_t) {
+    return ThreadPool::ParallelFor(&pool, 100, [&](size_t) {
+      total.fetch_add(1);
+      return Status::OK();
+    });
   });
+  EXPECT_TRUE(status.ok());
   EXPECT_EQ(total.load(), 800u);
+}
+
+TEST(ThreadPoolTest, ParallelForReportsTheLowestIndexFailure) {
+  // Indices 3 and 7 fail. Inline, the loop stops at index 3; pooled, every
+  // index runs and index 3 still wins however the tasks are scheduled.
+  ThreadPool pool(4);
+  for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+    for (int round = 0; round < 20; ++round) {
+      std::atomic<size_t> ran{0};
+      const Status status = ThreadPool::ParallelFor(p, 16, [&](size_t i) {
+        ran.fetch_add(1);
+        return i == 3 || i == 7
+                   ? Status::Internal("index " + std::to_string(i))
+                   : Status::OK();
+      });
+      EXPECT_EQ(status.ToString(), Status::Internal("index 3").ToString());
+      EXPECT_EQ(ran.load(), p == nullptr ? 4u : 16u);
+    }
+  }
 }
 
 TEST(ThreadPoolTest, DestructionDrainsPendingSubmits) {
