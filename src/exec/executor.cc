@@ -1231,8 +1231,8 @@ Result<RowSet> Executor::ExecuteSelect(const SelectQuery& q,
                        });
     }
     for (auto& g : group_rows) {
-      out.Add(std::move(g.out_row));
       if (q.limit.has_value() && out.num_rows() >= *q.limit) break;
+      out.Add(std::move(g.out_row));
     }
     agg_timer.Stop();
     if (agg_span != nullptr) {
@@ -1311,11 +1311,11 @@ Result<RowSet> Executor::ExecuteSelect(const SelectQuery& q,
     QP_RETURN_IF_ERROR(ForEachMorsel(
         1, scope, [&](size_t, const Scope& row_scope) -> Status {
           for (size_t pos : order) {
+            if (out.num_rows() >= *q.limit) break;
             Row out_row;
             QP_RETURN_IF_ERROR(project_row(pos, row_scope, &out_row));
             if (q.distinct && !seen.insert(out_row).second) continue;
             out.Add(std::move(out_row));
-            if (out.num_rows() >= *q.limit) break;
           }
           return Status::OK();
         }));

@@ -144,6 +144,12 @@ TEST_F(ExecutorTest, OrderByAndLimit) {
   ASSERT_EQ(rows->num_rows(), 2u);
   EXPECT_EQ(rows->row(0)[0], Value("Delta"));
   EXPECT_EQ(rows->row(1)[0], Value("Gamma"));
+  for (const char* sql : {"select title from movie order by year desc limit 0",
+                          "select distinct title from movie limit 0"}) {
+    auto none = Run(sql);
+    ASSERT_TRUE(none.ok()) << sql;
+    EXPECT_EQ(none->num_rows(), 0u) << sql;
+  }
 }
 
 TEST_F(ExecutorTest, OrderByNonProjectedColumn) {
@@ -313,6 +319,9 @@ TEST_F(ExecutorTest, LimitAppliesToAggregateOutput) {
       "order by genre asc limit 2");
   ASSERT_TRUE(rows.ok());
   EXPECT_EQ(rows->num_rows(), 2u);
+  auto none = Run("select genre, count(*) n from genre group by genre limit 0");
+  ASSERT_TRUE(none.ok());
+  EXPECT_EQ(none->num_rows(), 0u);
 }
 
 TEST_F(ExecutorTest, StatsCountersAdvance) {

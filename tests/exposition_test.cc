@@ -17,9 +17,12 @@
 #include "datagen/moviegen.h"
 #include "datagen/profilegen.h"
 #include "qp.h"
+#include "test_support.h"
 
 namespace qp {
 namespace {
+
+using test::SmallConfig;
 
 // ---------------------------------------------------------------------------
 // A small, strict parser for the Prometheus text format.
@@ -283,21 +286,6 @@ TEST(ExpositionTest, CardinalityOverflowReroutesToOtherSeries) {
 // ---------------------------------------------------------------------------
 // Full-stack family coverage: every family this phase added must appear in
 // BOTH expositions after real traffic.
-
-datagen::ProfileGenConfig SmallConfig(uint64_t seed) {
-  datagen::ProfileGenConfig config;
-  config.seed = seed;
-  config.num_presence = 4;
-  config.num_negative = 2;
-  config.num_absence_11 = 1;
-  config.num_elastic = 1;
-  config.db_config.num_movies = 80;
-  config.db_config.num_directors = 15;
-  config.db_config.num_actors = 40;
-  config.db_config.num_theatres = 6;
-  config.db_config.plays_per_theatre = 8;
-  return config;
-}
 
 TEST(ExpositionTest, EveryNewFamilyAppearsInTextAndJson) {
   const datagen::ProfileGenConfig config = SmallConfig(11);

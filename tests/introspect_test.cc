@@ -16,9 +16,7 @@
 #include <unistd.h>
 
 #include <atomic>
-#include <condition_variable>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -27,9 +25,13 @@
 #include "datagen/profilegen.h"
 #include "obs/prof.h"
 #include "qp.h"
+#include "test_support.h"
 
 namespace qp {
 namespace {
+
+using test::Latch;
+using test::SmallConfig;
 
 /// Minimal blocking HTTP client: one GET (or raw request), read to EOF.
 struct HttpResult {
@@ -257,21 +259,6 @@ TEST(IntrospectionServerTest, ConcurrentScrapesAllAnswer) {
 // ---------------------------------------------------------------------------
 // ServingContext endpoint integration
 
-datagen::ProfileGenConfig SmallConfig(uint64_t seed) {
-  datagen::ProfileGenConfig config;
-  config.seed = seed;
-  config.num_presence = 4;
-  config.num_negative = 2;
-  config.num_absence_11 = 1;
-  config.num_elastic = 1;
-  config.db_config.num_movies = 80;
-  config.db_config.num_directors = 15;
-  config.db_config.num_actors = 40;
-  config.db_config.num_theatres = 6;
-  config.db_config.plays_per_theatre = 8;
-  return config;
-}
-
 class ServingEndpointsTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -436,33 +423,6 @@ TEST_F(ServingEndpointsTest, DisabledIntrospectionReportsNoPort) {
 
 // ---------------------------------------------------------------------------
 // Scheduler shed-rate health source
-
-/// Parks the single worker so submissions behind it queue deterministically.
-class Latch {
- public:
-  std::optional<Status> Block(size_t) {
-    std::unique_lock<std::mutex> lock(mu_);
-    entered_ = true;
-    cv_.notify_all();
-    cv_.wait(lock, [&] { return released_; });
-    return Status::OK();
-  }
-  void AwaitEntered() {
-    std::unique_lock<std::mutex> lock(mu_);
-    cv_.wait(lock, [&] { return entered_; });
-  }
-  void Release() {
-    std::lock_guard<std::mutex> lock(mu_);
-    released_ = true;
-    cv_.notify_all();
-  }
-
- private:
-  std::mutex mu_;
-  std::condition_variable cv_;
-  bool entered_ = false;
-  bool released_ = false;
-};
 
 TEST_F(ServingEndpointsTest, SchedulerShedRateTripsHealthz) {
   serve::ServingContext::Options ctx_options;

@@ -188,6 +188,9 @@ TEST_F(ParallelExecTest, HandWrittenQueriesAreThreadCountInvariant) {
   ExpectThreadCountInvariant("select distinct genre from genre order by genre");
   ExpectThreadCountInvariant(
       "select title from movie order by year desc, title asc limit 7");
+  EXPECT_TRUE(
+      ExpectThreadCountInvariant("select distinct genre from genre limit 0")
+          .empty());
   // UNION ALL merges branch results in branch order.
   ExpectThreadCountInvariant(
       "select title from movie where year < 1980 union all "

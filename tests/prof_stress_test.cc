@@ -21,6 +21,7 @@
 #include "datagen/profilegen.h"
 #include "obs/prof.h"
 #include "qp.h"
+#include "test_support.h"
 
 namespace qp::serve {
 namespace {
@@ -29,21 +30,7 @@ using core::PersonalizeOptions;
 using core::PersonalizedAnswer;
 using core::SameAnswerPayload;
 using core::UserProfile;
-
-datagen::ProfileGenConfig SmallConfig(uint64_t seed) {
-  datagen::ProfileGenConfig config;
-  config.seed = seed;
-  config.num_presence = 4;
-  config.num_negative = 2;
-  config.num_absence_11 = 1;
-  config.num_elastic = 1;
-  config.db_config.num_movies = 80;
-  config.db_config.num_directors = 15;
-  config.db_config.num_actors = 40;
-  config.db_config.num_theatres = 6;
-  config.db_config.plays_per_theatre = 8;
-  return config;
-}
+using test::SmallConfig;
 
 /// Everything deterministic one run produces: the answers in stream order
 /// plus the query log's deterministic projection, one line per record.

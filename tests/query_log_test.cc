@@ -19,9 +19,12 @@
 #include "datagen/profilegen.h"
 #include "obs/query_log.h"
 #include "qp.h"
+#include "test_support.h"
 
 namespace qp::obs {
 namespace {
+
+using test::SmallConfig;
 
 QueryLogRecord MakeRecord(const std::string& fingerprint,
                           double total_seconds) {
@@ -230,21 +233,6 @@ TEST(QueryLogTest, DumpListsRetainedRecords) {
 }
 
 // --- the serve-level determinism contract ---
-
-datagen::ProfileGenConfig SmallConfig(uint64_t seed) {
-  datagen::ProfileGenConfig config;
-  config.seed = seed;
-  config.num_presence = 4;
-  config.num_negative = 2;
-  config.num_absence_11 = 1;
-  config.num_elastic = 1;
-  config.db_config.num_movies = 80;
-  config.db_config.num_directors = 15;
-  config.db_config.num_actors = 40;
-  config.db_config.num_theatres = 6;
-  config.db_config.plays_per_theatre = 8;
-  return config;
-}
 
 TEST(QueryLogServeTest, RecordsByteIdenticalAcrossThreadCounts) {
   const auto config = SmallConfig(5);

@@ -15,7 +15,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <condition_variable>
 #include <mutex>
 #include <optional>
 #include <string>
@@ -25,6 +24,7 @@
 #include "datagen/moviegen.h"
 #include "datagen/profilegen.h"
 #include "qp.h"
+#include "test_support.h"
 
 namespace qp::serve {
 namespace {
@@ -35,21 +35,8 @@ using core::PersonalizedAnswer;
 using core::Personalizer;
 using core::SameAnswerPayload;
 using core::UserProfile;
-
-datagen::ProfileGenConfig SmallConfig(uint64_t seed) {
-  datagen::ProfileGenConfig config;
-  config.seed = seed;
-  config.num_presence = 4;
-  config.num_negative = 2;
-  config.num_absence_11 = 1;
-  config.num_elastic = 1;
-  config.db_config.num_movies = 80;
-  config.db_config.num_directors = 15;
-  config.db_config.num_actors = 40;
-  config.db_config.num_theatres = 6;
-  config.db_config.plays_per_theatre = 8;
-  return config;
-}
+using test::Latch;
+using test::SmallConfig;
 
 /// The study's genre-join query. PPA anchors tuples at movie, its first
 /// FROM relation.
@@ -92,34 +79,6 @@ bool IsPrefixOf(const PersonalizedAnswer& partial,
   }
   return true;
 }
-
-/// Wedge: an intercept that parks the (single) worker thread until
-/// Release(), so everything submitted behind it queues up deterministically.
-class Latch {
- public:
-  std::optional<Status> Block(size_t) {
-    std::unique_lock<std::mutex> lock(mu_);
-    entered_ = true;
-    cv_.notify_all();
-    cv_.wait(lock, [&] { return released_; });
-    return Status::OK();
-  }
-  void AwaitEntered() {
-    std::unique_lock<std::mutex> lock(mu_);
-    cv_.wait(lock, [&] { return entered_; });
-  }
-  void Release() {
-    std::lock_guard<std::mutex> lock(mu_);
-    released_ = true;
-    cv_.notify_all();
-  }
-
- private:
-  std::mutex mu_;
-  std::condition_variable cv_;
-  bool entered_ = false;
-  bool released_ = false;
-};
 
 /// Scheduler over a throwaway context; the intercept-driven tests never
 /// touch sessions, so the db only satisfies the constructor.

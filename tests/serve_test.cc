@@ -18,6 +18,7 @@
 #include "datagen/moviegen.h"
 #include "datagen/profilegen.h"
 #include "qp.h"
+#include "test_support.h"
 
 namespace qp::serve {
 namespace {
@@ -33,6 +34,7 @@ using core::SameAnswerPayload;
 using core::UserProfile;
 using sql::BinaryOp;
 using storage::Value;
+using test::SmallConfig;
 
 /// A cold run: fresh Personalizer, full pipeline, no caches anywhere.
 Result<PersonalizedAnswer> ColdAnswer(const storage::Database& db,
@@ -42,21 +44,6 @@ Result<PersonalizedAnswer> ColdAnswer(const storage::Database& db,
   QP_ASSIGN_OR_RETURN(Personalizer personalizer,
                       Personalizer::Make(&db, &profile));
   return personalizer.Personalize(sql, options);
-}
-
-datagen::ProfileGenConfig SmallConfig(uint64_t seed) {
-  datagen::ProfileGenConfig config;
-  config.seed = seed;
-  config.num_presence = 4;
-  config.num_negative = 2;
-  config.num_absence_11 = 1;
-  config.num_elastic = 1;
-  config.db_config.num_movies = 80;
-  config.db_config.num_directors = 15;
-  config.db_config.num_actors = 40;
-  config.db_config.num_theatres = 6;
-  config.db_config.plays_per_theatre = 8;
-  return config;
 }
 
 TEST(ServeTest, WarmMatchesColdAcrossSeedsAndAlgorithms) {
