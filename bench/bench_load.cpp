@@ -56,11 +56,6 @@
 //   QP_LOAD_SHARDS    scheduler shards                   (default 2)
 //   QP_LOAD_REQUESTS  requests per stream or sweep point (default 120)
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include <algorithm>
 #include <array>
 #include <atomic>
@@ -427,57 +422,6 @@ Offered OfferPaced(ServingContext& ctx, const Workload& w,
   return out;
 }
 
-/// Minimal blocking HTTP/1.1 GET against 127.0.0.1:`port` (the bench's
-/// scrape client; Connection: close, read to EOF).
-struct HttpGetResult {
-  bool transport_ok = false;  ///< connected, sent, got a parseable response
-  int status = 0;
-  std::string body;
-};
-
-HttpGetResult HttpGet(int port, const std::string& path) {
-  HttpGetResult out;
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return out;
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(static_cast<uint16_t>(port));
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
-                sizeof(addr)) != 0) {
-    ::close(fd);
-    return out;
-  }
-  const std::string request = "GET " + path +
-                              " HTTP/1.1\r\nHost: 127.0.0.1\r\n"
-                              "Connection: close\r\n\r\n";
-  size_t sent = 0;
-  while (sent < request.size()) {
-    const ssize_t n =
-        ::send(fd, request.data() + sent, request.size() - sent, 0);
-    if (n <= 0) {
-      ::close(fd);
-      return out;
-    }
-    sent += static_cast<size_t>(n);
-  }
-  std::string response;
-  char buf[4096];
-  ssize_t n;
-  while ((n = ::read(fd, buf, sizeof(buf))) > 0) {
-    response.append(buf, static_cast<size_t>(n));
-  }
-  ::close(fd);
-  if (response.rfind("HTTP/1.1 ", 0) != 0) return out;
-  out.status = std::atoi(response.c_str() + 9);
-  if (const size_t header_end = response.find("\r\n\r\n");
-      header_end != std::string::npos) {
-    out.body = response.substr(header_end + 4);
-  }
-  out.transport_ok = true;
-  return out;
-}
-
 /// `threads` client threads cycling the six introspection endpoints of one
 /// port between Start and Stop, each pausing `pause` after every GET (zero:
 /// back to back; threads start at staggered endpoints so they interleave).
@@ -528,8 +472,8 @@ class Scraper {
 
  private:
   bool Scrape(int port, size_t e) {
-    const HttpGetResult r = HttpGet(port, kEndpoints[e]);
-    if (!r.transport_ok || (r.status != 200 && r.status != 503)) return false;
+    const obs::HttpResult r = obs::HttpGet(port, kEndpoints[e]);
+    if (!r.ok || (r.status != 200 && r.status != 503)) return false;
     scrapes_.fetch_add(1, std::memory_order_relaxed);
     answered_.fetch_or(1u << e, std::memory_order_relaxed);
     if (r.status == 503) status_503_.fetch_add(1, std::memory_order_relaxed);
@@ -777,7 +721,7 @@ int RunIntrospect(const Workload& w) {
 
   // Counter-verify the exposition: every promised family must be present
   // in the final /metrics body.
-  const HttpGetResult metrics = HttpGet(port, "/metrics");
+  const obs::HttpResult metrics = obs::HttpGet(port, "/metrics");
   static const char* kFamilies[] = {
       "qp_index_builds_total",    "qp_index_path_total",
       "qp_sched_queue_depth{",    "qp_sched_dispatched_total",

@@ -41,7 +41,7 @@ struct PpaPrefPlan {
 
 /// The immutable plan behind PpaGenerator::Plan: everything Generate used to
 /// derive up front — the id-extended base query, the S/A query sets already
-/// in selectivity order, and the prepared walks the point probes share.
+/// in round order, and the prepared walks the point probes share.
 /// Walks hold pointers into table hash indexes and the ordering bakes in
 /// histogram estimates, so a cached rep must be dropped when the stats epoch
 /// moves.
@@ -51,8 +51,10 @@ struct PpaPlanRep {
   std::vector<std::string> column_names;  ///< base projection output names
   std::vector<SelectedPreference> preferences;
   std::vector<PathWalk> walks;
-  std::vector<PpaPrefPlan> s_plans;  ///< presence + 1-1 absence, asc. sel.
-  std::vector<PpaPrefPlan> a_plans;  ///< 1-n absence, ascending selectivity
+  /// One plan per round: the S plans (presence + 1-1 absence), then the A
+  /// plans (1-n absence), each phase in ascending estimated selectivity.
+  std::vector<PpaPrefPlan> plans;
+  size_t num_s = 0;  ///< plans[0, num_s) are S, the rest A
 };
 
 namespace {
@@ -204,22 +206,22 @@ Result<PpaGenerator::Plan> PpaGenerator::BuildPlan(
       QP_ASSIGN_OR_RETURN(plan.query,
                           rewriter_.BuildViolationQuery(rep->base2, pref));
       plan.est_selectivity = cond_sel;
-      rep->a_plans.push_back(std::move(plan));
     } else {
       QP_ASSIGN_OR_RETURN(plan.query,
                           rewriter_.BuildSatisfactionQuery(rep->base2, pref));
       plan.est_selectivity = parts.kind == PreferenceKind::kAbsenceOneOne
                                  ? 1.0 - cond_sel
                                  : cond_sel;
-      rep->s_plans.push_back(std::move(plan));
+      ++rep->num_s;
     }
+    rep->plans.push_back(std::move(plan));
   }
-  std::stable_sort(rep->s_plans.begin(), rep->s_plans.end(),
-                   [](const PpaPrefPlan& a, const PpaPrefPlan& b) {
-                     return a.est_selectivity < b.est_selectivity;
-                   });
-  std::stable_sort(rep->a_plans.begin(), rep->a_plans.end(),
-                   [](const PpaPrefPlan& a, const PpaPrefPlan& b) {
+  const auto is_a = [](const PpaPrefPlan& p) {
+    return p.kind == PreferenceKind::kAbsenceOneN;
+  };
+  std::stable_sort(rep->plans.begin(), rep->plans.end(),
+                   [&](const PpaPrefPlan& a, const PpaPrefPlan& b) {
+                     if (is_a(a) != is_a(b)) return is_a(b);
                      return a.est_selectivity < b.est_selectivity;
                    });
 
@@ -267,25 +269,19 @@ Result<PersonalizedAnswer> PpaGenerator::GenerateWithPlan(
   // Deadline / cancellation checkpoints. `rounds_run` counts completed
   // rounds (each S query, each A query, the complement scan); before each
   // round the token may cut generation, and a cancellation status surfacing
-  // *inside* a round (the executor's morsel-boundary checks) cuts at the
-  // same boundary — the interrupted round's results are discarded, so the
-  // answer is exactly the prefix emitted after `rounds_run` complete
-  // rounds. Everything about the prefix is deterministic for a given cut
-  // round; only WHICH round a wall-clock deadline lands on is timing.
+  // *inside* a round (the executor's morsel-boundary checks, or the probe
+  // loop's poll before each tuple) cuts at the same boundary — the
+  // interrupted round's results are discarded, so the answer is exactly the
+  // prefix emitted after `rounds_run` complete rounds. Everything about the
+  // prefix is deterministic for a given cut round; only WHICH round a
+  // wall-clock deadline lands on is timing.
   size_t rounds_run = 0;
   bool cut = false;
-  const auto cut_before_round = [&]() {
-    return options.cancel != nullptr && options.cancel->CutAtRound(rounds_run);
-  };
-  const auto interrupted = [&](const Status& s) {
-    return IsCancellation(s.code());
-  };
 
   // Result bookkeeping.
   std::unordered_set<Value, storage::ValueHash> seen;
   std::unordered_set<Value, storage::ValueHash> nids;
   std::map<double, std::vector<TupleRecord>, std::greater<double>> pending;
-  size_t pending_count = 0;
   bool first_emitted = false;
   const auto top_n_reached = [&]() {
     return options.top_n > 0 && answer.tuples.size() >= options.top_n;
@@ -310,7 +306,6 @@ Result<PersonalizedAnswer> PpaGenerator::GenerateWithPlan(
         }
         if (options.on_emit) options.on_emit(t);
         answer.tuples.push_back(std::move(t));
-        --pending_count;
       }
       pending.erase(it);
     }
@@ -347,20 +342,16 @@ Result<PersonalizedAnswer> PpaGenerator::GenerateWithPlan(
     return Status::OK();
   };
   // Probes a round's `n` fresh tuples with `fn(j, ctx)`: first builds,
-  // serially, the missing hit maps among the plans the round probes (S
-  // plans from `s_from` on, A plans from `a_from` on), then fans the probes
-  // out in morsels of consecutive tuples — one morsel with one reused
-  // context when serial, else up to four per thread with a context each.
-  // The grain is one tuple: a probe walks whole join paths.
-  const auto probe_fresh = [&](size_t s_from, size_t a_from,
-                               obs::TraceSpan* round_span, size_t n,
-                               const auto& fn) -> Status {
+  // serially, the missing hit maps among the plans the round probes (plans
+  // from `from` on), then fans the probes out in morsels of consecutive
+  // tuples — one morsel with one reused context when serial, else up to
+  // four per thread with a context each. The grain is one tuple: a probe
+  // walks whole join paths.
+  const auto probe_fresh = [&](size_t from, obs::TraceSpan* round_span,
+                               size_t n, const auto& fn) -> Status {
     if (n == 0) return Status::OK();
-    for (size_t k = s_from; k < rep.s_plans.size(); ++k) {
-      QP_RETURN_IF_ERROR(build_hit_map(rep.s_plans[k], round_span));
-    }
-    for (size_t k = a_from; k < rep.a_plans.size(); ++k) {
-      QP_RETURN_IF_ERROR(build_hit_map(rep.a_plans[k], round_span));
+    for (size_t k = from; k < rep.plans.size(); ++k) {
+      QP_RETURN_IF_ERROR(build_hit_map(rep.plans[k], round_span));
     }
     const auto morsels = common::MorselRanges(
         n, 1, probe_pool != nullptr ? 4 * exec_options.parallelism() : 1);
@@ -422,41 +413,39 @@ Result<PersonalizedAnswer> PpaGenerator::GenerateWithPlan(
     return ProbeOutcome{true, pplan.satisfaction_degree};
   };
 
-  // Satisfaction degrees of queries not yet executed (for MEDI).
-  const std::vector<PpaPrefPlan>& s_plans = rep.s_plans;
-  const std::vector<PpaPrefPlan>& a_plans = rep.a_plans;
+  const std::vector<PpaPrefPlan>& plans = rep.plans;
+  const size_t num_s = rep.num_s;
+  const size_t num_a = plans.size() - num_s;
   const size_t n_base_cols = rep.n_base_cols;
-  std::vector<double> all_a_degrees;
-  for (const auto& p : a_plans) all_a_degrees.push_back(p.satisfaction_degree);
-  const bool step3_possible = a_plans.size() >= options.L;
+  const auto satisfaction_degrees = [&](size_t from) {
+    std::vector<double> degrees;
+    for (size_t k = from; k < plans.size(); ++k) {
+      degrees.push_back(plans[k].satisfaction_degree);
+    }
+    return degrees;
+  };
+  const bool step3_possible = num_a >= options.L;
   const double step3_bound =
-      step3_possible ? PositiveUpperBound(options.ranking, all_a_degrees) : 0.0;
+      step3_possible
+          ? PositiveUpperBound(options.ranking, satisfaction_degrees(num_s))
+          : 0.0;
 
-  auto medi_after = [&](size_t s_done, size_t a_done) {
-    std::vector<double> remaining;
-    for (size_t k = s_done; k < s_plans.size(); ++k) {
-      remaining.push_back(s_plans[k].satisfaction_degree);
-    }
-    for (size_t k = a_done; k < a_plans.size(); ++k) {
-      remaining.push_back(a_plans[k].satisfaction_degree);
-    }
+  // MEDI once the first `done` rounds ran, from the satisfaction degrees of
+  // the queries not yet executed.
+  const auto medi_after = [&](size_t done) {
+    const std::vector<double> remaining = satisfaction_degrees(done);
     double medi = PositiveUpperBound(options.ranking, remaining);
     if (options.ranking.mixed_style() == MixedStyle::kCountWeighted &&
         !remaining.empty()) {
-      // A tuple still unseen after `s_done` presence rounds provably fails
+      // A tuple still unseen after `done` presence rounds provably fails
       // those preferences, so its count-weighted doi is at most
       // |remaining| * r+(remaining) / K — the bound decays linearly and
-      // enables the paper's early progressive emission.
-      const double k_total =
-          static_cast<double>(s_plans.size() + a_plans.size());
-      if (s_done < s_plans.size()) {
-        medi *= static_cast<double>(remaining.size()) / k_total;
-      } else if (!a_plans.empty()) {
-        // Phase 2: new tuples are ranked on absence preferences only
-        // (Figure 6), and fail every absence query already executed.
-        medi *= static_cast<double>(remaining.size()) /
-                static_cast<double>(a_plans.size());
-      }
+      // enables the paper's early progressive emission. In phase 2 new
+      // tuples are ranked on absence preferences only (Figure 6), and fail
+      // every absence query already executed.
+      const size_t ranked_on = done < num_s ? plans.size() : num_a;
+      medi *= static_cast<double>(remaining.size()) /
+              static_cast<double>(ranked_on);
     }
     // Tuples surfacing only in the final complement step satisfy every 1-n
     // absence preference; hold their bound until step 3 runs.
@@ -472,239 +461,150 @@ Result<PersonalizedAnswer> PpaGenerator::GenerateWithPlan(
     for (const auto& o : rec.failed) neg.push_back(o.degree);
     rec.doi = options.ranking.Rank(pos, neg);
     pending[rec.doi].push_back(std::move(rec));
-    ++pending_count;
   };
 
-  // ---- Phase 1: presence queries. ----
+  // One round boundary, shared by the S/A rounds and the complement scan:
+  // the token may cut generation before the round; otherwise `query` runs
+  // under a trace span named `name()` and `consume(rows, span)` takes its
+  // rows. A cancellation inside either cuts at this same boundary, with the
+  // round discarded. Sets `cut` instead of counting the round when cut.
+  const auto run_round = [&](const auto& name, const SelectQuery& query,
+                             const auto& consume) -> Status {
+    if (options.cancel != nullptr && options.cancel->CutAtRound(rounds_run)) {
+      cut = true;
+      return Status::OK();
+    }
+    obs::TraceSpan* span =
+        options.trace != nullptr ? options.trace->AddChild(name()) : nullptr;
+    obs::SpanTimer timer(span);
+    auto rows = executor.Execute(*sql::Query::Single(query), span);
+    const Status status = rows.ok() ? consume(*rows, span) : rows.status();
+    if (IsCancellation(status.code())) {
+      cut = true;
+      return Status::OK();
+    }
+    QP_RETURN_IF_ERROR(status);
+    ++rounds_run;
+    return Status::OK();
+  };
+
+  // ---- Steps 1 and 2: the S rounds, then the A rounds. ----
   // Each round: claim fresh tuple ids serially in row order, probe the
   // claimed tuples' remaining preferences in morsels (each tuple writes
   // its own record slot), then queue records serially in that same
   // row order — byte-identical to the serial walk at every thread count.
-  for (size_t i = 0; i < s_plans.size(); ++i) {
-    if (top_n_reached()) break;
-    // A tuple first seen here can satisfy at most the remaining presence
-    // queries plus every absence preference.
-    if (s_plans.size() - i + a_plans.size() < options.L) break;
-    if (cut_before_round()) {
-      cut = true;
-      break;
+  // A tuple first seen in an A round fails at least one absence preference
+  // and no presence query returned it, so it can satisfy at most |A| - 1
+  // preferences. When that cannot reach L, the A queries still run (Nids
+  // must be complete for step 3) but no tuple is claimed.
+  const bool a_rounds_claim = num_a >= 1 && num_a - 1 >= options.L;
+  for (size_t i = 0; i < plans.size() && !top_n_reached() && !cut; ++i) {
+    const bool absence = i >= num_s;
+    // A tuple first seen in S round i can satisfy at most the plans from i
+    // on. Once that cannot reach L the S phase is over; go on to the A
+    // rounds.
+    if (!absence && plans.size() - i < options.L) {
+      i = num_s - 1;
+      continue;
     }
-    obs::TraceSpan* round_span =
-        options.trace != nullptr
-            ? options.trace->AddChild(
-                  "S query " + std::to_string(i + 1) + "/" +
-                  std::to_string(s_plans.size()))
-            : nullptr;
-    obs::SpanTimer round_timer(round_span);
-    auto rows_result =
-        executor.Execute(*sql::Query::Single(s_plans[i].query), round_span);
-    if (!rows_result.ok()) {
-      if (interrupted(rows_result.status())) {
-        cut = true;
-        break;
-      }
-      return rows_result.status();
-    }
-    exec::RowSet rows = std::move(rows_result).value();
-    std::vector<const storage::Row*> fresh;
-    for (const auto& row : rows.rows()) {
-      const Value& tid = row[n_base_cols];
-      if (tid.is_null() || seen.count(tid) > 0) continue;
-      seen.insert(tid);
-      fresh.push_back(&row);
-    }
-    std::vector<TupleRecord> recs(fresh.size());
-    const Status probe_status = probe_fresh(
-        i + 1, 0, round_span, fresh.size(),
-        [&](size_t j, ProbeContext& ctx) -> Status {
-          // Deadline/cancel can fire mid-batch; stopping at the next probe
-          // (instead of finishing the batch) bounds the cut latency. The
-          // whole round is discarded on interruption, so this never
-          // changes a successful answer.
-          if (options.cancel != nullptr) {
-            QP_RETURN_IF_ERROR(options.cancel->Check());
+    const PpaPrefPlan& plan = plans[i];
+    const size_t phase_begin = absence ? num_s : 0;
+    const auto name = [&] {
+      return std::string(absence ? "A" : "S") + " query " +
+             std::to_string(i - phase_begin + 1) + "/" +
+             std::to_string(absence ? num_a : num_s);
+    };
+    QP_RETURN_IF_ERROR(run_round(
+        name, plan.query,
+        [&](const exec::RowSet& rows, obs::TraceSpan* span) -> Status {
+          std::vector<const storage::Row*> fresh;
+          for (const auto& row : rows.rows()) {
+            const Value& tid = row[n_base_cols];
+            if (tid.is_null()) continue;
+            if (absence) nids.insert(tid);
+            if (absence && !a_rounds_claim) continue;
+            if (seen.insert(tid).second) fresh.push_back(&row);
           }
-          ctx.Reset();
-          const storage::Row& row = *fresh[j];
-          const Value& tid = row[n_base_cols];
-          TupleRecord& rec = recs[j];
-          rec.values.assign(row.begin(), row.begin() + n_base_cols);
-          const double own_degree =
-              row.back().is_numeric() ? row.back().ToNumeric() : 0.0;
-          rec.satisfied.push_back({s_plans[i].pref_index, own_degree});
-          // Presence queries before i would have returned the tuple: failed.
-          for (size_t k = 0; k < i; ++k) {
-            rec.failed.push_back(
-                {s_plans[k].pref_index, s_plans[k].failure_degree});
-          }
-          for (size_t k = i + 1; k < s_plans.size(); ++k) {
-            const ProbeOutcome outcome = run_probe(s_plans[k], tid, ctx);
-            if (outcome.satisfied) {
-              rec.satisfied.push_back({s_plans[k].pref_index, outcome.degree});
-            } else {
-              rec.failed.push_back({s_plans[k].pref_index, outcome.degree});
-            }
-          }
-          for (const auto& a : a_plans) {
-            const ProbeOutcome outcome = run_probe(a, tid, ctx);
-            if (outcome.satisfied) {
-              rec.satisfied.push_back({a.pref_index, outcome.degree});
-            } else {
-              rec.failed.push_back({a.pref_index, outcome.degree});
-            }
-          }
-          return Status::OK();
-        });
-    if (!probe_status.ok()) {
-      if (interrupted(probe_status)) {
-        cut = true;
-        break;
-      }
-      return probe_status;
-    }
-    for (TupleRecord& rec : recs) queue_record(std::move(rec));
-    ++rounds_run;
-    emit_ready(medi_after(i + 1, 0));
-    round_timer.Stop();
-    if (round_span != nullptr) {
-      round_span->AddAttr("pref", s_plans[i].pref_index);
-      round_span->AddAttr("est_selectivity", s_plans[i].est_selectivity);
-      round_span->AddAttr("rows", rows.num_rows());
-      round_span->AddAttr("fresh", fresh.size());
-    }
-  }
-
-  // ---- Phase 2: absence queries. ----
-  // A tuple first seen here fails at least one absence preference and no
-  // presence query returned it, so it can satisfy at most |A| - 1
-  // preferences. When that cannot reach L, the full absence queries still
-  // run (Nids must be complete for step 3) but per-tuple probing is skipped.
-  const bool phase2_can_qualify =
-      a_plans.size() >= 1 && a_plans.size() - 1 >= options.L;
-  for (size_t i = 0; i < a_plans.size() && !top_n_reached() && !cut; ++i) {
-    if (cut_before_round()) {
-      cut = true;
-      break;
-    }
-    obs::TraceSpan* round_span =
-        options.trace != nullptr
-            ? options.trace->AddChild(
-                  "A query " + std::to_string(i + 1) + "/" +
-                  std::to_string(a_plans.size()))
-            : nullptr;
-    obs::SpanTimer round_timer(round_span);
-    auto rows_result =
-        executor.Execute(*sql::Query::Single(a_plans[i].query), round_span);
-    if (!rows_result.ok()) {
-      if (interrupted(rows_result.status())) {
-        cut = true;
-        break;
-      }
-      return rows_result.status();
-    }
-    exec::RowSet rows = std::move(rows_result).value();
-    std::vector<const storage::Row*> fresh;
-    for (const auto& row : rows.rows()) {
-      const Value& tid = row[n_base_cols];
-      if (tid.is_null()) continue;
-      nids.insert(tid);
-      if (!phase2_can_qualify || seen.count(tid) > 0) continue;
-      seen.insert(tid);
-      fresh.push_back(&row);
-    }
-    std::vector<TupleRecord> recs(fresh.size());
-    const Status probe_status = probe_fresh(
-        s_plans.size(), i + 1, round_span, fresh.size(),
-        [&](size_t j, ProbeContext& ctx) -> Status {
-          ctx.Reset();
-          const storage::Row& row = *fresh[j];
-          const Value& tid = row[n_base_cols];
-          TupleRecord& rec = recs[j];
-          rec.values.assign(row.begin(), row.begin() + n_base_cols);
-          const double own_degree =
-              row.back().is_numeric() ? row.back().ToNumeric() : 0.0;
-          rec.failed.push_back({a_plans[i].pref_index, own_degree});
-          // Absence queries before i did not return the tuple: satisfied.
-          for (size_t k = 0; k < i; ++k) {
-            rec.satisfied.push_back(
-                {a_plans[k].pref_index, a_plans[k].satisfaction_degree});
-          }
-          for (size_t k = i + 1; k < a_plans.size(); ++k) {
-            const ProbeOutcome outcome = run_probe(a_plans[k], tid, ctx);
-            if (outcome.satisfied) {
-              rec.satisfied.push_back({a_plans[k].pref_index, outcome.degree});
-            } else {
-              rec.failed.push_back({a_plans[k].pref_index, outcome.degree});
-            }
+          std::vector<TupleRecord> recs(fresh.size());
+          QP_RETURN_IF_ERROR(probe_fresh(
+              i + 1, span, fresh.size(),
+              [&](size_t j, ProbeContext& ctx) -> Status {
+                // Deadline/cancel can fire mid-batch; stopping at the next
+                // probe (instead of finishing the batch) bounds the cut
+                // latency. The whole round is discarded on interruption,
+                // so this never changes a successful answer.
+                if (options.cancel != nullptr) {
+                  QP_RETURN_IF_ERROR(options.cancel->Check());
+                }
+                ctx.Reset();
+                const storage::Row& row = *fresh[j];
+                const Value& tid = row[n_base_cols];
+                TupleRecord& rec = recs[j];
+                rec.values.assign(row.begin(), row.begin() + n_base_cols);
+                // The round's own outcome: an S query returns the tuples
+                // satisfying its preference, an A query those failing it.
+                const double own_degree =
+                    row.back().is_numeric() ? row.back().ToNumeric() : 0.0;
+                (absence ? rec.failed : rec.satisfied)
+                    .push_back({plan.pref_index, own_degree});
+                // The phase's earlier queries did not return the tuple: it
+                // failed those S preferences and satisfied those A ones.
+                for (size_t k = phase_begin; k < i; ++k) {
+                  if (absence) {
+                    rec.satisfied.push_back(
+                        {plans[k].pref_index, plans[k].satisfaction_degree});
+                  } else {
+                    rec.failed.push_back(
+                        {plans[k].pref_index, plans[k].failure_degree});
+                  }
+                }
+                for (size_t k = i + 1; k < plans.size(); ++k) {
+                  const ProbeOutcome outcome = run_probe(plans[k], tid, ctx);
+                  (outcome.satisfied ? rec.satisfied : rec.failed)
+                      .push_back({plans[k].pref_index, outcome.degree});
+                }
+                return Status::OK();
+              }));
+          for (TupleRecord& rec : recs) queue_record(std::move(rec));
+          emit_ready(medi_after(i + 1));
+          if (span != nullptr) {
+            span->AddAttr("pref", plan.pref_index);
+            span->AddAttr("est_selectivity", plan.est_selectivity);
+            span->AddAttr("rows", rows.num_rows());
+            span->AddAttr("fresh", fresh.size());
           }
           return Status::OK();
-        });
-    if (!probe_status.ok()) {
-      if (interrupted(probe_status)) {
-        cut = true;
-        break;
-      }
-      return probe_status;
-    }
-    // Per Figure 6, phase-2 tuples are ranked on absence preferences only.
-    for (TupleRecord& rec : recs) queue_record(std::move(rec));
-    ++rounds_run;
-    emit_ready(medi_after(s_plans.size(), i + 1));
-    round_timer.Stop();
-    if (round_span != nullptr) {
-      round_span->AddAttr("pref", a_plans[i].pref_index);
-      round_span->AddAttr("est_selectivity", a_plans[i].est_selectivity);
-      round_span->AddAttr("rows", rows.num_rows());
-      round_span->AddAttr("fresh", fresh.size());
-    }
+        }));
   }
 
   // ---- Step 3: tuples never returned by any absence query satisfy every
   // 1-n absence preference. ----
-  if (step3_possible && !top_n_reached() && !cut && cut_before_round()) {
-    cut = true;
-  }
   if (step3_possible && !top_n_reached() && !cut) {
-    obs::TraceSpan* step3_span =
-        options.trace != nullptr
-            ? options.trace->AddChild("complement scan (step 3)")
-            : nullptr;
-    obs::SpanTimer step3_timer(step3_span);
-    auto rows_result =
-        executor.Execute(*sql::Query::Single(rep.base2), step3_span);
-    if (!rows_result.ok() && !interrupted(rows_result.status())) {
-      return rows_result.status();
-    }
-    if (!rows_result.ok()) {
-      cut = true;
-    } else {
-      exec::RowSet rows = std::move(rows_result).value();
-      size_t complement_fresh = 0;
-      for (const auto& row : rows.rows()) {
-        const Value& tid = row[n_base_cols];
-        if (tid.is_null() || seen.count(tid) > 0 || nids.count(tid) > 0) {
-          continue;
-        }
-        seen.insert(tid);
-        TupleRecord rec;
-        rec.values.assign(row.begin(), row.begin() + n_base_cols);
-        std::vector<double> pos;
-        for (const auto& a : a_plans) {
-          rec.satisfied.push_back({a.pref_index, a.satisfaction_degree});
-          pos.push_back(a.satisfaction_degree);
-        }
-        rec.doi = options.ranking.Rank(pos, {});
-        pending[rec.doi].push_back(std::move(rec));
-        ++pending_count;
-        ++complement_fresh;
-      }
-      ++rounds_run;
-      step3_timer.Stop();
-      if (step3_span != nullptr) {
-        step3_span->AddAttr("rows", rows.num_rows());
-        step3_span->AddAttr("fresh", complement_fresh);
-      }
-    }
+    QP_RETURN_IF_ERROR(run_round(
+        [] { return std::string("complement scan (step 3)"); }, rep.base2,
+        [&](const exec::RowSet& rows, obs::TraceSpan* span) -> Status {
+          size_t complement_fresh = 0;
+          for (const auto& row : rows.rows()) {
+            const Value& tid = row[n_base_cols];
+            if (tid.is_null() || nids.count(tid) > 0 ||
+                !seen.insert(tid).second) {
+              continue;
+            }
+            TupleRecord rec;
+            rec.values.assign(row.begin(), row.begin() + n_base_cols);
+            for (size_t k = num_s; k < plans.size(); ++k) {
+              rec.satisfied.push_back(
+                  {plans[k].pref_index, plans[k].satisfaction_degree});
+            }
+            queue_record(std::move(rec));
+            ++complement_fresh;
+          }
+          if (span != nullptr) {
+            span->AddAttr("rows", rows.num_rows());
+            span->AddAttr("fresh", complement_fresh);
+          }
+          return Status::OK();
+        }));
   }
 
   // ---- Flush everything left, best first. ----

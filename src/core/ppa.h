@@ -60,24 +60,27 @@ class PpaGenerator {
     /// thread count: probes compute into per-tuple slots and tuples enter
     /// the pending queue serially in base-row order.
     exec::ExecOptions exec;
-    /// Optional trace sink. Each S/A query round records one span (with the
+    /// Optional trace sink. Every round of the one round loop records one
+    /// span, "S query i/|S|" or "A query i/|A|" in round order (with the
     /// executor's plan and one "hit map pref i" span per hit map the round
-    /// builds as children, and pref/selectivity/rows/fresh attrs),
-    /// the complement scan records one, and a final "first_response" span
-    /// carries AnswerStats::first_response_seconds. Everything but the
-    /// timings is deterministic across thread counts. Not owned; must not
-    /// be shared with a concurrent generation.
+    /// builds as children, and pref/est_selectivity/rows/fresh attrs); the
+    /// complement scan records "complement scan (step 3)" (rows/fresh), and
+    /// a final "first_response" span carries
+    /// AnswerStats::first_response_seconds. Everything but the timings is
+    /// deterministic across thread counts. Not owned; must not be shared
+    /// with a concurrent generation.
     obs::TraceSpan* trace = nullptr;
     /// Optional cooperative cancellation / deadline token (not owned).
     /// Polled at every round boundary — before each S query, each A query
-    /// and the complement scan — and inside the executor at morsel
-    /// boundaries. When it fires, generation stops and returns the
-    /// progressive prefix emitted so far with stats.partial = true and
-    /// stats.rounds_run = the cut round; a prefix cut at round r is
-    /// byte-identical to the full answer's first tuples at every thread
-    /// count (the partial-answer determinism contract). A token whose
-    /// forced cut round is set (CancelToken::ForceCutAtRound) cuts at that
-    /// exact boundary independent of wall time.
+    /// and the complement scan — inside the executor at morsel boundaries,
+    /// and before each probed tuple of an S or A round. When it fires,
+    /// generation stops and returns the progressive prefix emitted so far
+    /// with stats.partial = true and stats.rounds_run = the cut round (a
+    /// round interrupted from inside is discarded whole); a prefix cut at
+    /// round r is byte-identical to the full answer's first tuples at every
+    /// thread count (the partial-answer determinism contract). A token
+    /// whose forced cut round is set (CancelToken::ForceCutAtRound) cuts at
+    /// that exact boundary independent of wall time.
     const common::CancelToken* cancel = nullptr;
   };
 

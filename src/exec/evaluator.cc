@@ -61,31 +61,40 @@ Truth Invert(Truth t) {
   return Truth::kNull;
 }
 
-Result<Truth> EvalTruth(const Expr& expr, const Scope& scope,
-                        const storage::Row& row,
-                        const SubqueryResults* subqueries);
+/// What an evaluation reads besides the expression: the row, its layout,
+/// and the values materialized before the row loop.
+struct Env {
+  const Scope& scope;
+  const storage::Row& row;
+  const SubqueryResults* subqueries;
+  const AggregateValues* aggregates;
+};
 
-Result<Value> EvalValue(const Expr& expr, const Scope& scope,
-                        const storage::Row& row,
-                        const SubqueryResults* subqueries) {
+Result<Truth> EvalTruth(const Expr& expr, const Env& env);
+
+Result<Value> EvalValue(const Expr& expr, const Env& env) {
   switch (expr.kind()) {
     case ExprKind::kLiteral:
       return expr.literal();
     case ExprKind::kColumnRef: {
-      QP_ASSIGN_OR_RETURN(size_t idx, scope.ResolveColumn(expr));
-      return row[idx];
+      QP_ASSIGN_OR_RETURN(size_t idx, env.scope.ResolveColumn(expr));
+      return env.row[idx];
     }
-    case ExprKind::kAggregateCall:
+    case ExprKind::kAggregateCall: {
+      if (env.aggregates != nullptr) {
+        const auto it = env.aggregates->find(&expr);
+        if (it != env.aggregates->end()) return it->second;
+      }
       return Status::InvalidArgument(
           "aggregate '" + expr.function() +
           "' used outside GROUP BY evaluation");
+    }
     case ExprKind::kScalarFn: {
-      QP_ASSIGN_OR_RETURN(Value arg,
-                          EvalValue(*expr.argument(), scope, row, subqueries));
+      QP_ASSIGN_OR_RETURN(Value arg, EvalValue(*expr.argument(), env));
       return expr.scalar_fn()(arg);
     }
     default: {
-      QP_ASSIGN_OR_RETURN(Truth t, EvalTruth(expr, scope, row, subqueries));
+      QP_ASSIGN_OR_RETURN(Truth t, EvalTruth(expr, env));
       return t == Truth::kNull
                  ? Value::Null()
                  : Value(static_cast<int64_t>(t == Truth::kTrue ? 1 : 0));
@@ -93,15 +102,11 @@ Result<Value> EvalValue(const Expr& expr, const Scope& scope,
   }
 }
 
-Result<Truth> EvalTruth(const Expr& expr, const Scope& scope,
-                        const storage::Row& row,
-                        const SubqueryResults* subqueries) {
+Result<Truth> EvalTruth(const Expr& expr, const Env& env) {
   switch (expr.kind()) {
     case ExprKind::kComparison: {
-      QP_ASSIGN_OR_RETURN(Value l,
-                          EvalValue(*expr.left(), scope, row, subqueries));
-      QP_ASSIGN_OR_RETURN(Value r,
-                          EvalValue(*expr.right(), scope, row, subqueries));
+      QP_ASSIGN_OR_RETURN(Value l, EvalValue(*expr.left(), env));
+      QP_ASSIGN_OR_RETURN(Value r, EvalValue(*expr.right(), env));
       if (l.is_null() || r.is_null()) return Truth::kNull;
       const int cmp = l.Compare(r);
       bool result = false;
@@ -128,41 +133,35 @@ Result<Truth> EvalTruth(const Expr& expr, const Scope& scope,
       return result ? Truth::kTrue : Truth::kFalse;
     }
     case ExprKind::kAnd: {
-      QP_ASSIGN_OR_RETURN(Truth l,
-                          EvalTruth(*expr.left(), scope, row, subqueries));
+      QP_ASSIGN_OR_RETURN(Truth l, EvalTruth(*expr.left(), env));
       if (l == Truth::kFalse) return Truth::kFalse;
-      QP_ASSIGN_OR_RETURN(Truth r,
-                          EvalTruth(*expr.right(), scope, row, subqueries));
+      QP_ASSIGN_OR_RETURN(Truth r, EvalTruth(*expr.right(), env));
       if (r == Truth::kFalse) return Truth::kFalse;
       if (l == Truth::kNull || r == Truth::kNull) return Truth::kNull;
       return Truth::kTrue;
     }
     case ExprKind::kOr: {
-      QP_ASSIGN_OR_RETURN(Truth l,
-                          EvalTruth(*expr.left(), scope, row, subqueries));
+      QP_ASSIGN_OR_RETURN(Truth l, EvalTruth(*expr.left(), env));
       if (l == Truth::kTrue) return Truth::kTrue;
-      QP_ASSIGN_OR_RETURN(Truth r,
-                          EvalTruth(*expr.right(), scope, row, subqueries));
+      QP_ASSIGN_OR_RETURN(Truth r, EvalTruth(*expr.right(), env));
       if (r == Truth::kTrue) return Truth::kTrue;
       if (l == Truth::kNull || r == Truth::kNull) return Truth::kNull;
       return Truth::kFalse;
     }
     case ExprKind::kNot: {
-      QP_ASSIGN_OR_RETURN(Truth t,
-                          EvalTruth(*expr.operand(), scope, row, subqueries));
+      QP_ASSIGN_OR_RETURN(Truth t, EvalTruth(*expr.operand(), env));
       return Invert(t);
     }
     case ExprKind::kInSubquery: {
-      if (subqueries == nullptr) {
+      if (env.subqueries == nullptr) {
         return Status::Internal("IN-subquery encountered without materialized "
                                 "subquery results");
       }
-      auto it = subqueries->find(&expr);
-      if (it == subqueries->end()) {
+      auto it = env.subqueries->find(&expr);
+      if (it == env.subqueries->end()) {
         return Status::Internal("IN-subquery was not pre-materialized");
       }
-      QP_ASSIGN_OR_RETURN(Value needle,
-                          EvalValue(*expr.left(), scope, row, subqueries));
+      QP_ASSIGN_OR_RETURN(Value needle, EvalValue(*expr.left(), env));
       if (needle.is_null()) return Truth::kNull;
       const bool member = it->second.count(needle) > 0;
       const bool result = expr.negated() ? !member : member;
@@ -186,14 +185,17 @@ Result<Truth> EvalTruth(const Expr& expr, const Scope& scope,
 
 Result<Value> EvalScalar(const Expr& expr, const Scope& scope,
                          const storage::Row& row,
-                         const SubqueryResults* subqueries) {
-  return EvalValue(expr, scope, row, subqueries);
+                         const SubqueryResults* subqueries,
+                         const AggregateValues* aggregates) {
+  return EvalValue(expr, Env{scope, row, subqueries, aggregates});
 }
 
 Result<bool> EvalPredicate(const Expr& expr, const Scope& scope,
                            const storage::Row& row,
-                           const SubqueryResults* subqueries) {
-  QP_ASSIGN_OR_RETURN(Truth t, EvalTruth(expr, scope, row, subqueries));
+                           const SubqueryResults* subqueries,
+                           const AggregateValues* aggregates) {
+  QP_ASSIGN_OR_RETURN(Truth t,
+                      EvalTruth(expr, Env{scope, row, subqueries, aggregates}));
   return t == Truth::kTrue;
 }
 

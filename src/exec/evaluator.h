@@ -43,15 +43,24 @@ using SubqueryResults =
     std::unordered_map<const sql::Expr*,
                        std::unordered_set<storage::Value, storage::ValueHash>>;
 
-/// Evaluates a scalar expression over `row` (no aggregates allowed).
+/// One group's aggregate values, keyed by the kAggregateCall expression
+/// node. Built by the executor per group before HAVING, the select items
+/// and the ORDER BY keys are evaluated over the group.
+using AggregateValues =
+    std::unordered_map<const sql::Expr*, storage::Value>;
+
+/// Evaluates a scalar expression over `row`. An aggregate call reads its
+/// value from `aggregates` and is an error without it.
 Result<storage::Value> EvalScalar(const sql::Expr& expr, const Scope& scope,
                                   const storage::Row& row,
-                                  const SubqueryResults* subqueries = nullptr);
+                                  const SubqueryResults* subqueries = nullptr,
+                                  const AggregateValues* aggregates = nullptr);
 
 /// Evaluates a predicate; returns true only for a definite TRUE.
 Result<bool> EvalPredicate(const sql::Expr& expr, const Scope& scope,
                            const storage::Row& row,
-                           const SubqueryResults* subqueries = nullptr);
+                           const SubqueryResults* subqueries = nullptr,
+                           const AggregateValues* aggregates = nullptr);
 
 /// Collects every kInSubquery node reachable in `expr`.
 void CollectSubqueries(const sql::ExprPtr& expr,

@@ -129,69 +129,6 @@ int FindLocalColumn(const Source& src, const std::string& qualifier,
   return found;
 }
 
-/// Evaluates expression `e` where aggregate calls are replaced by
-/// precomputed values (keyed by their SQL text).
-class AggregateEnv {
- public:
-  AggregateEnv(const Scope* scope, const Row* representative,
-               const std::unordered_map<std::string, Value>* agg_values)
-      : scope_(scope), row_(representative), agg_values_(agg_values) {}
-
-  Result<Value> Eval(const Expr& e) const {
-    switch (e.kind()) {
-      case ExprKind::kAggregateCall: {
-        auto it = agg_values_->find(e.ToString());
-        if (it == agg_values_->end()) {
-          return Status::Internal("aggregate not precomputed: " + e.ToString());
-        }
-        return it->second;
-      }
-      case ExprKind::kComparison: {
-        QP_ASSIGN_OR_RETURN(Value l, Eval(*e.left()));
-        QP_ASSIGN_OR_RETURN(Value r, Eval(*e.right()));
-        if (l.is_null() || r.is_null()) return Value::Null();
-        const int cmp = l.Compare(r);
-        bool result = false;
-        switch (e.op()) {
-          case BinaryOp::kEq: result = cmp == 0; break;
-          case BinaryOp::kNe: result = cmp != 0; break;
-          case BinaryOp::kLt: result = cmp < 0; break;
-          case BinaryOp::kLe: result = cmp <= 0; break;
-          case BinaryOp::kGt: result = cmp > 0; break;
-          case BinaryOp::kGe: result = cmp >= 0; break;
-        }
-        return Value(static_cast<int64_t>(result ? 1 : 0));
-      }
-      case ExprKind::kAnd: {
-        QP_ASSIGN_OR_RETURN(Value l, Eval(*e.left()));
-        QP_ASSIGN_OR_RETURN(Value r, Eval(*e.right()));
-        const bool res = !l.is_null() && l.ToNumeric() != 0 && !r.is_null() &&
-                         r.ToNumeric() != 0;
-        return Value(static_cast<int64_t>(res ? 1 : 0));
-      }
-      case ExprKind::kOr: {
-        QP_ASSIGN_OR_RETURN(Value l, Eval(*e.left()));
-        QP_ASSIGN_OR_RETURN(Value r, Eval(*e.right()));
-        const bool res = (!l.is_null() && l.ToNumeric() != 0) ||
-                         (!r.is_null() && r.ToNumeric() != 0);
-        return Value(static_cast<int64_t>(res ? 1 : 0));
-      }
-      case ExprKind::kNot: {
-        QP_ASSIGN_OR_RETURN(Value v, Eval(*e.operand()));
-        if (v.is_null()) return Value::Null();
-        return Value(static_cast<int64_t>(v.ToNumeric() == 0 ? 1 : 0));
-      }
-      default:
-        return EvalScalar(e, *scope_, *row_, nullptr);
-    }
-  }
-
- private:
-  const Scope* scope_;
-  const Row* row_;
-  const std::unordered_map<std::string, Value>* agg_values_;
-};
-
 /// True when every predicate in `filters` holds on `row` (stops at the
 /// first that does not).
 Result<bool> AllHold(const std::vector<ExprPtr>& filters, const Scope& scope,
@@ -1117,9 +1054,19 @@ Result<RowSet> Executor::ExecuteSelect(const SelectQuery& q,
     for (const auto& item : items) CollectAggregateCalls(item.expr, &agg_nodes);
     CollectAggregateCalls(q.having, &agg_nodes);
     for (const auto& o : q.order_by) CollectAggregateCalls(o.expr, &agg_nodes);
-    // Dedupe by SQL text.
-    std::unordered_map<std::string, const Expr*> agg_by_text;
-    for (const Expr* a : agg_nodes) agg_by_text.emplace(a->ToString(), a);
+    // Each distinct aggregate (by SQL text) is computed once per group;
+    // agg_slot maps every call node to its distinct aggregate.
+    std::vector<const Expr*> distinct_aggs;
+    std::vector<size_t> agg_slot;
+    {
+      std::unordered_map<std::string, size_t> by_text;
+      for (const Expr* a : agg_nodes) {
+        const auto [it, inserted] =
+            by_text.try_emplace(a->ToString(), distinct_aggs.size());
+        if (inserted) distinct_aggs.push_back(a);
+        agg_slot.push_back(it->second);
+      }
+    }
 
     // Group rows by evaluated GROUP BY keys. Key extraction writes into
     // per-row slots so it parallelizes without any ordering concern; the
@@ -1176,9 +1123,9 @@ Result<RowSet> Executor::ExecuteSelect(const SelectQuery& q,
           for (size_t g_idx = group_morsels[m].first;
                g_idx < group_morsels[m].second; ++g_idx) {
             const std::vector<size_t>& indices = *group_indices[g_idx];
-            // Compute each distinct aggregate once.
-            std::unordered_map<std::string, Value> agg_values;
-            for (const auto& [text, node] : agg_by_text) {
+            std::vector<Value> finals;
+            finals.reserve(distinct_aggs.size());
+            for (const Expr* node : distinct_aggs) {
               QP_ASSIGN_OR_RETURN(std::unique_ptr<Aggregator> agg,
                                   registry->Create(node->function()));
               for (size_t idx : indices) {
@@ -1190,22 +1137,32 @@ Result<RowSet> Executor::ExecuteSelect(const SelectQuery& q,
                 }
                 agg->Add(arg);
               }
-              agg_values.emplace(text, agg->Finalize());
+              finals.push_back(agg->Finalize());
             }
+            AggregateValues agg_values;
+            for (size_t a = 0; a < agg_nodes.size(); ++a) {
+              agg_values.emplace(agg_nodes[a], finals[agg_slot[a]]);
+            }
+            // Non-aggregate references read the group's first row.
             const Row& rep =
                 indices.empty() ? empty_row : combined[indices[0]];
-            AggregateEnv env(&row_scope, &rep, &agg_values);
             if (q.having != nullptr) {
-              QP_ASSIGN_OR_RETURN(Value hv, env.Eval(*q.having));
-              if (hv.is_null() || hv.ToNumeric() == 0) continue;
+              QP_ASSIGN_OR_RETURN(bool keep,
+                                  EvalPredicate(*q.having, row_scope, rep,
+                                                &subquery_sets, &agg_values));
+              if (!keep) continue;
             }
             GroupOut g;
             for (const auto& item : items) {
-              QP_ASSIGN_OR_RETURN(Value v, env.Eval(*item.expr));
+              QP_ASSIGN_OR_RETURN(Value v,
+                                  EvalScalar(*item.expr, row_scope, rep,
+                                             &subquery_sets, &agg_values));
               g.out_row.push_back(std::move(v));
             }
             for (const auto& o : q.order_by) {
-              QP_ASSIGN_OR_RETURN(Value v, env.Eval(*o.expr));
+              QP_ASSIGN_OR_RETURN(Value v,
+                                  EvalScalar(*o.expr, row_scope, rep,
+                                             &subquery_sets, &agg_values));
               g.sort_keys.push_back(std::move(v));
             }
             group_slots[g_idx] = std::move(g);

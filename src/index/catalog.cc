@@ -19,22 +19,7 @@ void IndexCatalog::RebuildLocked(Entry& e) const {
         BPlusTree::Build(*e.table, e.col));
   }
   e.built_version = e.table->data_version();
-  if (builds_ != nullptr) builds_->Increment();
-}
-
-void IndexCatalog::BindMetrics(obs::MetricsRegistry* metrics) const {
-  std::lock_guard<common::ProfiledMutex> lock(mu_);
-  if (metrics == nullptr) {
-    builds_ = nullptr;
-    staleness_hits_ = nullptr;
-    return;
-  }
-  builds_ = metrics->GetCounter(
-      "qp_index_builds_total",
-      "Index snapshot builds (initial build at Create plus every rebuild)");
-  staleness_hits_ = metrics->GetCounter(
-      "qp_index_staleness_hits_total",
-      "Accesses that found an index snapshot stale and rebuilt it inline");
+  builds_.fetch_add(1, std::memory_order_relaxed);
 }
 
 IndexCatalog::Entry* IndexCatalog::FindLocked(const storage::Table* table,
@@ -87,7 +72,7 @@ std::shared_ptr<const HashIndex> IndexCatalog::Hash(
   Entry* e = FindLocked(table, col, IndexKind::kHash);
   if (e == nullptr) return nullptr;
   if (e->built_version != table->data_version()) {
-    if (staleness_hits_ != nullptr) staleness_hits_->Increment();
+    staleness_hits_.fetch_add(1, std::memory_order_relaxed);
     RebuildLocked(*e);
   }
   return e->hash;
@@ -99,7 +84,7 @@ std::shared_ptr<const BPlusTree> IndexCatalog::Range(
   Entry* e = FindLocked(table, col, IndexKind::kBTree);
   if (e == nullptr) return nullptr;
   if (e->built_version != table->data_version()) {
-    if (staleness_hits_ != nullptr) staleness_hits_->Increment();
+    staleness_hits_.fetch_add(1, std::memory_order_relaxed);
     RebuildLocked(*e);
   }
   return e->btree;

@@ -20,6 +20,8 @@
 
 #pragma once
 
+#include <atomic>
+#include <cstdint>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -29,7 +31,6 @@
 #include "common/status.h"
 #include "index/btree.h"
 #include "index/hash_index.h"
-#include "obs/metrics.h"
 #include "storage/table.h"
 
 namespace qp::index {
@@ -89,15 +90,15 @@ class IndexCatalog {
 
   size_t num_indexes() const;
 
-  /// Registers the qp_index_* build/staleness counters on `metrics`:
-  /// qp_index_builds_total (every snapshot build, including the one at
-  /// Create) and qp_index_staleness_hits_total (an access found the
-  /// snapshot's built_version behind the table and had to rebuild before
-  /// answering). Null detaches. The catalog works unmetered by default —
-  /// ServingContext binds its registry at construction. Const like the
-  /// accessors (the counters are telemetry, not catalog state), so it is
-  /// callable through the const Database& serving holds.
-  void BindMetrics(obs::MetricsRegistry* metrics) const;
+  /// Snapshot builds over the catalog's lifetime, the one at Create
+  /// included (every ServingContext over the Database publishes it as
+  /// qp_index_builds_total).
+  uint64_t builds() const { return builds_.load(std::memory_order_relaxed); }
+  /// Accesses that found a snapshot's built_version behind its table and
+  /// rebuilt it before answering (qp_index_staleness_hits_total).
+  uint64_t staleness_hits() const {
+    return staleness_hits_.load(std::memory_order_relaxed);
+  }
 
  private:
   struct Entry {
@@ -121,10 +122,9 @@ class IndexCatalog {
   /// mutations show up in /contentionz instead of hiding in lookup latency.
   mutable common::ProfiledMutex mu_{"index_catalog"};
   mutable std::vector<std::unique_ptr<Entry>> entries_;
-  /// Telemetry, null until BindMetrics. Guarded by mu_ against rebind;
-  /// bumps happen under mu_ anyway (every catalog op holds it).
-  mutable obs::Counter* builds_ = nullptr;
-  mutable obs::Counter* staleness_hits_ = nullptr;
+  /// Bumped under mu_; atomic so a scrape reads them without it.
+  mutable std::atomic<uint64_t> builds_{0};
+  mutable std::atomic<uint64_t> staleness_hits_{0};
 };
 
 }  // namespace qp::index

@@ -1,5 +1,6 @@
 #include "obs/introspect.h"
 
+#include <arpa/inet.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sys/socket.h>
@@ -32,8 +33,8 @@ const char* StatusText(int status) {
 }
 
 /// write() the whole buffer, retrying on EINTR / short writes. Any other
-/// error abandons the response (the client hung up; nothing to do).
-void WriteAll(int fd, const char* data, size_t len) {
+/// error gives up (the peer hung up) and returns false.
+bool WriteAll(int fd, const char* data, size_t len) {
   size_t off = 0;
   while (off < len) {
     const ssize_t n = ::write(fd, data + off, len - off);
@@ -42,11 +43,49 @@ void WriteAll(int fd, const char* data, size_t len) {
       continue;
     }
     if (n < 0 && errno == EINTR) continue;
-    return;
+    return false;
   }
+  return true;
 }
 
 }  // namespace
+
+HttpResult HttpRawRequest(int port, const std::string& request) {
+  HttpResult out;
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) return out;
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(static_cast<uint16_t>(port));
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
+                sizeof(addr)) != 0 ||
+      !WriteAll(fd, request.data(), request.size())) {
+    ::close(fd);
+    return out;
+  }
+  std::string response;
+  char buf[4096];
+  ssize_t n;
+  while ((n = ::read(fd, buf, sizeof(buf))) > 0) {
+    response.append(buf, static_cast<size_t>(n));
+  }
+  ::close(fd);
+  if (response.rfind("HTTP/1.1 ", 0) != 0) return out;
+  out.status = std::atoi(response.c_str() + 9);
+  const size_t header_end = response.find("\r\n\r\n");
+  if (header_end == std::string::npos) return out;
+  out.headers = response.substr(0, header_end);
+  out.body = response.substr(header_end + 4);
+  out.ok = true;
+  return out;
+}
+
+HttpResult HttpGet(int port, const std::string& path) {
+  return HttpRawRequest(port, "GET " + path +
+                                  " HTTP/1.1\r\nHost: 127.0.0.1\r\n"
+                                  "Connection: close\r\n\r\n");
+}
 
 const std::string* HttpRequest::Param(const std::string& key) const {
   for (const auto& [k, v] : params) {

@@ -66,6 +66,23 @@ struct HttpRequest {
 std::vector<std::pair<std::string, std::string>> ParseQueryParams(
     const std::string& query);
 
+/// What the loopback client below returns.
+struct HttpResult {
+  bool ok = false;  ///< connected, sent, and the response's head parsed
+  int status = 0;
+  std::string headers;  ///< status line and headers, without the blank line
+  std::string body;
+};
+
+/// Minimal blocking HTTP/1.1 client for 127.0.0.1:`port`: sends `request`
+/// verbatim and reads the response to EOF (the server closes every
+/// connection). For the tests and benches that drive an
+/// IntrospectionServer.
+HttpResult HttpRawRequest(int port, const std::string& request);
+
+/// GET `path` (query string included) with `Connection: close`.
+HttpResult HttpGet(int port, const std::string& path);
+
 /// \brief Minimal localhost HTTP server over registered GET paths.
 class IntrospectionServer {
  public:

@@ -311,22 +311,27 @@ ServingContext::ServingContext(const storage::Database* db, Options options)
   g_prof_heap_live_bytes_ = metrics_.GetGauge(
       "qp_prof_heap_live_sampled_bytes",
       "Raw bytes of sampled allocations still live");
+  // The Database's index catalog counts its own builds and staleness hits
+  // over its lifetime; every context over it publishes the same totals.
+  g_index_builds_ = metrics_.GetCounterGauge(
+      "qp_index_builds_total",
+      "Index snapshot builds (initial build at Create plus every rebuild)");
+  g_index_staleness_hits_ = metrics_.GetCounterGauge(
+      "qp_index_staleness_hits_total",
+      "Accesses that found an index snapshot stale and rebuilt it inline");
 
   gauge_hook_id_ = metrics_.AddCollectionHook([this] { RefreshGauges(); });
   gauge_hook_registered_ = true;
 
-  db_->indexes().BindMetrics(&metrics_);
   start_time_ = std::chrono::steady_clock::now();
   StartIntrospection();
 }
 
 ServingContext::~ServingContext() {
   // Handlers and the collection hook capture `this`; tear them down before
-  // any member dies. The catalog outlives this registry (it belongs to the
-  // Database), so its counter pointers must be detached too.
+  // any member dies.
   introspect_.Stop();
   if (gauge_hook_registered_) metrics_.RemoveCollectionHook(gauge_hook_id_);
-  db_->indexes().BindMetrics(nullptr);
 }
 
 ServeCounters ServingContext::counters() const {
@@ -371,6 +376,9 @@ void ServingContext::RefreshGauges() {
   g_prof_heap_allocs_->Set(static_cast<double>(heap.sampled_allocs));
   g_prof_heap_bytes_->Set(static_cast<double>(heap.sampled_bytes));
   g_prof_heap_live_bytes_->Set(static_cast<double>(heap.live_sampled_bytes));
+  g_index_builds_->Set(static_cast<double>(db_->indexes().builds()));
+  g_index_staleness_hits_->Set(
+      static_cast<double>(db_->indexes().staleness_hits()));
 
   const auto fill = [this](const SloGauges& g, double window_seconds) {
     const obs::SloTracker::Window w = slo_->Snapshot(window_seconds);

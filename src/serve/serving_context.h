@@ -446,8 +446,9 @@ class ServingContext {
   void EvictOverCapLocked();
 
   /// The scrape-time refresh (metrics_ collection hook): session-state
-  /// gauges, process self-stats from /proc, uptime and the windowed SLO /
-  /// latency gauges.
+  /// gauges, process self-stats from /proc, uptime, the windowed SLO /
+  /// latency gauges, the profilers' totals and the index catalog's
+  /// counters.
   void RefreshGauges();
 
   /// Launches the introspection server and registers the endpoint
@@ -543,6 +544,9 @@ class ServingContext {
   obs::Gauge* g_prof_heap_allocs_ = nullptr;
   obs::Gauge* g_prof_heap_bytes_ = nullptr;
   obs::Gauge* g_prof_heap_live_bytes_ = nullptr;
+  /// The index catalog's lifetime totals, counter-rendered.
+  obs::Gauge* g_index_builds_ = nullptr;
+  obs::Gauge* g_index_staleness_hits_ = nullptr;
   /// Serializes on-demand /pprofz capture windows (one SIGPROF timer per
   /// process; concurrent requests take turns instead of trampling it).
   std::mutex pprof_mu_;

@@ -278,6 +278,17 @@ TEST_F(ExecutorTest, NullsNeverMatchComparisons) {
   EXPECT_EQ(Run("select title from movie where year >= 0")->num_rows(), 4u);
   EXPECT_EQ(Run("select title from movie where not year < 3000")->num_rows(),
             0u);
+  // NOT of NULL AND TRUE is NULL in WHERE and in HAVING alike: no row
+  // counts and no group survives.
+  auto counted =
+      Run("select count(*) from movie where not (null > 1 and mid > 0)");
+  ASSERT_TRUE(counted.ok()) << counted.status();
+  EXPECT_EQ(counted->rows()[0][0], Value(int64_t{0}));
+  auto grouped = Run(
+      "select year, count(*) from movie group by year "
+      "having not (max(null) > 1 and count(*) > 0)");
+  ASSERT_TRUE(grouped.ok()) << grouped.status();
+  EXPECT_EQ(grouped->num_rows(), 0u);
 }
 
 TEST_F(ExecutorTest, ScalarFnExpressionsEvaluatePerRow) {

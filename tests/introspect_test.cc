@@ -9,11 +9,7 @@
 
 #include "obs/introspect.h"
 
-#include <arpa/inet.h>
 #include <gtest/gtest.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <unistd.h>
 
 #include <atomic>
 #include <mutex>
@@ -30,62 +26,11 @@
 namespace qp {
 namespace {
 
+using obs::HttpGet;
+using obs::HttpRawRequest;
+using obs::HttpResult;
 using test::Latch;
 using test::SmallConfig;
-
-/// Minimal blocking HTTP client: one GET (or raw request), read to EOF.
-struct HttpResult {
-  bool ok = false;  ///< transport worked and the status line parsed
-  int status = 0;
-  std::string headers;
-  std::string body;
-};
-
-HttpResult RawRequest(int port, const std::string& request) {
-  HttpResult out;
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return out;
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(static_cast<uint16_t>(port));
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
-                sizeof(addr)) != 0) {
-    ::close(fd);
-    return out;
-  }
-  size_t sent = 0;
-  while (sent < request.size()) {
-    const ssize_t n =
-        ::send(fd, request.data() + sent, request.size() - sent, 0);
-    if (n <= 0) {
-      ::close(fd);
-      return out;
-    }
-    sent += static_cast<size_t>(n);
-  }
-  std::string response;
-  char buf[4096];
-  ssize_t n;
-  while ((n = ::read(fd, buf, sizeof(buf))) > 0) {
-    response.append(buf, static_cast<size_t>(n));
-  }
-  ::close(fd);
-  if (response.rfind("HTTP/1.1 ", 0) != 0) return out;
-  out.status = std::atoi(response.c_str() + 9);
-  const size_t header_end = response.find("\r\n\r\n");
-  if (header_end == std::string::npos) return out;
-  out.headers = response.substr(0, header_end);
-  out.body = response.substr(header_end + 4);
-  out.ok = true;
-  return out;
-}
-
-HttpResult Get(int port, const std::string& path) {
-  return RawRequest(port, "GET " + path +
-                              " HTTP/1.1\r\nHost: 127.0.0.1\r\n"
-                              "Connection: close\r\n\r\n");
-}
 
 /// Starts `server` on an ephemeral port; null-skips the test when the
 /// sandbox refuses the bind.
@@ -108,18 +53,18 @@ TEST(IntrospectionServerTest, ServesRegisteredExactPaths) {
   START_OR_SKIP(server, options);
   ASSERT_GT(server.port(), 0);
 
-  const HttpResult hello = Get(server.port(), "/hello");
+  const HttpResult hello = HttpGet(server.port(), "/hello");
   ASSERT_TRUE(hello.ok);
   EXPECT_EQ(hello.status, 200);
   EXPECT_EQ(hello.body, "hi\n");
   EXPECT_NE(hello.headers.find("Content-Length: 3"), std::string::npos);
 
   // Query strings are stripped before matching.
-  const HttpResult query = Get(server.port(), "/hello?verbose=1");
+  const HttpResult query = HttpGet(server.port(), "/hello?verbose=1");
   ASSERT_TRUE(query.ok);
   EXPECT_EQ(query.status, 200);
 
-  const HttpResult missing = Get(server.port(), "/nope");
+  const HttpResult missing = HttpGet(server.port(), "/nope");
   ASSERT_TRUE(missing.ok);
   EXPECT_EQ(missing.status, 404);
 
@@ -176,7 +121,7 @@ TEST(IntrospectionServerTest, HandlersReceiveDecodedQueryParams) {
   obs::IntrospectionServer::Options options;
   START_OR_SKIP(server, options);
 
-  const HttpResult r = Get(server.port(), "/echo?seconds=7&who=a%20b");
+  const HttpResult r = HttpGet(server.port(), "/echo?seconds=7&who=a%20b");
   ASSERT_TRUE(r.ok);
   EXPECT_EQ(r.status, 200);
   EXPECT_EQ(r.body, "7");
@@ -196,7 +141,7 @@ TEST(IntrospectionServerTest, RejectsNonGetMethods) {
                 [](const obs::HttpRequest&) { return obs::HttpResponse{}; });
   obs::IntrospectionServer::Options options;
   START_OR_SKIP(server, options);
-  const HttpResult post = RawRequest(
+  const HttpResult post = HttpRawRequest(
       server.port(),
       "POST /x HTTP/1.1\r\nHost: 127.0.0.1\r\nContent-Length: 0\r\n\r\n");
   ASSERT_TRUE(post.ok);
@@ -215,7 +160,7 @@ TEST(IntrospectionServerTest, HandlerStatusAndContentTypePassThrough) {
   });
   obs::IntrospectionServer::Options options;
   START_OR_SKIP(server, options);
-  const HttpResult r = Get(server.port(), "/unhealthy");
+  const HttpResult r = HttpGet(server.port(), "/unhealthy");
   ASSERT_TRUE(r.ok);
   EXPECT_EQ(r.status, 503);
   EXPECT_NE(r.headers.find("Content-Type: application/json"),
@@ -243,7 +188,7 @@ TEST(IntrospectionServerTest, ConcurrentScrapesAllAnswer) {
   for (size_t t = 0; t < kThreads; ++t) {
     clients.emplace_back([&] {
       for (size_t i = 0; i < kPerThread; ++i) {
-        const HttpResult r = Get(server.port(), "/busy");
+        const HttpResult r = HttpGet(server.port(), "/busy");
         if (r.ok && r.status == 200 && r.body.size() == (1u << 16)) {
           ok.fetch_add(1, std::memory_order_relaxed);
         }
@@ -294,7 +239,7 @@ TEST_F(ServingEndpointsTest, AllSixEndpointsServe) {
 
   const int port = ctx.introspect_port();
 
-  const HttpResult metrics = Get(port, "/metrics");
+  const HttpResult metrics = HttpGet(port, "/metrics");
   ASSERT_TRUE(metrics.ok);
   EXPECT_EQ(metrics.status, 200);
   EXPECT_NE(metrics.body.find("qp_serve_personalize_calls_total"),
@@ -302,30 +247,30 @@ TEST_F(ServingEndpointsTest, AllSixEndpointsServe) {
   EXPECT_NE(metrics.body.find("qp_slo_attainment_ratio"), std::string::npos);
   EXPECT_NE(metrics.headers.find("text/plain"), std::string::npos);
 
-  const HttpResult json = Get(port, "/metrics.json");
+  const HttpResult json = HttpGet(port, "/metrics.json");
   ASSERT_TRUE(json.ok);
   EXPECT_EQ(json.status, 200);
   EXPECT_EQ(json.body.rfind("{\"counters\":", 0), 0u);
   EXPECT_NE(json.body.find("qp_slo_attainment_ratio"), std::string::npos);
 
-  const HttpResult healthz = Get(port, "/healthz");
+  const HttpResult healthz = HttpGet(port, "/healthz");
   ASSERT_TRUE(healthz.ok);
   EXPECT_EQ(healthz.status, 200);
   EXPECT_EQ(healthz.body, "ok\n");
 
-  const HttpResult statusz = Get(port, "/statusz");
+  const HttpResult statusz = HttpGet(port, "/statusz");
   ASSERT_TRUE(statusz.ok);
   EXPECT_EQ(statusz.status, 200);
   EXPECT_NE(statusz.body.find("uptime"), std::string::npos);
   EXPECT_NE(statusz.body.find("sessions"), std::string::npos);
   EXPECT_NE(statusz.body.find("slo"), std::string::npos);
 
-  const HttpResult flightz = Get(port, "/flightz");
+  const HttpResult flightz = HttpGet(port, "/flightz");
   ASSERT_TRUE(flightz.ok);
   EXPECT_EQ(flightz.status, 200);
 
   // trace_sample_every=1: the personalize call above must be in the ring.
-  const HttpResult tracez = Get(port, "/tracez");
+  const HttpResult tracez = HttpGet(port, "/tracez");
   ASSERT_TRUE(tracez.ok);
   EXPECT_EQ(tracez.status, 200);
   EXPECT_EQ(tracez.body.front(), '[');
@@ -350,7 +295,7 @@ TEST_F(ServingEndpointsTest, ProfilingEndpointsServe) {
   const int port = ctx.introspect_port();
 
   // /contentionz names the profiled sites that exist in every context.
-  const HttpResult contention = Get(port, "/contentionz");
+  const HttpResult contention = HttpGet(port, "/contentionz");
   ASSERT_TRUE(contention.ok);
   EXPECT_EQ(contention.status, 200);
   EXPECT_NE(contention.body.find("serve_sessions"), std::string::npos);
@@ -360,10 +305,10 @@ TEST_F(ServingEndpointsTest, ProfilingEndpointsServe) {
   // available the sampler is enabled and (given enough allocation volume)
   // attributes stacks, but an empty capture is legal — only the transport
   // and format are pinned here.
-  const HttpResult alloc = Get(port, "/allocz");
+  const HttpResult alloc = HttpGet(port, "/allocz");
   ASSERT_TRUE(alloc.ok);
   EXPECT_EQ(alloc.status, 200);
-  const HttpResult alloc_cumulative = Get(port, "/allocz?which=alloc");
+  const HttpResult alloc_cumulative = HttpGet(port, "/allocz?which=alloc");
   ASSERT_TRUE(alloc_cumulative.ok);
   EXPECT_EQ(alloc_cumulative.status, 200);
   if (obs::HeapProfiler::Available()) {
@@ -379,7 +324,7 @@ TEST_F(ServingEndpointsTest, ProfilingEndpointsServe) {
       for (int i = 0; i < 4096; ++i) sink = sink + static_cast<uint64_t>(i) * 2654435761u;
     }
   });
-  const HttpResult pprof = Get(port, "/pprofz?seconds=1");
+  const HttpResult pprof = HttpGet(port, "/pprofz?seconds=1");
   stop.store(true, std::memory_order_relaxed);
   burner.join();
   ASSERT_TRUE(pprof.ok);
@@ -388,7 +333,7 @@ TEST_F(ServingEndpointsTest, ProfilingEndpointsServe) {
 
   // The qp_prof_* and qp_process_cpu_seconds_total families are exposed,
   // and the CPU-seconds counter reads nonzero (/proc/self/stat).
-  const HttpResult metrics = Get(port, "/metrics");
+  const HttpResult metrics = HttpGet(port, "/metrics");
   ASSERT_TRUE(metrics.ok);
   EXPECT_NE(metrics.body.find("# TYPE qp_process_cpu_seconds_total counter"),
             std::string::npos);

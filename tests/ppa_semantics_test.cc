@@ -6,12 +6,16 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <memory>
 #include <optional>
+#include <string>
+#include <vector>
 
 #include "core/personalizer.h"
 #include "core/rewrite.h"
 #include "datagen/moviegen.h"
 #include "exec/executor.h"
+#include "obs/trace.h"
 #include "sql/parser.h"
 
 namespace qp::core {
@@ -331,32 +335,41 @@ Result<std::map<Value, ReferenceTuple>> PerTupleReference(
   return out;
 }
 
+/// The movie-genre join fixture: the genre preferences anchor at genre, a
+/// query relation after the first, so they have no prepared walk; the year
+/// preference walks from movie.
+void AddGenreJoinPreferences(UserProfile* profile) {
+  ASSERT_TRUE(profile->AddJoin("movie.mid", "genre.mid", 0.9).ok());
+  ASSERT_TRUE(profile->AddSelection("genre.genre", BinaryOp::kEq,
+                                    Value("comedy"), *DoiPair::Exact(0.8, 0))
+                  .ok());
+  ASSERT_TRUE(profile->AddSelection("genre.genre", BinaryOp::kEq,
+                                    Value("horror"),
+                                    *DoiPair::Exact(-0.7, 0.4))
+                  .ok());
+  // m3 (mid 3) satisfies this one on the genre anchor, m1 fails it.
+  ASSERT_TRUE(profile->AddSelection("genre.mid", BinaryOp::kNe,
+                                    Value(int64_t{1}),
+                                    *DoiPair::Exact(0.5, 0))
+                  .ok());
+  // m1 (1990) satisfies this one on the movie anchor, m3 (2000) fails it.
+  ASSERT_TRUE(profile->AddSelection("movie.year", BinaryOp::kLe,
+                                    Value(int64_t{1990}),
+                                    *DoiPair::Exact(0.6, 0))
+                  .ok());
+}
+
+constexpr char kGenreJoinQuery[] =
+    "select movie.mid, movie.title from movie, genre "
+    "where movie.mid = genre.mid and genre.genre = 'comedy'";
+
 TEST_F(PpaSemanticsTest,
        PreferencesAnchoredOffTheFirstRelationMatchPerTupleProbes) {
   UserProfile profile;
-  ASSERT_TRUE(profile.AddJoin("movie.mid", "genre.mid", 0.9).ok());
-  // The genre preferences anchor at genre, a query relation after the
-  // first: no prepared walk. The year preference walks from movie.
-  ASSERT_TRUE(profile.AddSelection("genre.genre", BinaryOp::kEq,
-                                   Value("comedy"), *DoiPair::Exact(0.8, 0))
-                  .ok());
-  ASSERT_TRUE(profile.AddSelection("genre.genre", BinaryOp::kEq,
-                                   Value("horror"), *DoiPair::Exact(-0.7, 0.4))
-                  .ok());
-  // m3 (mid 3) satisfies this one on the genre anchor, m1 fails it.
-  ASSERT_TRUE(profile.AddSelection("genre.mid", BinaryOp::kNe,
-                                   Value(int64_t{1}), *DoiPair::Exact(0.5, 0))
-                  .ok());
-  // m1 (1990) satisfies this one on the movie anchor, m3 (2000) fails it.
-  ASSERT_TRUE(profile.AddSelection("movie.year", BinaryOp::kLe,
-                                   Value(int64_t{1990}),
-                                   *DoiPair::Exact(0.6, 0))
-                  .ok());
+  AddGenreJoinPreferences(&profile);
   auto personalizer = Personalizer::Make(&db_, &profile);
   ASSERT_TRUE(personalizer.ok());
-  auto query = sql::ParseQuery(
-      "select movie.mid, movie.title from movie, genre "
-      "where movie.mid = genre.mid and genre.genre = 'comedy'");
+  auto query = sql::ParseQuery(kGenreJoinQuery);
   ASSERT_TRUE(query.ok());
   PersonalizeOptions options;
   options.k = 10;
@@ -416,6 +429,124 @@ TEST_F(PpaSemanticsTest,
   // however many tuples probe it.
   EXPECT_LE(ppa->stats.queries_executed,
             ppa->stats.rounds_run + off_anchor);
+}
+
+// ---------------------------------------------------------------------------
+// The trace tree of PPA's execution: one span per S and A round, in round
+// order, each with its executor plan and the hit maps it builds as children,
+// then the complement scan and first_response. Names and attrs are pinned
+// against a golden and must not move with the thread count.
+
+/// Renders `span`'s subtree as names and attrs, one line per span, children
+/// indented two spaces. Wall times are left out.
+void RenderShape(const obs::TraceSpan& span, size_t indent, std::string* out) {
+  out->append(indent, ' ');
+  out->append(span.name());
+  for (const auto& [key, value] : span.attrs()) {
+    out->append(" " + key + "=" + value);
+  }
+  out->push_back('\n');
+  for (size_t i = 0; i < span.num_children(); ++i) {
+    RenderShape(span.child(i), indent + 2, out);
+  }
+}
+
+/// Runs `query` traced at 1, 2 and 8 threads; checks each call's
+/// `execute: ppa` subtree against `golden` and against the serial one.
+void ExpectPpaTrace(const storage::Database& db, const UserProfile& profile,
+                    const std::string& query, PersonalizeOptions options,
+                    const std::string& golden) {
+  auto personalizer = Personalizer::Make(&db, &profile);
+  ASSERT_TRUE(personalizer.ok());
+  std::vector<std::unique_ptr<obs::TraceSpan>> spans;
+  for (size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
+    obs::TraceSpan root("personalize");
+    options.exec.num_threads = threads;
+    options.trace = &root;
+    auto answer = personalizer->Personalize(query, options);
+    ASSERT_TRUE(answer.ok()) << answer.status();
+    for (auto& child : root.TakeChildren()) {
+      if (child->name() == "execute: ppa") spans.push_back(std::move(child));
+    }
+    ASSERT_EQ(spans.size(), 1 + (threads > 1) + (threads > 2)) << threads;
+    std::string shape;
+    RenderShape(*spans.back(), 0, &shape);
+    EXPECT_EQ(shape, golden) << "threads=" << threads;
+    EXPECT_TRUE(spans.front()->SameShape(*spans.back()))
+        << "threads=" << threads;
+  }
+}
+
+/// The four-movie fixture at K = 3, L = 1: two S rounds (comedy presence,
+/// 1-1 year absence), one 1-n absence round (musical) whose tuples cannot
+/// reach L, and the complement scan.
+constexpr char kFourMovieTrace[] =
+    "execute: ppa tuples=3\n"
+    "  S query 1/2 pref=1 est_selectivity=0.5 rows=2 fresh=2\n"
+    "    source 'movie': full scan, ~4 rows, 0 filter(s) access=scan est_rows=4 filters=0\n"
+    "    source 'genre': index lookup on genre = comedy, ~2 rows, 1 filter(s) access=index est_rows=2 filters=1 backed=scan\n"
+    "    start from 'genre' (2 rows after filters) rows=2\n"
+    "    join 'movie' via persistent index [movie.mid = genre.mid] -> 2 rows method=persistent_index rows=2\n"
+    "  S query 2/2 pref=2 est_selectivity=0.75 rows=3 fresh=1\n"
+    "    source 'movie': range scan on year in [1980, +inf), ~3 rows, 1 filter(s) access=range est_rows=3 filters=1 backed=scan\n"
+    "    start from 'movie' (3 rows after filters) rows=3\n"
+    "  A query 1/1 pref=0 est_selectivity=0.5 rows=2 fresh=0\n"
+    "    source 'movie': full scan, ~4 rows, 0 filter(s) access=scan est_rows=4 filters=0\n"
+    "    source 'genre': index lookup on genre = musical, ~2 rows, 1 filter(s) access=index est_rows=2 filters=1 backed=scan\n"
+    "    start from 'genre' (2 rows after filters) rows=2\n"
+    "    join 'movie' via persistent index [movie.mid = genre.mid] -> 2 rows method=persistent_index rows=2\n"
+    "  complement scan (step 3) rows=4 fresh=0\n"
+    "    source 'movie': full scan, ~4 rows, 0 filter(s) access=scan est_rows=4 filters=0\n"
+    "    start from 'movie' (4 rows after filters) rows=4\n"
+    "  first_response\n";
+
+/// The genre-join fixture: the first S round builds the hit maps of the
+/// genre-anchored plans it probes.
+constexpr char kGenreJoinTrace[] =
+    "execute: ppa tuples=2\n"
+    "  S query 1/4 pref=1 est_selectivity=0.5 rows=2 fresh=2\n"
+    "    source 'movie': full scan, ~4 rows, 0 filter(s) access=scan est_rows=4 filters=0\n"
+    "    source 'genre': index lookup on genre = comedy, ~2 rows, 2 filter(s) access=index est_rows=2 filters=2 backed=scan\n"
+    "    start from 'genre' (2 rows after filters) rows=2\n"
+    "    join 'movie' via persistent index [movie.mid = genre.mid] -> 2 rows method=persistent_index rows=2\n"
+    "    hit map pref 3 rows=1\n"
+    "      source 'movie': full scan, ~4 rows, 0 filter(s) access=scan est_rows=4 filters=0\n"
+    "      source 'genre': index lookup on genre = comedy, ~2 rows, 2 filter(s) access=index est_rows=2 filters=2 backed=scan\n"
+    "      start from 'genre' (1 rows after filters) rows=1\n"
+    "      join 'movie' via persistent index [movie.mid = genre.mid] -> 1 rows method=persistent_index rows=1\n"
+    "    hit map pref 0 rows=2\n"
+    "      source 'movie': full scan, ~4 rows, 0 filter(s) access=scan est_rows=4 filters=0\n"
+    "      source 'genre': index lookup on genre = comedy, ~2 rows, 2 filter(s) access=index est_rows=2 filters=2 backed=scan\n"
+    "      start from 'genre' (2 rows after filters) rows=2\n"
+    "      join 'movie' via persistent index [movie.mid = genre.mid] -> 2 rows method=persistent_index rows=2\n"
+    "  S query 2/4 pref=2 est_selectivity=0.583333 rows=1 fresh=0\n"
+    "    source 'movie': range scan on year in (-inf, 1990], ~3 rows, 1 filter(s) access=range est_rows=3 filters=1 backed=scan\n"
+    "    source 'genre': index lookup on genre = comedy, ~2 rows, 1 filter(s) access=index est_rows=2 filters=1 backed=scan\n"
+    "    start from 'genre' (2 rows after filters) rows=2\n"
+    "    join 'movie' via persistent index [movie.mid = genre.mid] -> 1 rows method=persistent_index rows=1\n"
+    "  S query 3/4 pref=3 est_selectivity=0.666667 rows=1 fresh=0\n"
+    "    source 'movie': full scan, ~4 rows, 0 filter(s) access=scan est_rows=4 filters=0\n"
+    "    source 'genre': index lookup on genre = comedy, ~2 rows, 2 filter(s) access=index est_rows=2 filters=2 backed=scan\n"
+    "    start from 'genre' (1 rows after filters) rows=1\n"
+    "    join 'movie' via persistent index [movie.mid = genre.mid] -> 1 rows method=persistent_index rows=1\n"
+    "  S query 4/4 pref=0 est_selectivity=1 rows=2 fresh=0\n"
+    "    source 'movie': full scan, ~4 rows, 0 filter(s) access=scan est_rows=4 filters=0\n"
+    "    source 'genre': index lookup on genre = comedy, ~2 rows, 2 filter(s) access=index est_rows=2 filters=2 backed=scan\n"
+    "    start from 'genre' (2 rows after filters) rows=2\n"
+    "    join 'movie' via persistent index [movie.mid = genre.mid] -> 2 rows method=persistent_index rows=2\n"
+    "  first_response\n";
+
+TEST_F(PpaSemanticsTest, TraceTreeIsPinnedAtEveryThreadCount) {
+  PersonalizeOptions options;
+  options.k = 3;
+  options.l = 1;
+  ExpectPpaTrace(db_, profile_, "select mid, title from movie", options,
+                 kFourMovieTrace);
+
+  UserProfile profile;
+  AddGenreJoinPreferences(&profile);
+  options.k = 10;
+  ExpectPpaTrace(db_, profile, kGenreJoinQuery, options, kGenreJoinTrace);
 }
 
 }  // namespace

@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -388,6 +389,40 @@ TEST(ServeTest, DataMutationDropsPlansButKeepsSelections) {
       << "selection stays cached across a data-only epoch bump";
   EXPECT_EQ(c.plan_cache_misses, before.plan_cache_misses + 1)
       << "plans must be rebuilt against the new data";
+}
+
+/// The value of the unlabeled series `name` in `ctx`'s text exposition.
+double SeriesValue(ServingContext& ctx, const std::string& name) {
+  const std::string text = ctx.MetricsText();
+  const size_t at = text.find("\n" + name + " ");
+  if (at == std::string::npos) return -1.0;
+  return std::stod(text.substr(at + name.size() + 2));
+}
+
+TEST(ServeTest, IndexCounterSeriesOutliveAnotherContextOverTheDatabase) {
+  const auto config = SmallConfig(53);
+  auto db = datagen::GenerateMovieDatabase(config.db_config);
+  ASSERT_TRUE(db.ok());
+  auto first = std::make_unique<ServingContext>(&*db);
+  ServingContext survivor(&*db);
+  const double builds = SeriesValue(survivor, "qp_index_builds_total");
+  const double hits = SeriesValue(survivor, "qp_index_staleness_hits_total");
+  first.reset();
+
+  // A new movie leaves the movie.mid snapshot stale; the point query
+  // rebuilds it once.
+  auto movie = db->GetTable("movie");
+  ASSERT_TRUE(movie.ok());
+  ASSERT_TRUE((*movie)
+                  ->Append({Value(int64_t{1000001}), Value("fresh row"),
+                            Value(int64_t{2004}), Value(int64_t{101})})
+                  .ok());
+  auto query = sql::ParseQuery("select title from movie where mid = 1");
+  ASSERT_TRUE(query.ok());
+  ASSERT_TRUE(exec::Executor(&*db).Execute(**query).ok());
+
+  EXPECT_EQ(SeriesValue(survivor, "qp_index_builds_total"), builds + 1);
+  EXPECT_EQ(SeriesValue(survivor, "qp_index_staleness_hits_total"), hits + 1);
 }
 
 TEST(ServeTest, ConcurrentSessionsShareOneContextAndPool) {
