@@ -199,26 +199,4 @@ Result<bool> EvalPredicate(const Expr& expr, const Scope& scope,
   return t == Truth::kTrue;
 }
 
-void CollectSubqueries(const ExprPtr& expr,
-                       std::vector<const Expr*>* out) {
-  if (expr == nullptr) return;
-  switch (expr->kind()) {
-    case ExprKind::kInSubquery:
-      out->push_back(expr.get());
-      CollectSubqueries(expr->left(), out);
-      return;
-    case ExprKind::kComparison:
-    case ExprKind::kAnd:
-    case ExprKind::kOr:
-      CollectSubqueries(expr->left(), out);
-      CollectSubqueries(expr->right(), out);
-      return;
-    case ExprKind::kNot:
-      CollectSubqueries(expr->operand(), out);
-      return;
-    default:
-      return;
-  }
-}
-
 }  // namespace qp::exec

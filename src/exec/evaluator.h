@@ -62,8 +62,4 @@ Result<bool> EvalPredicate(const sql::Expr& expr, const Scope& scope,
                            const SubqueryResults* subqueries = nullptr,
                            const AggregateValues* aggregates = nullptr);
 
-/// Collects every kInSubquery node reachable in `expr`.
-void CollectSubqueries(const sql::ExprPtr& expr,
-                       std::vector<const sql::Expr*>* out);
-
 }  // namespace qp::exec

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <map>
 #include <optional>
 #include <set>
 #include <unordered_map>
@@ -29,7 +30,7 @@ using storage::Value;
 
 namespace {
 
-/// Hash of a full row, for DISTINCT.
+/// Hash of a full row, for DISTINCT and grouping.
 struct RowHash {
   size_t operator()(const Row& row) const {
     size_t h = 1469598103934665603ULL;
@@ -41,8 +42,9 @@ struct RowHash {
   }
 };
 
-/// One FROM source. Rows are materialized lazily: base tables stay as a
-/// pointer until filtering so equality predicates can use hash indexes.
+/// One FROM source. Base tables stay a pointer until an operator reads them
+/// through their access path, so equality predicates can use hash indexes;
+/// derived tables are materialized (and filtered) by the plan step.
 struct Source {
   std::string alias;
   std::vector<OutputColumn> columns;
@@ -56,77 +58,98 @@ struct Source {
   }
 };
 
-/// Collects the source indices referenced by column refs inside `expr`.
-/// Unqualified columns are resolved by searching every source; unknown or
-/// ambiguous names leave `resolvable` false so the conjunct becomes residual
-/// (and fails with a precise error during evaluation).
-void CollectSourceRefs(const Expr& expr, const std::vector<Source>& sources,
-                       std::set<size_t>* refs, bool* resolvable) {
-  switch (expr.kind()) {
-    case ExprKind::kColumnRef: {
-      int found = -1;
-      for (size_t s = 0; s < sources.size(); ++s) {
-        if (!expr.table().empty() &&
-            !EqualsIgnoreCase(sources[s].alias, expr.table())) {
-          continue;
-        }
-        for (const auto& col : sources[s].columns) {
-          if (EqualsIgnoreCase(col.name, expr.column())) {
-            if (found >= 0 && found != static_cast<int>(s)) {
-              *resolvable = false;
-              return;
-            }
-            found = static_cast<int>(s);
-          }
-        }
-      }
-      if (found < 0) {
-        *resolvable = false;
-      } else {
-        refs->insert(static_cast<size_t>(found));
-      }
-      return;
-    }
-    case ExprKind::kComparison:
-    case ExprKind::kAnd:
-    case ExprKind::kOr:
-      CollectSourceRefs(*expr.left(), sources, refs, resolvable);
-      CollectSourceRefs(*expr.right(), sources, refs, resolvable);
-      return;
-    case ExprKind::kNot:
-    case ExprKind::kScalarFn:
-      CollectSourceRefs(*expr.operand(), sources, refs, resolvable);
-      return;
-    case ExprKind::kInSubquery:
-      // Only the needle references the outer scope.
-      CollectSourceRefs(*expr.left(), sources, refs, resolvable);
-      return;
-    default:
-      return;
-  }
-}
-
-/// A join conjunct annotated with the two sources it connects.
+/// A join conjunct pinned to the two sources it connects, with its column
+/// in each.
 struct JoinEdge {
   ExprPtr atom;
   size_t left_source;
   size_t right_source;
-  // Column indices local to each source (for hash join).
   size_t left_col;
   size_t right_col;
 };
 
-int FindLocalColumn(const Source& src, const std::string& qualifier,
-                    const std::string& name) {
-  if (!qualifier.empty() && !EqualsIgnoreCase(src.alias, qualifier)) return -1;
-  int found = -1;
-  for (size_t i = 0; i < src.columns.size(); ++i) {
-    if (EqualsIgnoreCase(src.columns[i].name, name)) {
-      if (found >= 0) return -1;
-      found = static_cast<int>(i);
+/// One step of the join order: the source it adds, the edge whose hash join
+/// adds it (none: a cross product), and the other edges that become
+/// internal to the joined rows at this step. Each edge is evaluated once:
+/// as its step's probe, or as a filter at the step that joins its second
+/// source.
+struct JoinStep {
+  size_t source = 0;
+  std::optional<size_t> edge;
+  std::vector<ExprPtr> internal;
+};
+
+/// The one column resolver of the plan step: a name resolves against every
+/// FROM column at once, so an unknown or ambiguous name fails with the
+/// message evaluation gives.
+class FromColumns {
+ public:
+  explicit FromColumns(const std::vector<Source>& sources) {
+    std::vector<OutputColumn> all;
+    for (size_t s = 0; s < sources.size(); ++s) {
+      for (size_t c = 0; c < sources[s].columns.size(); ++c) {
+        all.push_back(sources[s].columns[c]);
+        place_.emplace_back(s, c);
+      }
     }
+    scope_ = Scope(std::move(all));
   }
-  return found;
+
+  /// The source `qualifier.name` belongs to, and its column there.
+  Result<std::pair<size_t, size_t>> Resolve(const std::string& qualifier,
+                                            const std::string& name) const {
+    QP_ASSIGN_OR_RETURN(size_t i, scope_.Resolve(qualifier, name));
+    return place_[i];
+  }
+
+ private:
+  Scope scope_;
+  std::vector<std::pair<size_t, size_t>> place_;
+};
+
+}  // namespace
+
+/// What the plan step hands the operators.
+struct SelectPlan {
+  std::vector<Source> sources;
+  SubqueryResults subqueries;
+  /// Per source, the WHERE conjuncts over it alone, in WHERE order.
+  std::vector<std::vector<ExprPtr>> filters;
+  std::vector<JoinEdge> edges;
+  /// Conjuncts over several sources that are not join edges.
+  std::vector<ExprPtr> residual;
+  std::vector<index::AccessPath> access;
+  /// The greedy join order: the start source, then one step per other.
+  size_t start = 0;
+  std::vector<JoinStep> steps;
+  /// The select list, '*' expanded over the joined columns.
+  std::vector<sql::SelectItem> items;
+};
+
+namespace {
+
+/// Calls `visit` on `expr` and its sub-expressions in pre-order, left
+/// before right. Of an IN-subquery only the needle is visited (the subquery
+/// runs in its own scope); aggregate arguments are not visited.
+template <typename Visit>
+void ForEachNode(const ExprPtr& expr, const Visit& visit) {
+  if (expr == nullptr) return;
+  visit(*expr);
+  switch (expr->kind()) {
+    case ExprKind::kComparison:
+    case ExprKind::kAnd:
+    case ExprKind::kOr:
+      ForEachNode(expr->left(), visit);
+      ForEachNode(expr->right(), visit);
+      return;
+    case ExprKind::kNot:
+    case ExprKind::kScalarFn:
+    case ExprKind::kInSubquery:
+      ForEachNode(expr->left(), visit);
+      return;
+    default:
+      return;
+  }
 }
 
 /// True when every predicate in `filters` holds on `row` (stops at the
@@ -161,26 +184,269 @@ double SecondsSince(std::chrono::steady_clock::time_point t0) {
       .count();
 }
 
-void CollectAggregateCalls(const ExprPtr& e,
-                           std::vector<const Expr*>* out) {
-  if (e == nullptr) return;
-  switch (e->kind()) {
-    case ExprKind::kAggregateCall:
-      out->push_back(e.get());
-      return;
-    case ExprKind::kComparison:
-    case ExprKind::kAnd:
-    case ExprKind::kOr:
-      CollectAggregateCalls(e->left(), out);
-      CollectAggregateCalls(e->right(), out);
-      return;
-    case ExprKind::kNot:
-    case ExprKind::kScalarFn:
-      CollectAggregateCalls(e->operand(), out);
-      return;
-    default:
-      return;
+/// Sorts the WHERE conjuncts into the plan: a conjunct over one source is
+/// that source's filter (over none, the first source's), a column = column
+/// equality over two is a join edge, anything else is residual. Every
+/// column name is resolved here, so a bad one fails before any row is read.
+Status Classify(const ExprPtr& where, const FromColumns& from,
+                SelectPlan* plan) {
+  plan->filters.resize(plan->sources.size());
+  for (const ExprPtr& conjunct : sql::ConjunctsOf(where)) {
+    std::vector<std::pair<size_t, size_t>> cols;
+    Status status;
+    ForEachNode(conjunct, [&](const Expr& e) {
+      if (e.kind() != ExprKind::kColumnRef || !status.ok()) return;
+      auto col = from.Resolve(e.table(), e.column());
+      if (col.ok()) {
+        cols.push_back(*col);
+      } else {
+        status = col.status();
+      }
+    });
+    QP_RETURN_IF_ERROR(status);
+    std::set<size_t> refs;
+    for (const auto& col : cols) refs.insert(col.first);
+    if (refs.size() <= 1) {
+      plan->filters[refs.empty() ? 0 : *refs.begin()].push_back(conjunct);
+    } else if (conjunct->IsJoinAtom()) {
+      plan->edges.push_back({conjunct, cols[0].first, cols[1].first,
+                             cols[0].second, cols[1].second});
+    } else {
+      plan->residual.push_back(conjunct);
+    }
   }
+  return Status::OK();
+}
+
+/// Picks a base source's access path from its filters. The choice is
+/// logical: predicate shape plus an index-independent cardinality estimate
+/// (exact match counts by default, histogram estimates when
+/// ExecOptions::stats is set). The catalog only changes the physical
+/// backing — whether Collect probes a snapshot or falls back to a scan
+/// producing the identical candidate set — so results and ExecStats never
+/// depend on which indexes exist.
+index::AccessPath ChooseAccessPath(const Source& src,
+                                   const std::vector<ExprPtr>& filters,
+                                   const FromColumns& from,
+                                   const index::IndexCatalog& catalog,
+                                   const ExecOptions& options) {
+  index::AccessPath path;
+  const size_t num_rows = src.base->num_rows();
+  // Paths are taken only when estimated strictly below this many rows;
+  // the default threshold of 1.0 probes whenever the predicate is
+  // estimated to exclude anything.
+  const size_t path_limit = static_cast<size_t>(
+      options.index_selectivity_threshold * static_cast<double>(num_rows));
+  // An equality atom wins outright (PPA's per-tuple point probes). Without
+  // one, range atoms (elastic preferences translate to them) combine into
+  // the tightest bounds per column, and the most selective column wins.
+  std::optional<size_t> eq_col;
+  Value eq_key;
+  storage::AttributeRef eq_attr;
+  std::map<size_t, index::RangeBounds> per_column;
+  std::map<size_t, storage::AttributeRef> column_attr;
+  for (const auto& f : filters) {
+    storage::AttributeRef attr;
+    BinaryOp op;
+    Value lit;
+    if (!f->IsSelectionAtom(&attr, &op, &lit) || lit.is_null()) continue;
+    const auto col = from.Resolve(attr.table, attr.column);
+    if (!col.ok()) continue;
+    if (op == BinaryOp::kEq) {
+      eq_col = col->second;
+      eq_key = std::move(lit);
+      eq_attr = attr;
+      break;
+    }
+    index::RangeBounds& b = per_column[col->second];
+    column_attr[col->second] = attr;
+    switch (op) {
+      case BinaryOp::kGt:
+      case BinaryOp::kGe:
+        if (!b.has_lo || lit > b.lo || (lit == b.lo && op == BinaryOp::kGt)) {
+          b.lo = lit;
+          b.has_lo = true;
+          b.lo_inclusive = (op == BinaryOp::kGe);
+        }
+        break;
+      case BinaryOp::kLt:
+      case BinaryOp::kLe:
+        if (!b.has_hi || lit < b.hi || (lit == b.hi && op == BinaryOp::kLt)) {
+          b.hi = lit;
+          b.has_hi = true;
+          b.hi_inclusive = (op == BinaryOp::kLe);
+        }
+        break;
+      default:
+        break;
+    }
+  }
+  if (eq_col.has_value()) {
+    auto hash = catalog.Hash(src.base, *eq_col);
+    if (options.stats != nullptr) {
+      path.estimated_rows = static_cast<size_t>(std::llround(
+          options.stats->EstimateSelectivity(eq_attr, stats::CompareOp::kEq,
+                                             eq_key) *
+          static_cast<double>(num_rows)));
+    } else {
+      path.estimated_rows =
+          index::ExactEqCount(*src.base, *eq_col, eq_key, hash.get());
+    }
+    if (path.estimated_rows < path_limit) {
+      path.kind = index::AccessPath::Kind::kHashProbe;
+      path.col = *eq_col;
+      path.column_name = src.columns[*eq_col].name;
+      path.eq_key = std::move(eq_key);
+      path.hash = std::move(hash);
+    }
+    return path;
+  }
+  size_t best_count = num_rows;
+  std::optional<size_t> best_col;
+  index::RangeBounds best_bounds;
+  std::shared_ptr<const index::BPlusTree> best_tree;
+  for (const auto& [col, b] : per_column) {
+    if (!b.has_lo && !b.has_hi) continue;
+    auto btree = catalog.Range(src.base, col);
+    size_t count;
+    const bool numeric_bounds =
+        (!b.has_lo || b.lo.is_numeric()) && (!b.has_hi || b.hi.is_numeric());
+    if (options.stats != nullptr && numeric_bounds) {
+      const double lo = b.has_lo ? b.lo.ToNumeric() : -HUGE_VAL;
+      const double hi = b.has_hi ? b.hi.ToNumeric() : HUGE_VAL;
+      count = static_cast<size_t>(std::llround(
+          options.stats->EstimateRangeSelectivity(column_attr[col], lo, hi) *
+          static_cast<double>(num_rows)));
+    } else {
+      count = index::ExactRangeCount(*src.base, col, b, btree.get());
+    }
+    if (count < best_count) {
+      best_count = count;
+      best_col = col;
+      best_bounds = b;
+      best_tree = std::move(btree);
+    }
+  }
+  path.estimated_rows = best_count;
+  if (best_col.has_value() && best_count < path_limit) {
+    path.kind = index::AccessPath::Kind::kBTreeRange;
+    path.col = *best_col;
+    path.column_name = src.columns[*best_col].name;
+    path.bounds = best_bounds;
+    path.btree = std::move(best_tree);
+  }
+  return path;
+}
+
+/// Records one span per base source: its access path, estimate and filter
+/// count. Morsel and thread counts are parallelism-dependent, so they are
+/// deliberately absent: the span tree must be identical at every thread
+/// count.
+void RecordSourceSpans(const SelectPlan& plan, obs::TraceSpan* span) {
+  for (size_t s = 0; s < plan.sources.size(); ++s) {
+    if (plan.sources[s].base == nullptr) continue;
+    const index::AccessPath& path = plan.access[s];
+    const index::RangeBounds& b = path.bounds;
+    std::string how;
+    switch (path.kind) {
+      case index::AccessPath::Kind::kHashProbe:
+        how = "index lookup on " + path.column_name + " = " +
+              path.eq_key.ToString();
+        break;
+      case index::AccessPath::Kind::kBTreeRange:
+        how = "range scan on " + path.column_name + " in " +
+              (b.has_lo ? (b.lo_inclusive ? "[" : "(") + b.lo.ToString()
+                        : "(-inf") +
+              ", " +
+              (b.has_hi ? b.hi.ToString() + (b.hi_inclusive ? "]" : ")")
+                        : "+inf)");
+        break;
+      case index::AccessPath::Kind::kFullScan:
+        how = "full scan";
+        break;
+    }
+    obs::TraceSpan* source_span = span->AddChild(
+        "source '" + plan.sources[s].alias + "': " + how + ", ~" +
+        std::to_string(path.estimated_rows) + " rows, " +
+        std::to_string(plan.filters[s].size()) + " filter(s)");
+    source_span->AddAttr("access", path.kind_name());
+    source_span->AddAttr("est_rows", path.estimated_rows);
+    source_span->AddAttr("filters", plan.filters[s].size());
+    // Physical backing: "index" when a catalog snapshot answers the path,
+    // "scan" on the fallback. The only EXPLAIN field allowed to differ
+    // with indexes on vs off.
+    if (path.kind != index::AccessPath::Kind::kFullScan) {
+      source_span->AddAttr("backed", path.indexed() ? "index" : "scan");
+    }
+  }
+}
+
+/// Greedy join order from the smallest source: each step hash-joins the
+/// source, across an edge from the joined ones, that is estimated smallest;
+/// with no such edge it takes a cross product with the smallest unjoined
+/// source.
+void OrderJoins(SelectPlan* plan) {
+  const size_t n = plan->sources.size();
+  const std::vector<index::AccessPath>& access = plan->access;
+  std::vector<bool> joined(n, false);
+  for (size_t s = 1; s < n; ++s) {
+    if (access[s].estimated_rows < access[plan->start].estimated_rows) {
+      plan->start = s;
+    }
+  }
+  joined[plan->start] = true;
+  for (size_t num_joined = 1; num_joined < n; ++num_joined) {
+    JoinStep step;
+    size_t best_size = SIZE_MAX;
+    for (size_t e = 0; e < plan->edges.size(); ++e) {
+      const JoinEdge& edge = plan->edges[e];
+      if (joined[edge.left_source] == joined[edge.right_source]) continue;
+      const size_t next =
+          joined[edge.left_source] ? edge.right_source : edge.left_source;
+      if (access[next].estimated_rows < best_size) {
+        best_size = access[next].estimated_rows;
+        step.source = next;
+        step.edge = e;
+      }
+    }
+    if (!step.edge.has_value()) {
+      std::optional<size_t> next;
+      for (size_t s = 0; s < n; ++s) {
+        if (joined[s]) continue;
+        if (!next.has_value() || plan->sources[s].EstimatedRows() <
+                                     plan->sources[*next].EstimatedRows()) {
+          next = s;
+        }
+      }
+      step.source = *next;
+    }
+    joined[step.source] = true;
+    for (size_t e = 0; e < plan->edges.size(); ++e) {
+      const JoinEdge& edge = plan->edges[e];
+      if (e != step.edge && joined[edge.left_source] &&
+          joined[edge.right_source] &&
+          (edge.left_source == step.source ||
+           edge.right_source == step.source)) {
+        step.internal.push_back(edge.atom);
+      }
+    }
+    plan->steps.push_back(std::move(step));
+  }
+}
+
+/// Every left row followed by each right row, left rows outermost.
+std::vector<Row> CrossProduct(const std::vector<Row>& left,
+                              const std::vector<Row>& right) {
+  std::vector<Row> out;
+  out.reserve(left.size() * right.size());
+  for (const Row& left_row : left) {
+    for (const Row& right_row : right) {
+      Row merged = left_row;
+      merged.insert(merged.end(), right_row.begin(), right_row.end());
+      out.push_back(std::move(merged));
+    }
+  }
+  return out;
 }
 
 constexpr char kPathHelp[] =
@@ -340,21 +606,126 @@ Result<RowSet> Executor::Execute(const sql::Query& query,
 Result<RowSet> Executor::ExecuteSelect(const SelectQuery& q,
                                        obs::TraceSpan* span) const {
   QP_RETURN_IF_ERROR(CheckCancel());
+  QP_ASSIGN_OR_RETURN(SelectPlan plan, PlanSelect(q, span));
+  // A source's rows: a derived table's, filtered by the plan step, or a
+  // base table's through scan+filter.
+  const auto rows_of = [&](size_t s) -> Result<std::vector<Row>> {
+    Source& src = plan.sources[s];
+    if (src.materialized) return std::move(src.rows);
+    return ScanFilter(plan, s);
+  };
+  const auto start_t0 = std::chrono::steady_clock::now();
+  QP_ASSIGN_OR_RETURN(std::vector<Row> rows, rows_of(plan.start));
+  if (span != nullptr) {
+    obs::TraceSpan* start_span = span->AddChild(
+        "start from '" + plan.sources[plan.start].alias + "' (" +
+        std::to_string(rows.size()) + " rows after filters)");
+    start_span->AddAttr("rows", rows.size());
+    start_span->set_seconds(SecondsSince(start_t0));
+  }
+  std::vector<OutputColumn> cols = plan.sources[plan.start].columns;
+  // Where each joined source's columns start in `cols`.
+  std::vector<size_t> offset(plan.sources.size(), 0);
+  for (const JoinStep& step : plan.steps) {
+    const auto step_t0 = std::chrono::steady_clock::now();
+    const Source& next = plan.sources[step.source];
+    std::vector<Row> joined;
+    if (step.edge.has_value()) {
+      const JoinEdge& edge = plan.edges[*step.edge];
+      const bool next_on_right = edge.right_source == step.source;
+      const size_t probe_col =
+          next_on_right ? offset[edge.left_source] + edge.left_col
+                        : offset[edge.right_source] + edge.right_col;
+      QP_ASSIGN_OR_RETURN(
+          joined, HashJoin(plan, rows, probe_col, step.source,
+                           next_on_right ? edge.right_col : edge.left_col));
+    } else {
+      QP_ASSIGN_OR_RETURN(std::vector<Row> right, rows_of(step.source));
+      joined = CrossProduct(rows, right);
+    }
+    Add(kRowsJoined, joined.size());
+    if (span != nullptr) {
+      // The morsel split is parallelism-dependent and therefore omitted.
+      obs::TraceSpan* step_span;
+      if (step.edge.has_value()) {
+        step_span = span->AddChild(
+            "join '" + next.alias + "' via " +
+            (next.materialized ? "transient hash on filtered rows"
+                               : "persistent index") +
+            " [" + plan.edges[*step.edge].atom->ToString() + "] -> " +
+            std::to_string(joined.size()) + " rows");
+        step_span->AddAttr("method", next.materialized ? "transient_hash"
+                                                       : "persistent_index");
+      } else {
+        step_span = span->AddChild("cross product with '" + next.alias +
+                                   "' -> " + std::to_string(joined.size()) +
+                                   " rows");
+        step_span->AddAttr("method", "cross_product");
+      }
+      step_span->AddAttr("rows", joined.size());
+      step_span->set_seconds(SecondsSince(step_t0));
+    }
+    offset[step.source] = cols.size();
+    cols.insert(cols.end(), next.columns.begin(), next.columns.end());
+    rows = std::move(joined);
+    if (!step.internal.empty()) {
+      QP_RETURN_IF_ERROR(
+          Filter(step.internal, Scope(cols), plan.subqueries, &rows));
+    }
+  }
+
+  const Scope scope(cols);
+  if (!plan.residual.empty()) {
+    obs::TraceSpan* residual_span =
+        span != nullptr ? span->AddChild("apply " +
+                                         std::to_string(plan.residual.size()) +
+                                         " residual predicate(s)")
+                        : nullptr;
+    obs::SpanTimer residual_timer(residual_span);
+    QP_RETURN_IF_ERROR(Filter(plan.residual, scope, plan.subqueries, &rows));
+    residual_timer.Stop();
+    if (residual_span != nullptr) residual_span->AddAttr("rows", rows.size());
+  }
+  RowSet out;
+  if (!q.IsAggregate()) {
+    QP_ASSIGN_OR_RETURN(out, Finish(q, plan, scope, rows, nullptr));
+  } else {
+    obs::TraceSpan* agg_span =
+        span != nullptr
+            ? span->AddChild("aggregate: group by " +
+                             std::to_string(q.group_by.size()) + " key(s)" +
+                             (q.having != nullptr ? ", with HAVING" : ""))
+            : nullptr;
+    obs::SpanTimer agg_timer(agg_span);
+    size_t num_groups = 0;
+    QP_ASSIGN_OR_RETURN(std::vector<AggregateValues> values,
+                        Aggregate(q, plan, scope, &rows, &num_groups));
+    QP_ASSIGN_OR_RETURN(out, Finish(q, plan, scope, rows, &values));
+    agg_timer.Stop();
+    if (agg_span != nullptr) {
+      agg_span->AddAttr("groups", num_groups);
+      agg_span->AddAttr("rows", out.num_rows());
+    }
+  }
+  Add(kRowsOutput, out.num_rows());
+  return out;
+}
+
+Result<SelectPlan> Executor::PlanSelect(const SelectQuery& q,
+                                        obs::TraceSpan* span) const {
   if (q.select.empty()) {
     return Status::InvalidArgument("empty select list");
   }
   if (q.from.empty()) {
     return Status::InvalidArgument("empty FROM clause");
   }
-
-  // ---- Resolve sources; derived tables execute eagerly, base tables stay
-  // unmaterialized so equality filters can use hash indexes. ----
-  std::vector<Source> sources;
-  sources.reserve(q.from.size());
+  SelectPlan plan;
+  // Sources: derived tables execute eagerly, base tables stay unread.
+  plan.sources.reserve(q.from.size());
   for (const TableRef& ref : q.from) {
     Source src;
     src.alias = ToLower(ref.EffectiveAlias());
-    for (const auto& other : sources) {
+    for (const auto& other : plan.sources) {
       if (other.alias == src.alias) {
         return Status::InvalidArgument("duplicate FROM alias '" + src.alias +
                                        "'");
@@ -383,859 +754,434 @@ Result<RowSet> Executor::ExecuteSelect(const SelectQuery& q,
         src.columns.push_back({src.alias, col.name});
       }
     }
-    sources.push_back(std::move(src));
+    plan.sources.push_back(std::move(src));
   }
+  QP_RETURN_IF_ERROR(MaterializeSubqueries(q, span, &plan.subqueries));
+  const FromColumns from(plan.sources);
+  QP_RETURN_IF_ERROR(Classify(q.where, from, &plan));
 
-  // ---- Materialize IN-subqueries. Independent subqueries execute
-  // concurrently across the pool; each one's hash set is built inside its
-  // morsel and slotted by subquery index, so the resulting sets (and the
-  // lowest-index error, if any) never depend on scheduling. ----
-  SubqueryResults subquery_sets;
-  {
-    std::vector<const Expr*> sub_nodes;
-    CollectSubqueries(q.where, &sub_nodes);
-    CollectSubqueries(q.having, &sub_nodes);
-    std::vector<std::unordered_set<Value, storage::ValueHash>> sets(
-        sub_nodes.size());
-    // Each subquery records into its own preallocated span slot; slots are
-    // adopted in index order afterwards, so the trace tree is the same at
-    // every thread count.
-    std::vector<obs::TraceSpan> slots =
-        obs::TraceSpan::MakeSlots(span != nullptr ? sub_nodes.size() : 0);
-    QP_RETURN_IF_ERROR(ForEachMorsel(
-        sub_nodes.size(), Scope(), [&](size_t n, const Scope&) -> Status {
-          obs::TraceSpan* sub_span = span != nullptr ? &slots[n] : nullptr;
-          if (sub_span != nullptr) {
-            sub_span->set_name(
-                std::string(sub_nodes[n]->negated() ? "NOT IN" : "IN") +
-                " subquery (materialized to a hash set):");
-          }
-          obs::SpanTimer sub_timer(sub_span);
-          QP_ASSIGN_OR_RETURN(RowSet sub,
-                              Execute(*sub_nodes[n]->subquery(), sub_span));
-          sub_timer.Stop();
-          if (sub.num_columns() != 1) {
-            return Status::InvalidArgument(
-                "IN-subquery must return exactly one column");
-          }
-          sets[n].reserve(sub.num_rows());
-          for (const auto& row : sub.rows()) {
-            if (!row[0].is_null()) sets[n].insert(row[0]);
-          }
-          if (sub_span != nullptr) sub_span->AddAttr("rows", sets[n].size());
-          Add(kSubqueries);
-          return Status::OK();
-        }));
-    for (size_t n = 0; n < sub_nodes.size(); ++n) {
-      if (span != nullptr) {
-        obs::TraceSpan* sub_span = span->Adopt(std::move(slots[n]));
-        // Track n+1 when there are several; a lone subquery stays on its
-        // parent's track.
-        if (sub_nodes.size() > 1) sub_span->set_track(n + 1);
-      }
-      subquery_sets.emplace(sub_nodes[n], std::move(sets[n]));
-    }
-  }
-
-  // ---- Classify WHERE conjuncts. ----
-  std::vector<std::vector<ExprPtr>> source_filters(sources.size());
-  std::vector<JoinEdge> join_edges;
-  std::vector<ExprPtr> residual;
-  for (const ExprPtr& conjunct : sql::ConjunctsOf(q.where)) {
-    storage::AttributeRef l, r;
-    if (conjunct->IsJoinAtom(&l, &r)) {
-      // Try to pin it to two distinct sources for a hash join.
-      int ls = -1, rs = -1, lc = -1, rc = -1;
-      for (size_t s = 0; s < sources.size(); ++s) {
-        const int cl = FindLocalColumn(sources[s], l.table, l.column);
-        if (cl >= 0 && ls < 0) {
-          ls = static_cast<int>(s);
-          lc = cl;
-        }
-        const int cr = FindLocalColumn(sources[s], r.table, r.column);
-        if (cr >= 0 && rs < 0) {
-          rs = static_cast<int>(s);
-          rc = cr;
-        }
-      }
-      if (ls >= 0 && rs >= 0 && ls != rs) {
-        join_edges.push_back({conjunct, static_cast<size_t>(ls),
-                              static_cast<size_t>(rs), static_cast<size_t>(lc),
-                              static_cast<size_t>(rc)});
-        continue;
-      }
-      if (ls >= 0 && rs >= 0 && ls == rs) {
-        source_filters[ls].push_back(conjunct);
-        continue;
-      }
-      residual.push_back(conjunct);
+  // Access paths, without reading base tables; derived tables are filtered
+  // now. Path-choice counters, one per base source, follow the logical
+  // choice, so ExecStats::paths_* (and the QueryLog fields fed from it) are
+  // deterministic regardless of which indexes exist.
+  plan.access.resize(plan.sources.size());
+  for (size_t s = 0; s < plan.sources.size(); ++s) {
+    Source& src = plan.sources[s];
+    if (!src.materialized) {
+      plan.access[s] = ChooseAccessPath(src, plan.filters[s], from,
+                                        db_->indexes(), options_);
       continue;
     }
-    std::set<size_t> refs;
-    bool resolvable = true;
-    CollectSourceRefs(*conjunct, sources, &refs, &resolvable);
-    if (resolvable && refs.size() <= 1) {
-      const size_t s = refs.empty() ? 0 : *refs.begin();
-      source_filters[s].push_back(conjunct);
-    } else {
-      residual.push_back(conjunct);
+    if (!plan.filters[s].empty()) {
+      QP_RETURN_IF_ERROR(Filter(plan.filters[s], Scope(src.columns),
+                                plan.subqueries, &src.rows));
     }
+    plan.access[s].estimated_rows = src.rows.size();
   }
-
-  // The one filter pass over materialized rows (derived tables, join edges
-  // internal to the joined result, residual predicates): keeps, in order,
-  // the rows of `*rows` on which every predicate in `filters` holds. Each
-  // morsel writes its survivors to its own slot; slots splice in morsel
-  // order, so row order and the first error match at every thread count.
-  const auto filter_rows = [&](const std::vector<ExprPtr>& filters,
-                               const Scope& scope,
-                               std::vector<Row>* rows) -> Status {
-    const auto morsels = MorselsFor(rows->size());
-    std::vector<std::vector<Row>> kept(morsels.size());
-    QP_RETURN_IF_ERROR(ForEachMorsel(
-        morsels.size(), scope,
-        [&](size_t m, const Scope& row_scope) -> Status {
-          const auto [lo, hi] = morsels[m];
-          kept[m].reserve(hi - lo);
-          for (size_t r = lo; r < hi; ++r) {
-            QP_ASSIGN_OR_RETURN(
-                bool pass,
-                AllHold(filters, row_scope, (*rows)[r], &subquery_sets));
-            if (pass) kept[m].push_back(std::move((*rows)[r]));
-          }
-          return Status::OK();
-        }));
-    *rows = Splice(std::move(kept));
-    return Status::OK();
-  };
-
-  // ---- Plan per-source access paths without materializing base tables.
-  // The path *choice* is logical: predicate shape plus an index-independent
-  // cardinality estimate (exact match counts by default, histogram
-  // estimates when ExecOptions::stats is set). The index catalog only
-  // changes the *physical* backing of the chosen path — whether Collect
-  // probes a snapshot or falls back to a scan producing the identical
-  // candidate set — so results and ExecStats never depend on which indexes
-  // exist. Derived sources are filtered in place. ----
-  const index::IndexCatalog& catalog = db_->indexes();
-  std::vector<index::AccessPath> access(sources.size());
-  for (size_t s = 0; s < sources.size(); ++s) {
-    Source& src = sources[s];
-    if (src.materialized) {
-      // Derived table: apply filters now.
-      if (!source_filters[s].empty()) {
-        QP_RETURN_IF_ERROR(
-            filter_rows(source_filters[s], Scope(src.columns), &src.rows));
-      }
-      access[s].estimated_rows = src.rows.size();
-      continue;
-    }
-    const size_t num_rows = src.base->num_rows();
-    // Paths are taken only when estimated strictly below this many rows;
-    // the default threshold of 1.0 probes whenever the predicate is
-    // estimated to exclude anything.
-    const size_t path_limit = static_cast<size_t>(
-        options_.index_selectivity_threshold * static_cast<double>(num_rows));
-    // An equality atom wins outright (PPA's per-tuple point probes).
-    int eq_col = -1;
-    Value eq_key;
-    storage::AttributeRef eq_attr;
-    for (const auto& f : source_filters[s]) {
-      storage::AttributeRef attr;
-      BinaryOp op;
-      Value lit;
-      if (f->IsSelectionAtom(&attr, &op, &lit) && op == BinaryOp::kEq &&
-          !lit.is_null()) {
-        const int col = FindLocalColumn(src, attr.table, attr.column);
-        if (col >= 0) {
-          eq_col = col;
-          eq_key = std::move(lit);
-          eq_attr = attr;
-          break;
-        }
-      }
-    }
-    if (eq_col >= 0) {
-      auto hash = catalog.Hash(src.base, static_cast<size_t>(eq_col));
-      size_t est;
-      if (options_.stats != nullptr) {
-        est = static_cast<size_t>(std::llround(
-            options_.stats->EstimateSelectivity(eq_attr, stats::CompareOp::kEq,
-                                                eq_key) *
-            static_cast<double>(num_rows)));
-      } else {
-        est = index::ExactEqCount(*src.base, static_cast<size_t>(eq_col),
-                                  eq_key, hash.get());
-      }
-      access[s].estimated_rows = est;
-      if (est < path_limit) {
-        access[s].kind = index::AccessPath::Kind::kHashProbe;
-        access[s].col = static_cast<size_t>(eq_col);
-        access[s].column_name = src.columns[eq_col].name;
-        access[s].eq_key = std::move(eq_key);
-        access[s].hash = std::move(hash);
-      }
-      continue;
-    }
-    // No equality atom: try range atoms (elastic preferences translate to
-    // them). Combine the tightest bounds per column, then pick the most
-    // selective column.
-    std::map<int, index::RangeBounds> per_column;
-    std::map<int, storage::AttributeRef> column_attr;
-    for (const auto& f : source_filters[s]) {
-      storage::AttributeRef attr;
-      BinaryOp op;
-      Value lit;
-      if (!f->IsSelectionAtom(&attr, &op, &lit) || lit.is_null()) continue;
-      const int col = FindLocalColumn(src, attr.table, attr.column);
-      if (col < 0) continue;
-      index::RangeBounds& b = per_column[col];
-      column_attr[col] = attr;
-      switch (op) {
-        case BinaryOp::kGt:
-        case BinaryOp::kGe:
-          if (!b.has_lo || lit > b.lo ||
-              (lit == b.lo && op == BinaryOp::kGt)) {
-            b.lo = lit;
-            b.has_lo = true;
-            b.lo_inclusive = (op == BinaryOp::kGe);
-          }
-          break;
-        case BinaryOp::kLt:
-        case BinaryOp::kLe:
-          if (!b.has_hi || lit < b.hi ||
-              (lit == b.hi && op == BinaryOp::kLt)) {
-            b.hi = lit;
-            b.has_hi = true;
-            b.hi_inclusive = (op == BinaryOp::kLe);
-          }
-          break;
-        default:
-          break;
-      }
-    }
-    size_t best_count = num_rows;
-    int best_col = -1;
-    index::RangeBounds best_bounds;
-    std::shared_ptr<const index::BPlusTree> best_tree;
-    for (const auto& [col, b] : per_column) {
-      if (!b.has_lo && !b.has_hi) continue;
-      auto btree = catalog.Range(src.base, static_cast<size_t>(col));
-      size_t count;
-      const bool numeric_bounds =
-          (!b.has_lo || b.lo.is_numeric()) && (!b.has_hi || b.hi.is_numeric());
-      if (options_.stats != nullptr && numeric_bounds) {
-        const double lo = b.has_lo ? b.lo.ToNumeric() : -HUGE_VAL;
-        const double hi = b.has_hi ? b.hi.ToNumeric() : HUGE_VAL;
-        count = static_cast<size_t>(std::llround(
-            options_.stats->EstimateRangeSelectivity(column_attr[col], lo, hi) *
-            static_cast<double>(num_rows)));
-      } else {
-        count = index::ExactRangeCount(*src.base, static_cast<size_t>(col), b,
-                                       btree.get());
-      }
-      if (count < best_count) {
-        best_count = count;
-        best_col = col;
-        best_bounds = b;
-        best_tree = std::move(btree);
-      }
-    }
-    access[s].estimated_rows = best_count;
-    if (best_col >= 0 && best_count < path_limit) {
-      access[s].kind = index::AccessPath::Kind::kBTreeRange;
-      access[s].col = static_cast<size_t>(best_col);
-      access[s].column_name = src.columns[best_col].name;
-      access[s].bounds = best_bounds;
-      access[s].btree = std::move(best_tree);
-    }
-  }
-  // Path-choice counters, one per base source. These follow the logical
-  // choice made above, so ExecStats::paths_* (and the QueryLog fields fed
-  // from it) are deterministic regardless of which indexes exist.
-  for (size_t s = 0; s < sources.size(); ++s) {
-    if (sources[s].materialized) continue;
-    switch (access[s].kind) {
+  for (size_t s = 0; s < plan.sources.size(); ++s) {
+    if (plan.sources[s].materialized) continue;
+    switch (plan.access[s].kind) {
       case index::AccessPath::Kind::kFullScan: Add(kPathScan); break;
       case index::AccessPath::Kind::kHashProbe: Add(kPathProbe); break;
       case index::AccessPath::Kind::kBTreeRange: Add(kPathRange); break;
     }
   }
+  if (span != nullptr) RecordSourceSpans(plan, span);
+  OrderJoins(&plan);
 
-  // Materializes a base source through its planned access path. The filter
-  // pass is morsel-parallel: each morsel evaluates the filters over its
-  // candidate range into its own output, and outputs are spliced in morsel
-  // order — identical row order and first-error at any thread count.
-  const auto materialize = [&](size_t s) -> Status {
-    Source& src = sources[s];
-    if (src.materialized) return Status::OK();
-    std::vector<const Row*> candidates;
-    if (access[s].kind == index::AccessPath::Kind::kFullScan) {
-      candidates.reserve(src.base->num_rows());
-      for (const auto& row : src.base->rows()) candidates.push_back(&row);
-      Add(kRowsExamined, src.base->num_rows());
-    } else {
-      // Candidates come back in ascending row order whether an index
-      // snapshot or the scan fallback produced them — the backing is
-      // unobservable in results. Only rows_examined (physical work) can
-      // tell the difference.
-      std::vector<size_t> positions;
-      const size_t examined = access[s].Collect(*src.base, &positions);
-      Add(kRowsExamined, examined);
-      // Physical win of the index snapshot: the rows a full scan would have
-      // touched that the probe/range never did. Zero when Collect fell back
-      // to scanning (no index registered).
-      if (access[s].indexed() && examined < src.base->num_rows()) {
-        Add(kRowsSaved, src.base->num_rows() - examined);
-      }
-      candidates.reserve(positions.size());
-      for (size_t pos : positions) candidates.push_back(&src.base->row(pos));
+  // Expand '*' over the joined columns, in join order.
+  std::vector<size_t> order = {plan.start};
+  for (const JoinStep& step : plan.steps) order.push_back(step.source);
+  for (const auto& item : q.select) {
+    if (item.expr->kind() != ExprKind::kColumnRef ||
+        item.expr->column() != "*") {
+      plan.items.push_back(item);
+      continue;
     }
-    Add(kRowsScanned, candidates.size());
-    const auto morsels = MorselsFor(candidates.size());
-    std::vector<std::vector<Row>> kept(morsels.size());
+    for (size_t s : order) {
+      for (const auto& col : plan.sources[s].columns) {
+        plan.items.push_back(
+            {Expr::Column(col.qualifier, col.name), col.name});
+      }
+    }
+  }
+  return plan;
+}
+
+Status Executor::MaterializeSubqueries(const SelectQuery& q,
+                                       obs::TraceSpan* span,
+                                       SubqueryResults* out) const {
+  // Independent subqueries execute concurrently across the pool; each
+  // one's hash set is built inside its morsel and slotted by subquery
+  // index, so the resulting sets (and the lowest-index error, if any) never
+  // depend on scheduling.
+  std::vector<const Expr*> nodes;
+  const auto collect = [&](const Expr& e) {
+    if (e.kind() == ExprKind::kInSubquery) nodes.push_back(&e);
+  };
+  ForEachNode(q.where, collect);
+  ForEachNode(q.having, collect);
+  std::vector<std::unordered_set<Value, storage::ValueHash>> sets(
+      nodes.size());
+  // Each subquery records into its own preallocated span slot; slots are
+  // adopted in index order afterwards, so the trace tree is the same at
+  // every thread count.
+  std::vector<obs::TraceSpan> slots =
+      obs::TraceSpan::MakeSlots(span != nullptr ? nodes.size() : 0);
+  QP_RETURN_IF_ERROR(ForEachMorsel(
+      nodes.size(), Scope(), [&](size_t n, const Scope&) -> Status {
+        obs::TraceSpan* sub_span = span != nullptr ? &slots[n] : nullptr;
+        if (sub_span != nullptr) {
+          sub_span->set_name(std::string(nodes[n]->negated() ? "NOT IN" : "IN") +
+                             " subquery (materialized to a hash set):");
+        }
+        obs::SpanTimer sub_timer(sub_span);
+        QP_ASSIGN_OR_RETURN(RowSet sub,
+                            Execute(*nodes[n]->subquery(), sub_span));
+        sub_timer.Stop();
+        if (sub.num_columns() != 1) {
+          return Status::InvalidArgument(
+              "IN-subquery must return exactly one column");
+        }
+        sets[n].reserve(sub.num_rows());
+        for (const auto& row : sub.rows()) {
+          if (!row[0].is_null()) sets[n].insert(row[0]);
+        }
+        if (sub_span != nullptr) sub_span->AddAttr("rows", sets[n].size());
+        Add(kSubqueries);
+        return Status::OK();
+      }));
+  for (size_t n = 0; n < nodes.size(); ++n) {
+    if (span != nullptr) {
+      obs::TraceSpan* sub_span = span->Adopt(std::move(slots[n]));
+      // Track n+1 when there are several; a lone subquery stays on its
+      // parent's track.
+      if (nodes.size() > 1) sub_span->set_track(n + 1);
+    }
+    out->emplace(nodes[n], std::move(sets[n]));
+  }
+  return Status::OK();
+}
+
+Result<std::vector<Row>> Executor::ScanFilter(const SelectPlan& plan,
+                                              size_t s) const {
+  const Source& src = plan.sources[s];
+  const index::AccessPath& path = plan.access[s];
+  std::vector<const Row*> candidates;
+  if (path.kind == index::AccessPath::Kind::kFullScan) {
+    candidates.reserve(src.base->num_rows());
+    for (const auto& row : src.base->rows()) candidates.push_back(&row);
+    Add(kRowsExamined, src.base->num_rows());
+  } else {
+    // Candidates come back in ascending row order whether an index
+    // snapshot or the scan fallback produced them — the backing is
+    // unobservable in results. Only rows_examined (physical work) can
+    // tell the difference.
+    std::vector<size_t> positions;
+    const size_t examined = path.Collect(*src.base, &positions);
+    Add(kRowsExamined, examined);
+    // Physical win of the index snapshot: the rows a full scan would have
+    // touched that the probe/range never did. Zero when Collect fell back
+    // to scanning (no index registered).
+    if (path.indexed() && examined < src.base->num_rows()) {
+      Add(kRowsSaved, src.base->num_rows() - examined);
+    }
+    candidates.reserve(positions.size());
+    for (size_t pos : positions) candidates.push_back(&src.base->row(pos));
+  }
+  Add(kRowsScanned, candidates.size());
+  const auto morsels = MorselsFor(candidates.size());
+  std::vector<std::vector<Row>> kept(morsels.size());
+  QP_RETURN_IF_ERROR(ForEachMorsel(
+      morsels.size(), Scope(src.columns),
+      [&](size_t m, const Scope& scope) -> Status {
+        for (size_t i = morsels[m].first; i < morsels[m].second; ++i) {
+          QP_ASSIGN_OR_RETURN(bool pass, AllHold(plan.filters[s], scope,
+                                                 *candidates[i],
+                                                 &plan.subqueries));
+          if (pass) kept[m].push_back(*candidates[i]);
+        }
+        return Status::OK();
+      }));
+  return Splice(std::move(kept));
+}
+
+Status Executor::Filter(const std::vector<ExprPtr>& filters,
+                        const Scope& scope, const SubqueryResults& subqueries,
+                        std::vector<Row>* rows) const {
+  const auto morsels = MorselsFor(rows->size());
+  std::vector<std::vector<Row>> kept(morsels.size());
+  QP_RETURN_IF_ERROR(ForEachMorsel(
+      morsels.size(), scope, [&](size_t m, const Scope& row_scope) -> Status {
+        const auto [lo, hi] = morsels[m];
+        kept[m].reserve(hi - lo);
+        for (size_t r = lo; r < hi; ++r) {
+          QP_ASSIGN_OR_RETURN(
+              bool pass, AllHold(filters, row_scope, (*rows)[r], &subqueries));
+          if (pass) kept[m].push_back(std::move((*rows)[r]));
+        }
+        return Status::OK();
+      }));
+  *rows = Splice(std::move(kept));
+  return Status::OK();
+}
+
+Result<std::vector<Row>> Executor::HashJoin(const SelectPlan& plan,
+                                            const std::vector<Row>& left,
+                                            size_t probe_col, size_t s,
+                                            size_t build_col) const {
+  // A base table is probed through the catalog's hash snapshot on the join
+  // column, or a transient build over the whole table when no index is
+  // registered (identical matches in identical order, more rows examined);
+  // its pending filters apply to matched rows only, which keeps PPA's
+  // per-tuple point probes O(fan-out) instead of O(table). A derived
+  // table's rows are already filtered.
+  const Source& next = plan.sources[s];
+  const bool base = !next.materialized;
+  const std::vector<Row>& build_rows = base ? next.base->rows() : next.rows;
+  const std::vector<ExprPtr> no_filters;
+  const std::vector<ExprPtr>& filters = base ? plan.filters[s] : no_filters;
+  const std::shared_ptr<const index::HashIndex> snapshot =
+      base ? db_->indexes().Hash(next.base, build_col) : nullptr;
+  // The transient build maps each key to its build-row positions in
+  // ascending order. Every morsel builds a partial map over its row range;
+  // partials merge in morsel order, which keeps every key's positions
+  // ascending, so probe matches replay in build order at any thread count.
+  using BuildMap =
+      std::unordered_map<Value, std::vector<size_t>, storage::ValueHash>;
+  BuildMap build;
+  if (snapshot == nullptr) {
+    const auto morsels = MorselsFor(build_rows.size());
+    std::vector<BuildMap> partial(morsels.size());
     QP_RETURN_IF_ERROR(ForEachMorsel(
-        morsels.size(), Scope(src.columns),
-        [&](size_t m, const Scope& scope) -> Status {
-          for (size_t i = morsels[m].first; i < morsels[m].second; ++i) {
-            QP_ASSIGN_OR_RETURN(bool pass,
-                                AllHold(source_filters[s], scope,
-                                        *candidates[i], &subquery_sets));
-            if (pass) kept[m].push_back(*candidates[i]);
+        morsels.size(), Scope(), [&](size_t m, const Scope&) -> Status {
+          const auto [lo, hi] = morsels[m];
+          partial[m].reserve(hi - lo);
+          for (size_t i = lo; i < hi; ++i) {
+            const Value& key = build_rows[i][build_col];
+            if (!key.is_null()) partial[m][key].push_back(i);
           }
           return Status::OK();
         }));
-    src.rows = Splice(std::move(kept));
-    src.materialized = true;
-    return Status::OK();
+    if (partial.size() == 1) {
+      build = std::move(partial[0]);
+    } else {
+      build.reserve(build_rows.size());
+      for (auto& part : partial) {
+        for (auto& [key, positions] : part) {
+          auto& dst = build[key];
+          if (dst.empty()) {
+            dst = std::move(positions);
+          } else {
+            dst.insert(dst.end(), positions.begin(), positions.end());
+          }
+        }
+      }
+    }
+    if (base) Add(kRowsExamined, build_rows.size());
+  }
+  const auto match_positions =
+      [&](const Value& key) -> const std::vector<size_t>* {
+    if (snapshot != nullptr) return snapshot->Lookup(key);
+    const auto it = build.find(key);
+    return it == build.end() ? nullptr : &it->second;
   };
-
-  if (span != nullptr) {
-    for (size_t s = 0; s < sources.size(); ++s) {
-      if (sources[s].base == nullptr) continue;
-      std::string how;
-      const index::RangeBounds& b = access[s].bounds;
-      switch (access[s].kind) {
-        case index::AccessPath::Kind::kHashProbe:
-          how = "index lookup on " + access[s].column_name + " = " +
-                access[s].eq_key.ToString();
-          break;
-        case index::AccessPath::Kind::kBTreeRange:
-          how = "range scan on " + access[s].column_name + " in " +
-                (b.has_lo ? (b.lo_inclusive ? "[" : "(") + b.lo.ToString()
-                          : "(-inf") +
-                ", " +
-                (b.has_hi ? b.hi.ToString() + (b.hi_inclusive ? "]" : ")")
-                          : "+inf)");
-          break;
-        case index::AccessPath::Kind::kFullScan:
-          how = "full scan";
-          break;
-      }
-      // Morsel counts and thread counts are parallelism-dependent, so they
-      // are deliberately absent: the span tree must be identical at every
-      // thread count.
-      obs::TraceSpan* source_span =
-          span->AddChild("source '" + sources[s].alias + "': " + how + ", ~" +
-                         std::to_string(access[s].estimated_rows) + " rows, " +
-                         std::to_string(source_filters[s].size()) +
-                         " filter(s)");
-      source_span->AddAttr("access", access[s].kind_name());
-      source_span->AddAttr("est_rows", access[s].estimated_rows);
-      source_span->AddAttr("filters", source_filters[s].size());
-      // Physical backing: "index" when a catalog snapshot answers the path,
-      // "scan" on the fallback. The only EXPLAIN field allowed to differ
-      // with indexes on vs off.
-      if (access[s].kind != index::AccessPath::Kind::kFullScan) {
-        source_span->AddAttr("backed",
-                             access[s].indexed() ? "index" : "scan");
-      }
-    }
-  }
-
-  // ---- Greedy join ordering from the smallest source. ----
-  std::vector<bool> joined(sources.size(), false);
-  size_t start = 0;
-  for (size_t s = 1; s < sources.size(); ++s) {
-    if (access[s].estimated_rows < access[start].estimated_rows) start = s;
-  }
-  std::chrono::steady_clock::time_point start_t0;
-  if (span != nullptr) start_t0 = std::chrono::steady_clock::now();
-  QP_RETURN_IF_ERROR(materialize(start));
-  if (span != nullptr) {
-    obs::TraceSpan* start_span = span->AddChild(
-        "start from '" + sources[start].alias + "' (" +
-        std::to_string(sources[start].rows.size()) + " rows after filters)");
-    start_span->AddAttr("rows", sources[start].rows.size());
-    start_span->set_seconds(SecondsSince(start_t0));
-  }
-  std::vector<OutputColumn> combined_cols = sources[start].columns;
-  std::vector<Row> combined = std::move(sources[start].rows);
-  joined[start] = true;
-  size_t num_joined = 1;
-
-  while (num_joined < sources.size()) {
-    std::chrono::steady_clock::time_point step_t0;
-    if (span != nullptr) step_t0 = std::chrono::steady_clock::now();
-    // Candidate edges between joined and unjoined sources.
-    int best_edge = -1;
-    size_t best_size = SIZE_MAX;
-    for (size_t e = 0; e < join_edges.size(); ++e) {
-      const auto& edge = join_edges[e];
-      size_t next;
-      if (joined[edge.left_source] && !joined[edge.right_source]) {
-        next = edge.right_source;
-      } else if (joined[edge.right_source] && !joined[edge.left_source]) {
-        next = edge.left_source;
-      } else {
-        continue;
-      }
-      if (access[next].estimated_rows < best_size) {
-        best_size = access[next].estimated_rows;
-        best_edge = static_cast<int>(e);
-      }
-    }
-
-    size_t next_source;
-    if (best_edge >= 0) {
-      const JoinEdge& edge = join_edges[best_edge];
-      const bool new_on_right = !joined[edge.right_source];
-      next_source = new_on_right ? edge.right_source : edge.left_source;
-      Source& next = sources[next_source];
-
-      // Column index of the join key on the combined side.
-      const storage::AttributeRef probe_attr =
-          [&]() -> storage::AttributeRef {
-        storage::AttributeRef l, r;
-        edge.atom->IsJoinAtom(&l, &r);
-        return new_on_right ? l : r;
-      }();
-      Scope combined_scope(combined_cols);
-      QP_ASSIGN_OR_RETURN(
-          size_t probe_col,
-          combined_scope.Resolve(probe_attr.table, probe_attr.column));
-      const size_t build_col = new_on_right ? edge.right_col : edge.left_col;
-
-      // Both probes are morsel-parallel over `combined`; matches per left
-      // row keep ascending row order and morsel outputs are spliced in
-      // morsel order, so the joined row order is scheduling-independent.
-      const auto probe_morsels = MorselsFor(combined.size());
-      std::vector<std::vector<Row>> parts(probe_morsels.size());
-      if (!next.materialized) {
-        // Base table: probe the catalog's hash snapshot on the join column
-        // and apply any pending filters only to matched rows. This keeps
-        // PPA's per-tuple point probes O(fan-out) instead of O(table).
-        // Without a registered index the probe runs against a transient
-        // value -> ascending-positions map built over the base table —
-        // identical matches in identical order, just more rows examined.
-        const std::shared_ptr<const index::HashIndex> snapshot =
-            catalog.Hash(next.base, build_col);
-        std::unordered_map<Value, std::vector<size_t>, storage::ValueHash>
-            transient;
-        if (snapshot == nullptr) {
-          transient.reserve(next.base->num_rows());
-          for (size_t i = 0; i < next.base->num_rows(); ++i) {
-            const Value& v = next.base->row(i)[build_col];
-            if (!v.is_null()) transient[v].push_back(i);
-          }
-          Add(kRowsExamined, next.base->num_rows());
-        }
-        const auto match_positions =
-            [&](const Value& key) -> const std::vector<size_t>* {
-          if (snapshot != nullptr) return snapshot->Lookup(key);
-          const auto it = transient.find(key);
-          return it == transient.end() ? nullptr : &it->second;
-        };
-        QP_RETURN_IF_ERROR(ForEachMorsel(
-            probe_morsels.size(), Scope(next.columns),
-            [&](size_t m, const Scope& next_scope) -> Status {
-              size_t examined = 0;
-              for (size_t r = probe_morsels[m].first;
-                   r < probe_morsels[m].second; ++r) {
-                const Row& left_row = combined[r];
-                const Value& key = left_row[probe_col];
-                if (key.is_null()) continue;
-                const std::vector<size_t>* matches = match_positions(key);
-                if (matches == nullptr) continue;
-                examined += matches->size();
-                for (size_t match_pos : *matches) {
-                  const Row& right_row = next.base->row(match_pos);
-                  QP_ASSIGN_OR_RETURN(
-                      bool pass,
-                      AllHold(source_filters[next_source], next_scope,
-                              right_row, &subquery_sets));
-                  if (!pass) continue;
-                  Row merged = left_row;
-                  merged.insert(merged.end(), right_row.begin(),
-                                right_row.end());
-                  parts[m].push_back(std::move(merged));
-                }
-              }
-              Add(kRowsExamined, examined);
-              return Status::OK();
-            }));
-      } else {
-        // Build a transient hash table on the (already filtered) rows:
-        // key -> build-row positions in ascending order, so probe matches
-        // replay in build order regardless of how the table was built.
-        // Partitioned build: every morsel builds a partial map over its row
-        // range; partials merge in morsel order, which preserves the
-        // ascending row order inside every key's match list.
-        using BuildMap =
-            std::unordered_map<Value, std::vector<size_t>, storage::ValueHash>;
-        const auto build_morsels = MorselsFor(next.rows.size());
-        std::vector<BuildMap> partial(build_morsels.size());
-        QP_RETURN_IF_ERROR(ForEachMorsel(
-            build_morsels.size(), Scope(),
-            [&](size_t m, const Scope&) -> Status {
-              const auto [lo, hi] = build_morsels[m];
-              partial[m].reserve(hi - lo);
-              for (size_t i = lo; i < hi; ++i) {
-                if (!next.rows[i][build_col].is_null()) {
-                  partial[m][next.rows[i][build_col]].push_back(i);
-                }
-              }
-              return Status::OK();
-            }));
-        BuildMap build;
-        if (partial.size() == 1) {
-          build = std::move(partial[0]);
-        } else {
-          build.reserve(next.rows.size());
-          for (auto& part : partial) {
-            for (auto& [key, positions] : part) {
-              auto& dst = build[key];
-              if (dst.empty()) {
-                dst = std::move(positions);
-              } else {
-                dst.insert(dst.end(), positions.begin(), positions.end());
-              }
-            }
+  // The probe is morsel-parallel over `left`; matches per left row keep
+  // ascending build order and morsel outputs splice in morsel order, so the
+  // joined row order is scheduling-independent.
+  const auto morsels = MorselsFor(left.size());
+  std::vector<std::vector<Row>> parts(morsels.size());
+  QP_RETURN_IF_ERROR(ForEachMorsel(
+      morsels.size(), Scope(next.columns),
+      [&](size_t m, const Scope& next_scope) -> Status {
+        size_t examined = 0;
+        for (size_t r = morsels[m].first; r < morsels[m].second; ++r) {
+          const Row& left_row = left[r];
+          const Value& key = left_row[probe_col];
+          if (key.is_null()) continue;
+          const std::vector<size_t>* matches = match_positions(key);
+          if (matches == nullptr) continue;
+          examined += matches->size();
+          for (size_t pos : *matches) {
+            const Row& right_row = build_rows[pos];
+            QP_ASSIGN_OR_RETURN(bool pass, AllHold(filters, next_scope,
+                                                   right_row,
+                                                   &plan.subqueries));
+            if (!pass) continue;
+            Row merged = left_row;
+            merged.insert(merged.end(), right_row.begin(), right_row.end());
+            parts[m].push_back(std::move(merged));
           }
         }
-        QP_RETURN_IF_ERROR(ForEachMorsel(
-            probe_morsels.size(), Scope(),
-            [&](size_t m, const Scope&) -> Status {
-              for (size_t r = probe_morsels[m].first;
-                   r < probe_morsels[m].second; ++r) {
-                const Row& left_row = combined[r];
-                const Value& key = left_row[probe_col];
-                if (key.is_null()) continue;
-                const auto it = build.find(key);
-                if (it == build.end()) continue;
-                for (size_t pos : it->second) {
-                  Row merged = left_row;
-                  const Row& right_row = next.rows[pos];
-                  merged.insert(merged.end(), right_row.begin(),
-                                right_row.end());
-                  parts[m].push_back(std::move(merged));
-                }
-              }
-              return Status::OK();
-            }));
-      }
-      std::vector<Row> result = Splice(std::move(parts));
-      Add(kRowsJoined, result.size());
-      if (span != nullptr) {
-        // The morsel split is parallelism-dependent and therefore omitted.
-        obs::TraceSpan* join_span = span->AddChild(
-            "join '" + next.alias + "' via " +
-            (next.materialized ? "transient hash on filtered rows"
-                               : "persistent index") +
-            " [" + edge.atom->ToString() + "] -> " +
-            std::to_string(result.size()) + " rows");
-        join_span->AddAttr(
-            "method", next.materialized ? "transient_hash" : "persistent_index");
-        join_span->AddAttr("rows", result.size());
-        join_span->set_seconds(SecondsSince(step_t0));
-      }
-      combined_cols.insert(combined_cols.end(), next.columns.begin(),
-                           next.columns.end());
-      combined = std::move(result);
-    } else {
-      // No connecting edge: cross product with the smallest unjoined source.
-      next_source = SIZE_MAX;
-      for (size_t s = 0; s < sources.size(); ++s) {
-        if (joined[s]) continue;
-        if (next_source == SIZE_MAX ||
-            sources[s].EstimatedRows() < sources[next_source].EstimatedRows()) {
-          next_source = s;
-        }
-      }
-      Source& next = sources[next_source];
-      QP_RETURN_IF_ERROR(materialize(next_source));
-      std::vector<Row> result;
-      result.reserve(combined.size() * next.rows.size());
-      for (const Row& left_row : combined) {
-        for (const Row& right_row : next.rows) {
-          Row merged = left_row;
-          merged.insert(merged.end(), right_row.begin(), right_row.end());
-          result.push_back(std::move(merged));
-        }
-      }
-      Add(kRowsJoined, result.size());
-      if (span != nullptr) {
-        obs::TraceSpan* cross_span =
-            span->AddChild("cross product with '" + next.alias + "' -> " +
-                           std::to_string(result.size()) + " rows");
-        cross_span->AddAttr("method", "cross_product");
-        cross_span->AddAttr("rows", result.size());
-        cross_span->set_seconds(SecondsSince(step_t0));
-      }
-      combined_cols.insert(combined_cols.end(), next.columns.begin(),
-                           next.columns.end());
-      combined = std::move(result);
-    }
-    joined[next_source] = true;
-    ++num_joined;
+        if (base) Add(kRowsExamined, examined);
+        return Status::OK();
+      }));
+  return Splice(std::move(parts));
+}
 
-    // Apply any join edges now internal to the combined result (other
-    // atoms between already-joined sources).
-    std::vector<ExprPtr> internal_edges;
-    for (const auto& edge : join_edges) {
-      if (joined[edge.left_source] && joined[edge.right_source]) {
-        internal_edges.push_back(edge.atom);
-      }
-    }
-    QP_RETURN_IF_ERROR(
-        filter_rows(internal_edges, Scope(combined_cols), &combined));
-  }
-
-  Scope scope(combined_cols);
-
-  // ---- Residual predicates (morsel-parallel filter pass). ----
-  if (!residual.empty()) {
-    obs::TraceSpan* residual_span =
-        span != nullptr ? span->AddChild("apply " +
-                                         std::to_string(residual.size()) +
-                                         " residual predicate(s)")
-                        : nullptr;
-    obs::SpanTimer residual_timer(residual_span);
-    QP_RETURN_IF_ERROR(filter_rows(residual, scope, &combined));
-    residual_timer.Stop();
-    if (residual_span != nullptr) {
-      residual_span->AddAttr("rows", combined.size());
+Result<std::vector<AggregateValues>> Executor::Aggregate(
+    const SelectQuery& q, const SelectPlan& plan, const Scope& scope,
+    std::vector<Row>* rows, size_t* num_groups) const {
+  std::vector<const Expr*> agg_nodes;
+  const auto collect = [&](const Expr& e) {
+    if (e.kind() == ExprKind::kAggregateCall) agg_nodes.push_back(&e);
+  };
+  for (const auto& item : plan.items) ForEachNode(item.expr, collect);
+  ForEachNode(q.having, collect);
+  for (const auto& o : q.order_by) ForEachNode(o.expr, collect);
+  // Each distinct aggregate (by SQL text) is computed once per group;
+  // agg_slot maps every call node to its distinct aggregate.
+  std::vector<const Expr*> distinct_aggs;
+  std::vector<size_t> agg_slot;
+  {
+    std::unordered_map<std::string, size_t> by_text;
+    for (const Expr* a : agg_nodes) {
+      const auto [it, inserted] =
+          by_text.try_emplace(a->ToString(), distinct_aggs.size());
+      if (inserted) distinct_aggs.push_back(a);
+      agg_slot.push_back(it->second);
     }
   }
-
-  // ---- Expand '*' select items. ----
-  std::vector<sql::SelectItem> items;
-  for (const auto& item : q.select) {
-    if (item.expr->kind() == ExprKind::kColumnRef && item.expr->column() == "*") {
-      for (const auto& col : combined_cols) {
-        items.push_back({Expr::Column(col.qualifier, col.name), col.name});
-      }
-    } else {
-      items.push_back(item);
-    }
-  }
-
-  std::vector<OutputColumn> out_cols;
-  out_cols.reserve(items.size());
-  for (const auto& item : items) {
-    out_cols.push_back({"", item.OutputName()});
-  }
-  RowSet out(out_cols);
-
   AggregateRegistry default_registry;
   const AggregateRegistry* registry =
       aggregates_ != nullptr ? aggregates_ : &default_registry;
 
-  if (q.IsAggregate()) {
-    obs::TraceSpan* agg_span =
-        span != nullptr
-            ? span->AddChild("aggregate: group by " +
-                             std::to_string(q.group_by.size()) + " key(s)" +
-                             (q.having != nullptr ? ", with HAVING" : ""))
-            : nullptr;
-    obs::SpanTimer agg_timer(agg_span);
-    // ---- Grouped aggregation. ----
-    std::vector<const Expr*> agg_nodes;
-    for (const auto& item : items) CollectAggregateCalls(item.expr, &agg_nodes);
-    CollectAggregateCalls(q.having, &agg_nodes);
-    for (const auto& o : q.order_by) CollectAggregateCalls(o.expr, &agg_nodes);
-    // Each distinct aggregate (by SQL text) is computed once per group;
-    // agg_slot maps every call node to its distinct aggregate.
-    std::vector<const Expr*> distinct_aggs;
-    std::vector<size_t> agg_slot;
-    {
-      std::unordered_map<std::string, size_t> by_text;
-      for (const Expr* a : agg_nodes) {
-        const auto [it, inserted] =
-            by_text.try_emplace(a->ToString(), distinct_aggs.size());
-        if (inserted) distinct_aggs.push_back(a);
-        agg_slot.push_back(it->second);
-      }
-    }
-
-    // Group rows by evaluated GROUP BY keys. Key extraction writes into
-    // per-row slots so it parallelizes without any ordering concern; the
-    // grouping insertion itself stays serial in row order, which keeps the
-    // group iteration order (and hence ungrouped output order) identical at
-    // every thread count.
-    std::vector<Row> group_keys(combined.size());
-    const auto key_morsels = MorselsFor(combined.size());
-    QP_RETURN_IF_ERROR(ForEachMorsel(
-        key_morsels.size(), scope,
-        [&](size_t m, const Scope& row_scope) -> Status {
-          for (size_t i = key_morsels[m].first; i < key_morsels[m].second;
-               ++i) {
-            Row& key = group_keys[i];
-            key.reserve(q.group_by.size());
-            for (const auto& g : q.group_by) {
-              QP_ASSIGN_OR_RETURN(Value v, EvalScalar(*g, row_scope,
-                                                      combined[i],
-                                                      &subquery_sets));
-              key.push_back(std::move(v));
-            }
+  // Group rows by evaluated GROUP BY keys. Key extraction writes into
+  // per-row slots so it parallelizes without any ordering concern; the
+  // grouping insertion itself stays serial in row order, which keeps the
+  // group iteration order (and hence ungrouped output order) identical at
+  // every thread count.
+  std::vector<Row> group_keys(rows->size());
+  const auto key_morsels = MorselsFor(rows->size());
+  QP_RETURN_IF_ERROR(ForEachMorsel(
+      key_morsels.size(), scope,
+      [&](size_t m, const Scope& row_scope) -> Status {
+        for (size_t i = key_morsels[m].first; i < key_morsels[m].second;
+             ++i) {
+          Row& key = group_keys[i];
+          key.reserve(q.group_by.size());
+          for (const auto& g : q.group_by) {
+            QP_ASSIGN_OR_RETURN(Value v, EvalScalar(*g, row_scope, (*rows)[i],
+                                                    &plan.subqueries));
+            key.push_back(std::move(v));
           }
-          return Status::OK();
-        }));
-    std::unordered_map<Row, std::vector<size_t>, RowHash> groups;
-    for (size_t i = 0; i < combined.size(); ++i) {
-      groups[std::move(group_keys[i])].push_back(i);
-    }
-    // A fully aggregated query with no GROUP BY has one (possibly empty)
-    // global group, so COUNT(*) over no rows yields 0.
-    if (q.group_by.empty() && groups.empty()) {
-      groups.emplace(Row{}, std::vector<size_t>{});
-    }
-
-    struct GroupOut {
-      Row out_row;
-      Row sort_keys;
-    };
-    // Snapshot the groups in iteration order, then aggregate each group
-    // independently: every group's partial state (its aggregators) lives in
-    // its task and the finished GroupOut lands in the group's slot, merged
-    // back in group order — the parallel analogue of a partial-aggregate
-    // merge, exact at any thread count. HAVING rejections leave an empty
-    // slot.
-    std::vector<const std::vector<size_t>*> group_indices;
-    group_indices.reserve(groups.size());
-    for (const auto& [key, indices] : groups) group_indices.push_back(&indices);
-    std::vector<std::optional<GroupOut>> group_slots(group_indices.size());
-    const Row empty_row(combined_cols.size());
-    const auto group_morsels = MorselsFor(group_indices.size());
-    QP_RETURN_IF_ERROR(ForEachMorsel(
-        group_morsels.size(), scope,
-        [&](size_t m, const Scope& row_scope) -> Status {
-          for (size_t g_idx = group_morsels[m].first;
-               g_idx < group_morsels[m].second; ++g_idx) {
-            const std::vector<size_t>& indices = *group_indices[g_idx];
-            std::vector<Value> finals;
-            finals.reserve(distinct_aggs.size());
-            for (const Expr* node : distinct_aggs) {
-              QP_ASSIGN_OR_RETURN(std::unique_ptr<Aggregator> agg,
-                                  registry->Create(node->function()));
-              for (size_t idx : indices) {
-                Value arg = Value::Null();
-                if (node->argument() != nullptr) {
-                  QP_ASSIGN_OR_RETURN(
-                      arg, EvalScalar(*node->argument(), row_scope,
-                                      combined[idx], &subquery_sets));
-                }
-                agg->Add(arg);
-              }
-              finals.push_back(agg->Finalize());
-            }
-            AggregateValues agg_values;
-            for (size_t a = 0; a < agg_nodes.size(); ++a) {
-              agg_values.emplace(agg_nodes[a], finals[agg_slot[a]]);
-            }
-            // Non-aggregate references read the group's first row.
-            const Row& rep =
-                indices.empty() ? empty_row : combined[indices[0]];
-            if (q.having != nullptr) {
-              QP_ASSIGN_OR_RETURN(bool keep,
-                                  EvalPredicate(*q.having, row_scope, rep,
-                                                &subquery_sets, &agg_values));
-              if (!keep) continue;
-            }
-            GroupOut g;
-            for (const auto& item : items) {
-              QP_ASSIGN_OR_RETURN(Value v,
-                                  EvalScalar(*item.expr, row_scope, rep,
-                                             &subquery_sets, &agg_values));
-              g.out_row.push_back(std::move(v));
-            }
-            for (const auto& o : q.order_by) {
-              QP_ASSIGN_OR_RETURN(Value v,
-                                  EvalScalar(*o.expr, row_scope, rep,
-                                             &subquery_sets, &agg_values));
-              g.sort_keys.push_back(std::move(v));
-            }
-            group_slots[g_idx] = std::move(g);
-          }
-          return Status::OK();
-        }));
-    std::vector<GroupOut> group_rows;
-    group_rows.reserve(group_indices.size());
-    for (auto& slot : group_slots) {
-      if (slot.has_value()) group_rows.push_back(std::move(*slot));
-    }
-
-    if (!q.order_by.empty()) {
-      std::stable_sort(group_rows.begin(), group_rows.end(),
-                       [&](const GroupOut& a, const GroupOut& b) {
-                         for (size_t k = 0; k < q.order_by.size(); ++k) {
-                           const int cmp = a.sort_keys[k].Compare(b.sort_keys[k]);
-                           if (cmp != 0) {
-                             return q.order_by[k].ascending ? cmp < 0 : cmp > 0;
-                           }
-                         }
-                         return false;
-                       });
-    }
-    for (auto& g : group_rows) {
-      if (q.limit.has_value() && out.num_rows() >= *q.limit) break;
-      out.Add(std::move(g.out_row));
-    }
-    agg_timer.Stop();
-    if (agg_span != nullptr) {
-      agg_span->AddAttr("groups", group_indices.size());
-      agg_span->AddAttr("rows", out.num_rows());
-    }
-    Add(kRowsOutput, out.num_rows());
-    return out;
+        }
+        return Status::OK();
+      }));
+  std::unordered_map<Row, std::vector<size_t>, RowHash> groups;
+  for (size_t i = 0; i < rows->size(); ++i) {
+    groups[std::move(group_keys[i])].push_back(i);
+  }
+  // A fully aggregated query with no GROUP BY has one (possibly empty)
+  // global group, so COUNT(*) over no rows yields 0.
+  if (q.group_by.empty() && groups.empty()) {
+    groups.emplace(Row{}, std::vector<size_t>{});
   }
 
-  // ---- Non-aggregate projection. ----
-  // Sort first (keys may reference non-projected columns), then project.
-  // Sort-key extraction fills per-row slots, so it is morsel-parallel; the
-  // stable sort itself stays serial and sees identical inputs either way.
-  std::vector<size_t> order(combined.size());
+  // Snapshot the groups in iteration order, then aggregate each group
+  // independently: every group's partial state (its aggregators) lives in
+  // its task and its values land in the group's slot, merged back in group
+  // order — the parallel analogue of a partial-aggregate merge, exact at
+  // any thread count. HAVING rejections leave an empty slot.
+  std::vector<const std::vector<size_t>*> group_indices;
+  group_indices.reserve(groups.size());
+  for (const auto& [key, indices] : groups) group_indices.push_back(&indices);
+  std::vector<std::optional<AggregateValues>> slots(group_indices.size());
+  const Row empty_row(scope.columns().size());
+  const auto group_morsels = MorselsFor(group_indices.size());
+  QP_RETURN_IF_ERROR(ForEachMorsel(
+      group_morsels.size(), scope,
+      [&](size_t m, const Scope& row_scope) -> Status {
+        for (size_t g = group_morsels[m].first; g < group_morsels[m].second;
+             ++g) {
+          const std::vector<size_t>& indices = *group_indices[g];
+          std::vector<Value> finals;
+          finals.reserve(distinct_aggs.size());
+          for (const Expr* node : distinct_aggs) {
+            QP_ASSIGN_OR_RETURN(std::unique_ptr<Aggregator> agg,
+                                registry->Create(node->function()));
+            for (size_t idx : indices) {
+              Value arg = Value::Null();
+              if (node->argument() != nullptr) {
+                QP_ASSIGN_OR_RETURN(
+                    arg, EvalScalar(*node->argument(), row_scope,
+                                    (*rows)[idx], &plan.subqueries));
+              }
+              agg->Add(arg);
+            }
+            finals.push_back(agg->Finalize());
+          }
+          AggregateValues values;
+          for (size_t a = 0; a < agg_nodes.size(); ++a) {
+            values.emplace(agg_nodes[a], finals[agg_slot[a]]);
+          }
+          // Non-aggregate references read the group's first row.
+          const Row& rep = indices.empty() ? empty_row : (*rows)[indices[0]];
+          if (q.having != nullptr) {
+            QP_ASSIGN_OR_RETURN(bool keep,
+                                EvalPredicate(*q.having, row_scope, rep,
+                                              &plan.subqueries, &values));
+            if (!keep) continue;
+          }
+          slots[g] = std::move(values);
+        }
+        return Status::OK();
+      }));
+  *num_groups = group_indices.size();
+  std::vector<Row> reps;
+  std::vector<AggregateValues> kept;
+  for (size_t g = 0; g < slots.size(); ++g) {
+    if (!slots[g].has_value()) continue;
+    const std::vector<size_t>& indices = *group_indices[g];
+    if (indices.empty()) {
+      reps.push_back(empty_row);
+    } else {
+      reps.push_back(std::move((*rows)[indices[0]]));
+    }
+    kept.push_back(std::move(*slots[g]));
+  }
+  *rows = std::move(reps);
+  return kept;
+}
+
+Result<RowSet> Executor::Finish(
+    const SelectQuery& q, const SelectPlan& plan, const Scope& scope,
+    const std::vector<Row>& rows,
+    const std::vector<AggregateValues>* aggregates) const {
+  const auto eval = [&](const Expr& e, const Scope& row_scope, size_t i) {
+    return EvalScalar(e, row_scope, rows[i], &plan.subqueries,
+                      aggregates != nullptr ? &(*aggregates)[i] : nullptr);
+  };
+  // ORDER BY: a key is read as an input column first, then as a select-item
+  // alias. Sort keys fill per-row slots, so extraction is morsel-parallel;
+  // the stable sort stays serial and sees identical inputs either way.
+  std::vector<size_t> order(rows.size());
   for (size_t i = 0; i < order.size(); ++i) order[i] = i;
   if (!q.order_by.empty()) {
-    std::vector<Row> sort_keys(combined.size());
-    const auto morsels = MorselsFor(combined.size());
+    std::vector<Row> sort_keys(rows.size());
+    const auto morsels = MorselsFor(rows.size());
     QP_RETURN_IF_ERROR(ForEachMorsel(
         morsels.size(), scope,
         [&](size_t m, const Scope& row_scope) -> Status {
           for (size_t i = morsels[m].first; i < morsels[m].second; ++i) {
             for (const auto& o : q.order_by) {
-              // Try the combined scope first; fall back to select-item
-              // aliases.
-              auto direct =
-                  EvalScalar(*o.expr, row_scope, combined[i], &subquery_sets);
+              auto direct = eval(*o.expr, row_scope, i);
               if (direct.ok()) {
                 sort_keys[i].push_back(std::move(direct).value());
                 continue;
               }
-              bool matched = false;
+              const sql::SelectItem* alias = nullptr;
               if (o.expr->kind() == ExprKind::kColumnRef) {
-                for (const auto& item : items) {
+                for (const auto& item : plan.items) {
                   if (EqualsIgnoreCase(item.OutputName(), o.expr->column())) {
-                    QP_ASSIGN_OR_RETURN(
-                        Value v, EvalScalar(*item.expr, row_scope, combined[i],
-                                            &subquery_sets));
-                    sort_keys[i].push_back(std::move(v));
-                    matched = true;
+                    alias = &item;
                     break;
                   }
                 }
               }
-              if (!matched) return direct.status();
+              if (alias == nullptr) return direct.status();
+              QP_ASSIGN_OR_RETURN(Value v, eval(*alias->expr, row_scope, i));
+              sort_keys[i].push_back(std::move(v));
             }
           }
           return Status::OK();
@@ -1249,53 +1195,38 @@ Result<RowSet> Executor::ExecuteSelect(const SelectQuery& q,
     });
   }
 
-  // Projection fills per-row slots in sorted order; DISTINCT stays serial
-  // over the slots, so its row selection is order-dependent yet
-  // thread-count independent. A LIMIT projects in one inline morsel that
-  // stops early instead of projecting rows it would discard.
-  const auto project_row = [&](size_t pos, const Scope& row_scope,
-                               Row* out_row) -> Status {
-    out_row->reserve(items.size());
-    for (const auto& item : items) {
-      QP_ASSIGN_OR_RETURN(Value v, EvalScalar(*item.expr, row_scope,
-                                              combined[pos], &subquery_sets));
-      out_row->push_back(std::move(v));
-    }
-    return Status::OK();
-  };
-  std::unordered_set<Row, RowHash> seen;
-  if (q.limit.has_value()) {
-    QP_RETURN_IF_ERROR(ForEachMorsel(
-        1, scope, [&](size_t, const Scope& row_scope) -> Status {
-          for (size_t pos : order) {
-            if (out.num_rows() >= *q.limit) break;
-            Row out_row;
-            QP_RETURN_IF_ERROR(project_row(pos, row_scope, &out_row));
-            if (q.distinct && !seen.insert(out_row).second) continue;
-            out.Add(std::move(out_row));
+  // Projection fills per-row slots in sorted order. Under a LIMIT without
+  // DISTINCT only the rows the limit keeps are projected; DISTINCT needs
+  // every row, since its selection depends on order.
+  const size_t to_project = q.limit.has_value() && !q.distinct
+                                ? std::min(*q.limit, order.size())
+                                : order.size();
+  std::vector<Row> projected(to_project);
+  const auto morsels = MorselsFor(to_project);
+  QP_RETURN_IF_ERROR(ForEachMorsel(
+      morsels.size(), scope, [&](size_t m, const Scope& row_scope) -> Status {
+        for (size_t i = morsels[m].first; i < morsels[m].second; ++i) {
+          projected[i].reserve(plan.items.size());
+          for (const auto& item : plan.items) {
+            QP_ASSIGN_OR_RETURN(Value v, eval(*item.expr, row_scope, order[i]));
+            projected[i].push_back(std::move(v));
           }
-          return Status::OK();
-        }));
-  } else {
-    const auto morsels = MorselsFor(order.size());
-    std::vector<Row> projected(order.size());
-    QP_RETURN_IF_ERROR(ForEachMorsel(
-        morsels.size(), scope,
-        [&](size_t m, const Scope& row_scope) -> Status {
-          for (size_t i = morsels[m].first; i < morsels[m].second; ++i) {
-            QP_RETURN_IF_ERROR(project_row(order[i], row_scope, &projected[i]));
-          }
-          return Status::OK();
-        }));
-    if (!q.distinct) {
-      out.rows() = std::move(projected);
-    } else {
-      for (Row& out_row : projected) {
-        if (seen.insert(out_row).second) out.Add(std::move(out_row));
-      }
-    }
+        }
+        return Status::OK();
+      }));
+  std::vector<OutputColumn> out_cols;
+  out_cols.reserve(plan.items.size());
+  for (const auto& item : plan.items) {
+    out_cols.push_back({"", item.OutputName()});
   }
-  Add(kRowsOutput, out.num_rows());
+  RowSet out(std::move(out_cols));
+  out.rows().reserve(projected.size());
+  std::unordered_set<Row, RowHash> seen;
+  for (Row& row : projected) {
+    if (q.limit.has_value() && out.num_rows() >= *q.limit) break;
+    if (q.distinct && !seen.insert(row).second) continue;
+    out.Add(std::move(row));
+  }
   return out;
 }
 

@@ -4,6 +4,12 @@
 // to hash sets), UNION ALL, GROUP BY / HAVING with built-in and user-defined
 // aggregates, DISTINCT, ORDER BY and LIMIT.
 //
+// Each select block runs as a plan step (sources, IN-subquery sets, WHERE
+// conjuncts classified with every column name resolved, access paths, join
+// order, '*' expansion) followed by operator functions: scan+filter,
+// filter, hash join, cross product, group+aggregate and one finish step
+// (ORDER BY, projection, DISTINCT, LIMIT).
+//
 // Execution is morsel-driven: base-table scan+filter, hash-join build
 // (partitioned) and probe, the filter passes, IN-subquery materialization,
 // grouping-key extraction, per-group aggregation, sort-key extraction and
@@ -44,6 +50,9 @@ class StatsManager;
 }  // namespace qp::stats
 
 namespace qp::exec {
+
+/// What Executor's plan step hands its operators (defined in executor.cc).
+struct SelectPlan;
 
 /// \brief Parallelism knobs for one Executor instance.
 ///
@@ -205,8 +214,47 @@ class Executor {
     kNumCounters,
   };
 
+  /// Runs one select block: the plan step, then the operators over the
+  /// plan, each taking and returning materialized rows.
   Result<RowSet> ExecuteSelect(const sql::SelectQuery& q,
                                obs::TraceSpan* span) const;
+
+  /// The plan step: runs derived tables, materializes IN-subqueries,
+  /// classifies the WHERE conjuncts (resolving every column name), picks
+  /// and counts each base source's access path, orders the joins and
+  /// expands '*'. Records the derived-table, subquery and source spans.
+  Result<SelectPlan> PlanSelect(const sql::SelectQuery& q,
+                                obs::TraceSpan* span) const;
+  /// Executes each IN-subquery in `q` into its membership set.
+  Status MaterializeSubqueries(const sql::SelectQuery& q, obs::TraceSpan* span,
+                               SubqueryResults* out) const;
+
+  // The operators.
+  /// Scan+filter: base source `s` read through its access path, filtered.
+  Result<std::vector<storage::Row>> ScanFilter(const SelectPlan& plan,
+                                               size_t s) const;
+  /// Filter: keeps, in order, the rows on which every filter holds.
+  Status Filter(const std::vector<sql::ExprPtr>& filters, const Scope& scope,
+                const SubqueryResults& subqueries,
+                std::vector<storage::Row>* rows) const;
+  /// Hash join: each row of `left` followed by each matching row of source
+  /// `s`, matched on left column `probe_col` = source column `build_col`.
+  Result<std::vector<storage::Row>> HashJoin(
+      const SelectPlan& plan, const std::vector<storage::Row>& left,
+      size_t probe_col, size_t s, size_t build_col) const;
+  /// Group+aggregate: replaces `*rows` with the first row of each group
+  /// HAVING keeps (all NULLs for an empty global group) and returns those
+  /// groups' aggregate values; `*num_groups` gets the count before HAVING.
+  Result<std::vector<AggregateValues>> Aggregate(
+      const sql::SelectQuery& q, const SelectPlan& plan, const Scope& scope,
+      std::vector<storage::Row>* rows, size_t* num_groups) const;
+  /// The finish step for grouped and ungrouped rows alike: ORDER BY,
+  /// projection, DISTINCT and LIMIT. `aggregates` holds each row's group
+  /// values, or is null for an ungrouped query.
+  Result<RowSet> Finish(const sql::SelectQuery& q, const SelectPlan& plan,
+                        const Scope& scope,
+                        const std::vector<storage::Row>& rows,
+                        const std::vector<AggregateValues>* aggregates) const;
 
   /// The pool parallel regions run on: the injected shared pool when the
   /// options carry one, else the per-instance pool (null when serial).

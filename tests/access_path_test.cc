@@ -23,9 +23,12 @@
 #include "exec/executor.h"
 #include "index/catalog.h"
 #include "sql/parser.h"
+#include "test_support.h"
 
 namespace qp::exec {
 namespace {
+
+using test::AsSequence;
 
 constexpr size_t kThreadCounts[] = {1, 2, 8};
 
@@ -65,20 +68,6 @@ class AccessPathTest : public ::testing::Test {
 
 storage::Database* AccessPathTest::indexed_ = nullptr;
 storage::Database* AccessPathTest::plain_ = nullptr;
-
-std::vector<std::string> AsSequence(const RowSet& rows) {
-  std::vector<std::string> out;
-  out.reserve(rows.num_rows());
-  for (const auto& row : rows.rows()) {
-    std::string key;
-    for (const auto& v : row) {
-      key += v.ToString();
-      key += '\x1f';
-    }
-    out.push_back(std::move(key));
-  }
-  return out;
-}
 
 // ---------------------------------------------------------------------------
 // 1. Golden path choice.

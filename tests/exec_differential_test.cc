@@ -1,102 +1,27 @@
-// Differential testing for the executor: random SPJ queries run both
-// through the optimizing executor (greedy index-aware hash joins, early
-// filters) and a deliberately naive reference (cross product + filter).
-// Result multisets must match exactly.
+// Differential testing for the executor: queries run both through the
+// optimizing executor (greedy index-aware hash joins, early filters, the
+// finish step) and the naive reference in tests/test_support.h (cross
+// product + filter, then grouping, sorting and projection written the
+// obvious way). Results must match exactly: as sequences where the ORDER BY
+// keys are unique, as multisets otherwise.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <map>
+#include <set>
 
 #include "common/random.h"
 #include "datagen/moviegen.h"
 #include "exec/executor.h"
 #include "sql/parser.h"
+#include "test_support.h"
 
 namespace qp::exec {
 namespace {
 
-using sql::BinaryOp;
-using sql::Expr;
-using sql::ExprPtr;
-using sql::SelectQuery;
-using storage::Row;
-using storage::Value;
-
-/// Executes a select block the slow, obviously correct way: materialize the
-/// full cross product of the FROM tables, evaluate the whole WHERE on every
-/// combined row, project.
-Result<std::vector<Row>> NaiveExecute(const storage::Database& db,
-                                      const SelectQuery& q) {
-  std::vector<std::vector<OutputColumn>> column_sets;
-  std::vector<const storage::Table*> tables;
-  for (const auto& ref : q.from) {
-    QP_ASSIGN_OR_RETURN(const storage::Table* table, db.GetTable(ref.table));
-    tables.push_back(table);
-    std::vector<OutputColumn> cols;
-    for (const auto& col : table->schema().columns()) {
-      cols.push_back({sql::TableRef{ref}.EffectiveAlias(), col.name});
-    }
-    column_sets.push_back(std::move(cols));
-  }
-  std::vector<OutputColumn> combined_cols;
-  for (const auto& cols : column_sets) {
-    combined_cols.insert(combined_cols.end(), cols.begin(), cols.end());
-  }
-  Scope scope(combined_cols);
-
-  std::vector<Row> out;
-  // Odometer over the cross product.
-  std::vector<size_t> idx(tables.size(), 0);
-  const auto exhausted = [&]() {
-    for (size_t t = 0; t < tables.size(); ++t) {
-      if (tables[t]->num_rows() == 0) return true;
-    }
-    return false;
-  }();
-  if (exhausted) return out;
-  while (true) {
-    Row combined;
-    for (size_t t = 0; t < tables.size(); ++t) {
-      const Row& r = tables[t]->row(idx[t]);
-      combined.insert(combined.end(), r.begin(), r.end());
-    }
-    bool pass = true;
-    if (q.where != nullptr) {
-      QP_ASSIGN_OR_RETURN(pass, EvalPredicate(*q.where, scope, combined));
-    }
-    if (pass) {
-      Row projected;
-      for (const auto& item : q.select) {
-        QP_ASSIGN_OR_RETURN(Value v,
-                            EvalScalar(*item.expr, scope, combined));
-        projected.push_back(std::move(v));
-      }
-      out.push_back(std::move(projected));
-    }
-    // Advance the odometer.
-    size_t t = tables.size();
-    while (t > 0) {
-      --t;
-      if (++idx[t] < tables[t]->num_rows()) break;
-      idx[t] = 0;
-      if (t == 0) return out;
-    }
-  }
-}
-
-std::multiset<std::string> AsMultiset(const std::vector<Row>& rows) {
-  std::multiset<std::string> out;
-  for (const auto& row : rows) {
-    std::string key;
-    for (const auto& v : row) {
-      key += v.ToString();
-      key += '\x1f';
-    }
-    out.insert(std::move(key));
-  }
-  return out;
-}
+using test::AsMultiset;
+using test::AsSequence;
+using test::NaiveExecute;
 
 class DifferentialTest : public ::testing::Test {
  protected:
@@ -117,16 +42,22 @@ class DifferentialTest : public ::testing::Test {
     db_ = nullptr;
   }
 
-  void ExpectSameResults(const std::string& sql) {
+  /// Runs `sql` through the executor and the reference. `ordered`
+  /// compares row sequences (for ORDER BY keys that are unique), otherwise
+  /// multisets.
+  void ExpectSameResults(const std::string& sql, bool ordered = false) {
     auto parsed = sql::ParseQuery(sql);
     ASSERT_TRUE(parsed.ok()) << sql;
-    const SelectQuery& q = (*parsed)->single();
     Executor executor(db_);
     auto fast = executor.Execute(**parsed);
     ASSERT_TRUE(fast.ok()) << sql << ": " << fast.status();
-    auto slow = NaiveExecute(*db_, q);
+    auto slow = NaiveExecute(*db_, **parsed);
     ASSERT_TRUE(slow.ok()) << sql << ": " << slow.status();
-    EXPECT_EQ(AsMultiset(fast->rows()), AsMultiset(*slow)) << sql;
+    if (ordered) {
+      EXPECT_EQ(AsSequence(*fast), AsSequence(*slow)) << sql;
+    } else {
+      EXPECT_EQ(AsMultiset(*fast), AsMultiset(*slow)) << sql;
+    }
   }
 
   static storage::Database* db_;
@@ -226,6 +157,80 @@ TEST_F(DifferentialTest, CrossProductWithoutJoinAtom) {
   ExpectSameResults(
       "select d.name, g.genre from director d, genre g "
       "where d.did <= 2 and g.genre = 'musical'");
+}
+
+TEST_F(DifferentialTest, EveryQueryShape) {
+  // Derived tables.
+  ExpectSameResults(
+      "select u.title from (select m.title title, m.year year from movie m "
+      "where m.year > 1980) u where u.year < 2000");
+  ExpectSameResults(
+      "select u.title, g.genre from (select m.mid mid, m.title title "
+      "from movie m where m.duration > 100) u, genre g where u.mid = g.mid");
+  // [NOT] IN.
+  ExpectSameResults(
+      "select title from movie where movie.mid in "
+      "(select g.mid from genre g where g.genre = 'comedy')");
+  ExpectSameResults(
+      "select title from movie where movie.mid not in "
+      "(select g.mid from genre g where g.genre = 'drama') "
+      "and movie.year >= 1980");
+  // UNION ALL.
+  ExpectSameResults(
+      "select title from movie where year < 1970 union all "
+      "select title from movie where year > 1995");
+  // GROUP BY / HAVING with every built-in aggregate, and global aggregates
+  // over some and no rows.
+  ExpectSameResults(
+      "select g.genre, count(*) n, min(m.year) y0, max(m.duration) d1, "
+      "sum(m.duration) s, avg(m.year) a from movie m, genre g "
+      "where m.mid = g.mid group by g.genre having count(*) >= 2");
+  ExpectSameResults(
+      "select count(*) n, sum(duration) s, max(year) y from movie "
+      "where year > 1990");
+  ExpectSameResults("select count(*) n, min(year) y from movie where year > 3000");
+  // DISTINCT, plain and over groups.
+  ExpectSameResults("select distinct g.genre from genre g");
+  ExpectSameResults("select distinct count(*) from genre group by genre");
+  // ORDER BY over input columns, a select-item alias (grouped and not) and
+  // LIMIT, on unique keys.
+  ExpectSameResults("select title, year from movie order by year desc, mid asc",
+                    /*ordered=*/true);
+  ExpectSameResults(
+      "select title, duration len from movie order by len desc, title asc",
+      /*ordered=*/true);
+  ExpectSameResults(
+      "select genre, count(*) n from genre group by genre "
+      "order by n desc, genre asc",
+      /*ordered=*/true);
+  ExpectSameResults("select title from movie order by mid desc limit 5",
+                    /*ordered=*/true);
+  ExpectSameResults("select distinct genre from genre order by genre limit 3",
+                    /*ordered=*/true);
+  ExpectSameResults(
+      "select genre, count(*) n from genre group by genre "
+      "order by genre asc limit 4",
+      /*ordered=*/true);
+}
+
+TEST_F(DifferentialTest, EdgesInternalToTheJoinedRows) {
+  // Two edges between one pair of sources: the second is a filter at the
+  // step that joins the pair.
+  ExpectSameResults(
+      "select g1.genre, g2.mid from genre g1, genre g2 "
+      "where g1.mid = g2.mid and g1.genre = g2.genre");
+  ExpectSameResults(
+      "select m.title from movie m, directed d "
+      "where m.mid = d.mid and m.mid = d.did");
+  // A three-source edge cycle: the third edge closes at the last join.
+  ExpectSameResults(
+      "select m.title, g.genre from movie m, genre g, directed d "
+      "where m.mid = g.mid and g.mid = d.mid and d.mid = m.mid "
+      "and m.year >= 1980");
+  // A cross product followed by a join into the product's rows.
+  ExpectSameResults(
+      "select d.name, g.genre, m.title from director d, genre g, movie m "
+      "where g.mid = m.mid and d.did <= 2 and g.genre = 'musical'");
 }
 
 }  // namespace

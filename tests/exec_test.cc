@@ -162,6 +162,10 @@ TEST_F(ExecutorTest, Distinct) {
   auto rows = Run("select distinct genre from genre");
   ASSERT_TRUE(rows.ok());
   EXPECT_EQ(rows->num_rows(), 3u);
+  // Over groups too: the genre counts are 3, 1 and 1.
+  auto counts = Run("select distinct count(*) from genre group by genre");
+  ASSERT_TRUE(counts.ok()) << counts.status();
+  EXPECT_EQ(counts->num_rows(), 2u);
 }
 
 TEST_F(ExecutorTest, GroupByCountHaving) {
@@ -253,6 +257,14 @@ TEST_F(ExecutorTest, UnknownTableAndColumnFail) {
 TEST_F(ExecutorTest, AmbiguousColumnFails) {
   EXPECT_FALSE(Run("select mid from movie, genre "
                    "where movie.mid = genre.mid").ok());
+  // A WHERE name fails when the conjuncts are classified, before the
+  // cross product is built.
+  Executor executor(&db_);
+  auto rows =
+      executor.ExecuteSql("select m.title from movie m, genre g where mid = 3");
+  ASSERT_FALSE(rows.ok());
+  EXPECT_EQ(rows.status().message(), "ambiguous column reference 'mid'");
+  EXPECT_EQ(executor.stats().rows_joined, 0u);
 }
 
 TEST_F(ExecutorTest, DuplicateAliasFails) {
@@ -322,6 +334,12 @@ TEST_F(ExecutorTest, OrderByOutputAliasOfComputedColumn) {
   ASSERT_TRUE(rows.ok()) << rows.status();
   ASSERT_EQ(rows->num_rows(), 4u);
   EXPECT_EQ(rows->row(0)[0], Value("Gamma"));  // duration 130
+  // Grouped ORDER BY reads the alias of an aggregate the same way.
+  auto grouped = Run(
+      "select genre, count(*) n from genre group by genre order by n desc");
+  ASSERT_TRUE(grouped.ok()) << grouped.status();
+  ASSERT_EQ(grouped->num_rows(), 3u);
+  EXPECT_EQ(grouped->row(0)[0], Value("comedy"));
 }
 
 TEST_F(ExecutorTest, LimitAppliesToAggregateOutput) {

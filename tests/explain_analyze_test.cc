@@ -17,9 +17,12 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "sql/parser.h"
+#include "test_support.h"
 
 namespace qp::exec {
 namespace {
+
+using test::AsSequence;
 
 constexpr size_t kThreadCounts[] = {1, 2, 8};
 
@@ -71,20 +74,6 @@ class ExplainAnalyzeTest : public ::testing::Test {
 storage::Database* ExplainAnalyzeTest::db_ = nullptr;
 
 /// Rows rendered to strings, preserving order.
-std::vector<std::string> AsSequence(const RowSet& rows) {
-  std::vector<std::string> out;
-  out.reserve(rows.num_rows());
-  for (const auto& row : rows.rows()) {
-    std::string key;
-    for (const auto& v : row) {
-      key += v.ToString();
-      key += '\x1f';
-    }
-    out.push_back(std::move(key));
-  }
-  return out;
-}
-
 TEST_F(ExplainAnalyzeTest, ExplainTextIsIdenticalAtEveryThreadCount) {
   for (const char* sql : kQueries) {
     std::optional<std::string> serial;

@@ -2,8 +2,10 @@
 // num_threads 1, 2 and 8 with a tiny morsel size (so even the 60-row movie
 // table splits into many concurrent morsels) and the three row *sequences*
 // must be byte-for-byte identical — order, ties and LIMIT cutoffs included.
-// SPJ results are additionally checked against the naive cross-product
-// reference, and ExecStats snapshots must be invariant in the thread count.
+// Results are additionally checked against the naive reference in
+// tests/test_support.h (SPJ as multisets; aggregate, DISTINCT and ORDER BY
+// queries as sequences), and ExecStats snapshots must be invariant in the
+// thread count.
 // Runs under TSan/ASan via the `sanitizer` CTest label.
 
 #include <gtest/gtest.h>
@@ -20,79 +22,16 @@
 #include "datagen/moviegen.h"
 #include "exec/executor.h"
 #include "sql/parser.h"
+#include "test_support.h"
 
 namespace qp::exec {
 namespace {
 
 using sql::SelectQuery;
-using storage::Row;
 using storage::Value;
-
-/// Rows rendered to strings, preserving order (sequence equality).
-std::vector<std::string> AsSequence(const RowSet& rows) {
-  std::vector<std::string> out;
-  out.reserve(rows.num_rows());
-  for (const auto& row : rows.rows()) {
-    std::string key;
-    for (const auto& v : row) {
-      key += v.ToString();
-      key += '\x1f';
-    }
-    out.push_back(std::move(key));
-  }
-  return out;
-}
-
-std::multiset<std::string> AsMultiset(const std::vector<std::string>& seq) {
-  return {seq.begin(), seq.end()};
-}
-
-/// The slow, obviously correct reference: full cross product + filter +
-/// project. Only supports plain SPJ blocks (no aggregates / subqueries).
-Result<std::vector<Row>> NaiveExecute(const storage::Database& db,
-                                      const SelectQuery& q) {
-  std::vector<const storage::Table*> tables;
-  std::vector<OutputColumn> combined_cols;
-  for (const auto& ref : q.from) {
-    QP_ASSIGN_OR_RETURN(const storage::Table* table, db.GetTable(ref.table));
-    tables.push_back(table);
-    for (const auto& col : table->schema().columns()) {
-      combined_cols.push_back({sql::TableRef{ref}.EffectiveAlias(), col.name});
-    }
-  }
-  Scope scope(combined_cols);
-  std::vector<Row> out;
-  for (const auto* t : tables) {
-    if (t->num_rows() == 0) return out;
-  }
-  std::vector<size_t> idx(tables.size(), 0);
-  while (true) {
-    Row combined;
-    for (size_t t = 0; t < tables.size(); ++t) {
-      const Row& r = tables[t]->row(idx[t]);
-      combined.insert(combined.end(), r.begin(), r.end());
-    }
-    bool pass = true;
-    if (q.where != nullptr) {
-      QP_ASSIGN_OR_RETURN(pass, EvalPredicate(*q.where, scope, combined));
-    }
-    if (pass) {
-      Row projected;
-      for (const auto& item : q.select) {
-        QP_ASSIGN_OR_RETURN(Value v, EvalScalar(*item.expr, scope, combined));
-        projected.push_back(std::move(v));
-      }
-      out.push_back(std::move(projected));
-    }
-    size_t t = tables.size();
-    while (t > 0) {
-      --t;
-      if (++idx[t] < tables[t]->num_rows()) break;
-      idx[t] = 0;
-      if (t == 0) return out;
-    }
-  }
-}
+using test::AsMultiset;
+using test::AsSequence;
+using test::NaiveExecute;
 
 constexpr size_t kThreadCounts[] = {1, 2, 8};
 
@@ -146,6 +85,16 @@ class ParallelExecTest : public ::testing::Test {
     return serial;
   }
 
+  /// Runs `sql` at every thread count and expects the naive reference's
+  /// row sequence (the query's order must not depend on ties).
+  void ExpectMatchesReference(const std::string& sql) {
+    auto parsed = sql::ParseQuery(sql);
+    ASSERT_TRUE(parsed.ok()) << sql;
+    auto slow = NaiveExecute(*db_, **parsed);
+    ASSERT_TRUE(slow.ok()) << sql << ": " << slow.status();
+    EXPECT_EQ(ExpectThreadCountInvariant(sql), AsSequence(*slow)) << sql;
+  }
+
   static storage::Database* db_;
 };
 
@@ -173,20 +122,25 @@ TEST_F(ParallelExecTest, HandWrittenQueriesAreThreadCountInvariant) {
       "(select g.mid from genre g where g.genre = 'drama') "
       "and movie.year >= 1980");
   // GROUP BY / HAVING / aggregate and its ORDER BY.
-  ExpectThreadCountInvariant(
+  ExpectMatchesReference(
       "select genre, count(*) as n from genre group by genre "
       "having count(*) >= 2 order by genre asc");
-  ExpectThreadCountInvariant(
+  ExpectMatchesReference(
       "select g.genre, count(*) n, min(m.year) y0, max(m.duration) d1 "
       "from movie m, genre g where m.mid = g.mid "
       "group by g.genre order by g.genre asc");
+  ExpectMatchesReference(
+      "select genre, count(*) n from genre group by genre "
+      "order by n desc, genre asc");
   // ORDER BY with heavy ties (year has duplicates): tie-break must not
   // depend on scheduling.
   ExpectThreadCountInvariant(
       "select title, year from movie order by year desc");
-  // DISTINCT + LIMIT (limit keeps the serial early-exit path).
-  ExpectThreadCountInvariant("select distinct genre from genre order by genre");
-  ExpectThreadCountInvariant(
+  // DISTINCT + LIMIT.
+  ExpectMatchesReference("select distinct genre from genre order by genre");
+  ExpectMatchesReference(
+      "select distinct count(*) n from genre group by genre order by n asc");
+  ExpectMatchesReference(
       "select title from movie order by year desc, title asc limit 7");
   EXPECT_TRUE(
       ExpectThreadCountInvariant("select distinct genre from genre limit 0")
@@ -215,16 +169,12 @@ TEST_F(ParallelExecTest, RandomSpjQueriesMatchNaiveReference) {
     }
     auto parsed = sql::ParseQuery(sql);
     ASSERT_TRUE(parsed.ok()) << sql;
-    auto slow = NaiveExecute(*db_, (*parsed)->single());
+    auto slow = NaiveExecute(*db_, **parsed);
     ASSERT_TRUE(slow.ok()) << sql << ": " << slow.status();
-    std::multiset<std::string> slow_set;
-    {
-      RowSet tmp;
-      for (auto& r : *slow) tmp.Add(std::move(r));
-      slow_set = AsMultiset(AsSequence(tmp));
-    }
     const auto seq = ExpectThreadCountInvariant(sql);
-    EXPECT_EQ(AsMultiset(seq), slow_set) << sql;
+    EXPECT_EQ(std::multiset<std::string>(seq.begin(), seq.end()),
+              AsMultiset(*slow))
+        << sql;
   }
 }
 
@@ -253,7 +203,7 @@ TEST_F(ParallelExecTest, RandomAggregateQueriesAreThreadCountInvariant) {
               std::to_string(rng.UniformInt(60, 200));
         break;
     }
-    ExpectThreadCountInvariant(sql);
+    ExpectMatchesReference(sql);
   }
 }
 

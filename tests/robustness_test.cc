@@ -140,6 +140,11 @@ TEST(ExecutorRobustnessTest, HostileQueriesFailCleanly) {
       "select title from movie group by",               // truncated
       "select title from movie order by",               // truncated
       "select (select mid from movie) from movie",      // subquery in select
+      // Unknown or ambiguous WHERE names fail whether or not a row would
+      // reach them.
+      "select title from movie where year > 0 or nosuch = 1",
+      "select title from movie where nosuch = 1 and movie.mid = -1",
+      "select m.title from movie m, genre g where mid = g.mid",
   };
   for (const char* sql : bad) {
     auto result = executor.ExecuteSql(sql);
