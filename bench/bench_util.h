@@ -15,6 +15,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/string_util.h"
 #include "datagen/moviegen.h"
 #include "datagen/profilegen.h"
 
@@ -91,7 +92,7 @@ class BenchReport {
     config_.emplace_back(key, JsonNumber(value));
   }
   void Config(const std::string& key, const std::string& value) {
-    config_.emplace_back(key, JsonString(value));
+    config_.emplace_back(key, JsonQuote(value));
   }
 
   /// Starts a new data point; subsequent Metric() calls attach to it.
@@ -100,7 +101,7 @@ class BenchReport {
     points_.back().emplace_back(key, JsonNumber(value));
   }
   void Metric(const std::string& key, const std::string& value) {
-    points_.back().emplace_back(key, JsonString(value));
+    points_.back().emplace_back(key, JsonQuote(value));
   }
 
   /// Writes BENCH_<name>.json and prints its path. Returns false (with a
@@ -120,7 +121,7 @@ class BenchReport {
       return false;
     }
     std::string out = "{\"bench\":";
-    out += JsonString(name_);
+    out += JsonQuote(name_);
     out += ",\"config\":";
     AppendObject(config_, out);
     out += ",\"points\":[";
@@ -160,7 +161,7 @@ class BenchReport {
       }
       ::pclose(pipe);
     }
-    config_.emplace_back("git_sha", JsonString(sha));
+    config_.emplace_back("git_sha", JsonQuote(sha));
 
     char stamp[sizeof("1970-01-01T00:00:00Z")] = "unknown";
     const std::time_t now = std::time(nullptr);
@@ -168,31 +169,13 @@ class BenchReport {
     if (gmtime_r(&now, &utc) != nullptr) {
       std::strftime(stamp, sizeof(stamp), "%Y-%m-%dT%H:%M:%SZ", &utc);
     }
-    config_.emplace_back("generated_utc", JsonString(stamp));
+    config_.emplace_back("generated_utc", JsonQuote(stamp));
 
     char host[256] = {};
     if (::gethostname(host, sizeof(host) - 1) != 0) {
       std::snprintf(host, sizeof(host), "unknown");
     }
-    config_.emplace_back("hostname", JsonString(host));
-  }
-
-  static std::string JsonString(const std::string& s) {
-    std::string out = "\"";
-    for (char c : s) {
-      if (c == '"' || c == '\\') {
-        out += '\\';
-        out += c;
-      } else if (static_cast<unsigned char>(c) < 0x20) {
-        char buf[8];
-        std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-        out += buf;
-      } else {
-        out += c;
-      }
-    }
-    out += '"';
-    return out;
+    config_.emplace_back("hostname", JsonQuote(host));
   }
 
   static std::string JsonNumber(double v) {
@@ -205,7 +188,7 @@ class BenchReport {
     out += '{';
     for (size_t i = 0; i < fields.size(); ++i) {
       if (i > 0) out += ',';
-      out += JsonString(fields[i].first);
+      out += JsonQuote(fields[i].first);
       out += ':';
       out += fields[i].second;
     }

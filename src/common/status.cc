@@ -54,11 +54,6 @@ const char* StatusCodeName(StatusCode code) {
   return "Unknown";
 }
 
-bool IsRetryable(StatusCode code) {
-  return code == StatusCode::kExecution || code == StatusCode::kInternal ||
-         code == StatusCode::kOverloaded;
-}
-
 bool IsCancellation(StatusCode code) {
   return code == StatusCode::kDeadlineExceeded ||
          code == StatusCode::kCancelled;

@@ -35,30 +35,20 @@ enum class StatusCode {
   /// relation without a single-column primary key).
   kUnsupported,
   /// The serving layer refused admission: every queue slot for the target
-  /// shard is taken. Retryable — back off and resubmit; the scheduler
-  /// itself never retries admission (that would amplify the overload).
+  /// shard is taken. Back off and resubmit; the scheduler itself never
+  /// retries admission (that would amplify the overload).
   kOverloaded,
   /// The request's deadline passed before (or while) it executed. PPA
   /// converts an expiring deadline into a partial answer instead whenever a
   /// progressive prefix exists; this code surfaces when it cannot.
   kDeadlineExceeded,
-  /// The caller cooperatively cancelled the request (CancelToken). Not
-  /// retryable: the caller asked for the work to stop.
+  /// The caller cooperatively cancelled the request (CancelToken): the
+  /// caller asked for the work to stop.
   kCancelled,
 };
 
 /// Returns a stable human-readable name for a StatusCode.
 const char* StatusCodeName(StatusCode code);
-
-/// True for failures a serving layer may transparently retry (engine-side /
-/// transient: kExecution, kInternal) or a *client* may retry after backing
-/// off (kOverloaded — the scheduler never retries its own admission
-/// rejections); false for caller bugs (bad query, options or profile) where
-/// a retry would deterministically fail again, and for kDeadlineExceeded /
-/// kCancelled, where the caller asked for the work to stop. OK is not
-/// retryable. This is the contract qp::serve uses to map failures without
-/// string-matching messages.
-bool IsRetryable(StatusCode code);
 
 /// True for the two cooperative-interruption codes (kDeadlineExceeded,
 /// kCancelled): "the work was stopped", as opposed to "the work failed".
@@ -138,8 +128,6 @@ class Status {
   }
 
   bool ok() const { return code_ == StatusCode::kOk; }
-  /// See qp::IsRetryable(StatusCode).
-  bool IsRetryable() const { return ::qp::IsRetryable(code_); }
   StatusCode code() const { return code_; }
   const std::string& message() const { return message_; }
 

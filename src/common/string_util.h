@@ -2,6 +2,7 @@
 
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -31,5 +32,13 @@ bool StartsWith(std::string_view s, std::string_view prefix);
 
 /// Formats a double compactly (up to `precision` digits, no trailing zeros).
 std::string FormatDouble(double v, int precision = 6);
+
+/// 64-bit FNV-1a of `s`: the same value in every process and run, which
+/// query fingerprints and scheduler shard assignment rely on.
+uint64_t Fnv1a64(std::string_view s);
+
+/// `s` as a JSON string literal: quotes, backslashes and every byte below
+/// 0x20 escaped, as RFC 8259 requires.
+std::string JsonQuote(std::string_view s);
 
 }  // namespace qp

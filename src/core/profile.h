@@ -160,8 +160,8 @@ class UserProfile {
   /// constructed (or parsed/loaded) profile, inherited by copies and
   /// moves. Epochs and journals of two different lineages are
   /// incomparable even when the numbers happen to align — qp::serve
-  /// treats a lineage change (wholesale profile replacement through
-  /// mutable_profile()) as beyond repair and rebuilds.
+  /// treats a lineage change (a Session::Mutate that assigns a whole new
+  /// profile) as beyond repair and rebuilds.
   uint64_t lineage() const { return lineage_; }
 
   /// The exact mutations that advanced epoch() past `since_epoch`, oldest

@@ -10,15 +10,23 @@ using sql::ExprKind;
 using sql::ExprPtr;
 using storage::Value;
 
+namespace {
+
+/// Whether `column` is what `qualifier.name` names (an empty qualifier
+/// matches any).
+bool Names(const OutputColumn& column, const std::string& qualifier,
+           const std::string& name) {
+  return EqualsIgnoreCase(column.name, name) &&
+         (qualifier.empty() || EqualsIgnoreCase(column.qualifier, qualifier));
+}
+
+}  // namespace
+
 Result<size_t> Scope::Resolve(const std::string& qualifier,
                               const std::string& name) const {
   int found = -1;
   for (size_t i = 0; i < columns_.size(); ++i) {
-    if (!EqualsIgnoreCase(columns_[i].name, name)) continue;
-    if (!qualifier.empty() &&
-        !EqualsIgnoreCase(columns_[i].qualifier, qualifier)) {
-      continue;
-    }
+    if (!Names(columns_[i], qualifier, name)) continue;
     if (found >= 0) {
       return Status::InvalidArgument("ambiguous column reference '" +
                                      (qualifier.empty() ? name
@@ -33,6 +41,15 @@ Result<size_t> Scope::Resolve(const std::string& qualifier,
                             "'");
   }
   return static_cast<size_t>(found);
+}
+
+size_t Scope::Count(const std::string& qualifier,
+                    const std::string& name) const {
+  size_t n = 0;
+  for (const OutputColumn& column : columns_) {
+    if (Names(column, qualifier, name)) ++n;
+  }
+  return n;
 }
 
 Result<size_t> Scope::ResolveColumn(const Expr& column_ref) const {

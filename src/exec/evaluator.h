@@ -27,6 +27,11 @@ class Scope {
   Result<size_t> Resolve(const std::string& qualifier,
                          const std::string& name) const;
 
+  /// How many columns `qualifier.name` names; Resolve succeeds exactly
+  /// when this is 1. Lets a caller with a fallback probe a name without
+  /// originating an error Status.
+  size_t Count(const std::string& qualifier, const std::string& name) const;
+
   /// Resolves a kColumnRef expression. Resolutions are memoized per scope
   /// instance (expression nodes are immutable), which matters when the same
   /// predicate is evaluated over many rows.

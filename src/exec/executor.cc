@@ -122,7 +122,7 @@ struct SelectPlan {
   /// The greedy join order: the start source, then one step per other.
   size_t start = 0;
   std::vector<JoinStep> steps;
-  /// The select list, '*' expanded over the joined columns.
+  /// The select list, '*' expanded over the FROM columns.
   std::vector<sql::SelectItem> items;
 };
 
@@ -231,12 +231,9 @@ index::AccessPath ChooseAccessPath(const Source& src,
                                    const index::IndexCatalog& catalog,
                                    const ExecOptions& options) {
   index::AccessPath path;
+  // A path is taken only when its estimate is strictly below num_rows:
+  // whenever the predicate is estimated to exclude anything.
   const size_t num_rows = src.base->num_rows();
-  // Paths are taken only when estimated strictly below this many rows;
-  // the default threshold of 1.0 probes whenever the predicate is
-  // estimated to exclude anything.
-  const size_t path_limit = static_cast<size_t>(
-      options.index_selectivity_threshold * static_cast<double>(num_rows));
   // An equality atom wins outright (PPA's per-tuple point probes). Without
   // one, range atoms (elastic preferences translate to them) combine into
   // the tightest bounds per column, and the most selective column wins.
@@ -292,7 +289,7 @@ index::AccessPath ChooseAccessPath(const Source& src,
       path.estimated_rows =
           index::ExactEqCount(*src.base, *eq_col, eq_key, hash.get());
     }
-    if (path.estimated_rows < path_limit) {
+    if (path.estimated_rows < num_rows) {
       path.kind = index::AccessPath::Kind::kHashProbe;
       path.col = *eq_col;
       path.column_name = src.columns[*eq_col].name;
@@ -328,7 +325,7 @@ index::AccessPath ChooseAccessPath(const Source& src,
     }
   }
   path.estimated_rows = best_count;
-  if (best_col.has_value() && best_count < path_limit) {
+  if (best_col.has_value()) {
     path.kind = index::AccessPath::Kind::kBTreeRange;
     path.col = *best_col;
     path.column_name = src.columns[*best_col].name;
@@ -447,6 +444,50 @@ std::vector<Row> CrossProduct(const std::vector<Row>& left,
     }
   }
   return out;
+}
+
+/// What each ORDER BY key sorts by, decided before any row is read: a name
+/// is an input column, else a select-item alias; an integer literal is a
+/// 1-based select-list position; any other key is evaluated as written,
+/// and every column it names must resolve.
+Result<std::vector<const Expr*>> ResolveOrderKeys(
+    const SelectQuery& q, const std::vector<sql::SelectItem>& items,
+    const Scope& scope) {
+  std::vector<const Expr*> keys;
+  for (const sql::OrderItem& o : q.order_by) {
+    const Expr& key = *o.expr;
+    if (key.kind() == ExprKind::kLiteral && key.literal().is_int()) {
+      const int64_t position = key.literal().as_int();
+      if (position < 1 || static_cast<size_t>(position) > items.size()) {
+        return Status::InvalidArgument(
+            "ORDER BY position " + std::to_string(position) +
+            " is not in the select list (1.." + std::to_string(items.size()) +
+            ")");
+      }
+      keys.push_back(items[position - 1].expr.get());
+      continue;
+    }
+    if (key.kind() == ExprKind::kColumnRef &&
+        scope.Count(key.table(), key.column()) != 1) {
+      const auto alias =
+          std::find_if(items.begin(), items.end(), [&](const auto& item) {
+            return EqualsIgnoreCase(item.OutputName(), key.column());
+          });
+      if (alias != items.end()) {
+        keys.push_back(alias->expr.get());
+        continue;
+      }
+    }
+    Status status;
+    ForEachNode(o.expr, [&](const Expr& e) {
+      if (e.kind() == ExprKind::kColumnRef && status.ok()) {
+        status = scope.Resolve(e.table(), e.column()).status();
+      }
+    });
+    QP_RETURN_IF_ERROR(status);
+    keys.push_back(&key);
+  }
+  return keys;
 }
 
 constexpr char kPathHelp[] =
@@ -789,17 +830,15 @@ Result<SelectPlan> Executor::PlanSelect(const SelectQuery& q,
   if (span != nullptr) RecordSourceSpans(plan, span);
   OrderJoins(&plan);
 
-  // Expand '*' over the joined columns, in join order.
-  std::vector<size_t> order = {plan.start};
-  for (const JoinStep& step : plan.steps) order.push_back(step.source);
+  // Expand '*' over every source's columns, in FROM order.
   for (const auto& item : q.select) {
     if (item.expr->kind() != ExprKind::kColumnRef ||
         item.expr->column() != "*") {
       plan.items.push_back(item);
       continue;
     }
-    for (size_t s : order) {
-      for (const auto& col : plan.sources[s].columns) {
+    for (const Source& src : plan.sources) {
+      for (const auto& col : src.columns) {
         plan.items.push_back(
             {Expr::Column(col.qualifier, col.name), col.name});
       }
@@ -1152,35 +1191,22 @@ Result<RowSet> Executor::Finish(
     return EvalScalar(e, row_scope, rows[i], &plan.subqueries,
                       aggregates != nullptr ? &(*aggregates)[i] : nullptr);
   };
-  // ORDER BY: a key is read as an input column first, then as a select-item
-  // alias. Sort keys fill per-row slots, so extraction is morsel-parallel;
-  // the stable sort stays serial and sees identical inputs either way.
+  // ORDER BY: each key's meaning is fixed once (ResolveOrderKeys). Sort
+  // keys fill per-row slots, so extraction is morsel-parallel; the stable
+  // sort stays serial and sees identical inputs either way.
   std::vector<size_t> order(rows.size());
   for (size_t i = 0; i < order.size(); ++i) order[i] = i;
   if (!q.order_by.empty()) {
+    QP_ASSIGN_OR_RETURN(const std::vector<const Expr*> keys,
+                        ResolveOrderKeys(q, plan.items, scope));
     std::vector<Row> sort_keys(rows.size());
     const auto morsels = MorselsFor(rows.size());
     QP_RETURN_IF_ERROR(ForEachMorsel(
         morsels.size(), scope,
         [&](size_t m, const Scope& row_scope) -> Status {
           for (size_t i = morsels[m].first; i < morsels[m].second; ++i) {
-            for (const auto& o : q.order_by) {
-              auto direct = eval(*o.expr, row_scope, i);
-              if (direct.ok()) {
-                sort_keys[i].push_back(std::move(direct).value());
-                continue;
-              }
-              const sql::SelectItem* alias = nullptr;
-              if (o.expr->kind() == ExprKind::kColumnRef) {
-                for (const auto& item : plan.items) {
-                  if (EqualsIgnoreCase(item.OutputName(), o.expr->column())) {
-                    alias = &item;
-                    break;
-                  }
-                }
-              }
-              if (alias == nullptr) return direct.status();
-              QP_ASSIGN_OR_RETURN(Value v, eval(*alias->expr, row_scope, i));
+            for (const Expr* key : keys) {
+              QP_ASSIGN_OR_RETURN(Value v, eval(*key, row_scope, i));
               sort_keys[i].push_back(std::move(v));
             }
           }

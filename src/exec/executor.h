@@ -93,11 +93,6 @@ struct ExecOptions {
   /// so the chosen plan, results and ExecStats are identical with any set
   /// of registered indexes.
   stats::StatsManager* stats = nullptr;
-  /// Access-path cutoff: a hash probe or B+-tree range path is taken only
-  /// when its estimated cardinality is strictly below this fraction of the
-  /// table's rows; otherwise the source full-scans. 1.0 probes whenever the
-  /// predicate is estimated to exclude anything.
-  double index_selectivity_threshold = 1.0;
 
   /// The parallelism degree these options resolve to.
   size_t parallelism() const {
@@ -116,8 +111,7 @@ struct ExecStats {
   size_t subqueries_materialized = 0;
   /// Access-path choices, one count per base source per query. The choice
   /// is LOGICAL — made from the query shape and cardinality estimates,
-  /// never from whether an index is registered (see
-  /// ExecOptions::index_selectivity_threshold) — so these stay identical
+  /// never from whether an index is registered — so these stay identical
   /// with indexes on or off and at every thread count, and belong in
   /// ExecStats where rows_examined (the physical counter) does not.
   size_t paths_scan = 0;   ///< full-scan sources

@@ -7,7 +7,6 @@
 #include <sys/types.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <cctype>
 #include <cerrno>
 #include <cstdio>
@@ -187,8 +186,8 @@ bool IntrospectionServer::Start(const Options& options, std::string* error) {
   listen_fd_.store(fd, std::memory_order_release);
 
   stopping_.store(false, std::memory_order_relaxed);
-  pool_ = std::make_unique<common::ThreadPool>(
-      std::max<size_t>(options.num_threads, 2), "introspect_pool");
+  pool_ = std::make_unique<common::ThreadPool>(kNumThreads,
+                                               "introspect_pool");
   running_ = true;
   pool_->Submit([this] { AcceptLoop(); });
   return true;

@@ -90,11 +90,11 @@ class IntrospectionServer {
     /// TCP port to bind on 127.0.0.1. 0 asks the kernel for an ephemeral
     /// port (read it back via port() — how tests avoid collisions).
     int port = 0;
-    /// Threads for accept + connection handling. The accept loop occupies
-    /// one permanently, so this must be >= 2 for the server to answer at
-    /// all; values below are raised to 2.
-    size_t num_threads = 4;
   };
+
+  /// Threads of the server's private pool: the accept loop occupies one
+  /// permanently, the rest handle connections concurrently.
+  static constexpr size_t kNumThreads = 4;
 
   using Handler = std::function<HttpResponse(const HttpRequest&)>;
 

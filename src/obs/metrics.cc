@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cstdio>
 
+#include "common/string_util.h"
+
 namespace qp::obs {
 
 namespace {
@@ -32,26 +34,6 @@ void SplitSeries(const std::string& name, std::string* base,
 std::string WithLabel(const std::string& labels, const std::string& extra) {
   if (labels.empty()) return "{" + extra + "}";
   return labels.substr(0, labels.size() - 1) + "," + extra + "}";
-}
-
-void AppendJsonString(const std::string& s, std::string* out) {
-  out->push_back('"');
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out->append("\\\"");
-        break;
-      case '\\':
-        out->append("\\\\");
-        break;
-      case '\n':
-        out->append("\\n");
-        break;
-      default:
-        out->push_back(c);
-    }
-  }
-  out->push_back('"');
 }
 
 }  // namespace
@@ -451,7 +433,7 @@ std::string MetricsRegistry::RenderJson() const {
   for (size_t i = 0; i < counters_.size(); ++i) {
     if (!first) out += ",";
     first = false;
-    AppendJsonString(counters_[i].name, &out);
+    out += JsonQuote(counters_[i].name);
     out += ":";
     out += std::to_string(counters_[i].counter->Value());
   }
@@ -460,7 +442,7 @@ std::string MetricsRegistry::RenderJson() const {
     if (!gauges_[i].as_counter) continue;
     if (!first) out += ",";
     first = false;
-    AppendJsonString(gauges_[i].name, &out);
+    out += JsonQuote(gauges_[i].name);
     out += ":";
     out += FormatDouble(gauges_[i].gauge->Value());
   }
@@ -470,14 +452,14 @@ std::string MetricsRegistry::RenderJson() const {
     if (gauges_[i].as_counter) continue;
     if (!first) out += ",";
     first = false;
-    AppendJsonString(gauges_[i].name, &out);
+    out += JsonQuote(gauges_[i].name);
     out += ":";
     out += FormatDouble(gauges_[i].gauge->Value());
   }
   out += "},\"histograms\":{";
   for (size_t i = 0; i < histograms_.size(); ++i) {
     if (i > 0) out += ",";
-    AppendJsonString(histograms_[i].name, &out);
+    out += JsonQuote(histograms_[i].name);
     Histogram::Snapshot snap = histograms_[i].histogram->snapshot();
     out += ":{\"count\":";
     out += std::to_string(snap.count);

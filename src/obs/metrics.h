@@ -127,8 +127,7 @@ class Histogram {
   /// therefore a LOWER bound on the true quantile whenever observations
   /// exceed bounds().back(); callers sizing buckets should make the last
   /// finite bound generous enough that the clamp is the rare case. This is
-  /// the estimator behind QueryLog's adaptive slow-query threshold and the
-  /// SlidingHistogram's windowed p50/p99.
+  /// the estimator behind the SlidingHistogram's windowed p50/p99.
   double Quantile(double p) const;
 
   /// The quantile estimate over an externally-merged snapshot with these

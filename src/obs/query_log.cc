@@ -1,27 +1,10 @@
 #include "obs/query_log.h"
 
 #include <cstdio>
-#include <limits>
 
 namespace qp::obs {
 
 namespace {
-
-/// FNV-1a over the fingerprint string, then a splitmix64 finalizer over the
-/// combination with the sequence number. Deterministic by construction —
-/// the sampling decision for request #n of a given query is the same on
-/// every run and at every thread count.
-uint64_t MixFingerprintSeq(const std::string& fingerprint, uint64_t seq) {
-  uint64_t h = 1469598103934665603ull;
-  for (unsigned char c : fingerprint) {
-    h ^= c;
-    h *= 1099511628211ull;
-  }
-  uint64_t z = h ^ (seq + 0x9e3779b97f4a7c15ull);
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-  return z ^ (z >> 31);
-}
 
 void AppendField(const char* key, const std::string& value,
                  std::string* out) {
@@ -72,7 +55,6 @@ std::string QueryLogRecord::AnswerIdentityString() const {
   AppendField("scheduled", scheduled, &out);
   AppendField("lane", lane, &out);
   AppendField("shard", static_cast<uint64_t>(shard), &out);
-  AppendField("sampled", sampled, &out);
   return out;
 }
 
@@ -107,14 +89,11 @@ std::string QueryLogRecord::DeterministicString() const {
   AppendField("scheduled", scheduled, &out);
   AppendField("lane", lane, &out);
   AppendField("shard", static_cast<uint64_t>(shard), &out);
-  AppendField("sampled", sampled, &out);
   return out;
 }
 
 std::string QueryLogRecord::ToString() const {
   std::string out = DeterministicString();
-  AppendField("slow", slow, &out);
-  AppendField("attempt", static_cast<uint64_t>(attempt), &out);
   AppendSeconds("queue_seconds", queue_seconds, &out);
   AppendSeconds("total_seconds", total_seconds, &out);
   AppendSeconds("state_seconds", state_seconds, &out);
@@ -125,50 +104,9 @@ std::string QueryLogRecord::ToString() const {
   return out;
 }
 
-QueryLog::QueryLog() : QueryLog(Options()) {}
-
-QueryLog::QueryLog(Options options)
-    : options_(options),
-      latency_(DefaultLatencyBuckets()),
-      ring_(options.capacity) {}
-
-bool QueryLog::WouldSample(const std::string& fingerprint,
-                           uint64_t seq) const {
-  if (options_.sample_rate >= 1.0) return true;
-  if (options_.sample_rate <= 0.0) return false;
-  // Top 53 bits -> uniform double in [0, 1).
-  const double u = static_cast<double>(MixFingerprintSeq(fingerprint, seq) >>
-                                       11) *
-                   0x1.0p-53;
-  return u < options_.sample_rate;
-}
-
-double QueryLog::SlowThreshold() const {
-  if (options_.slow_seconds.has_value()) {
-    // <= 0 means "never slow" (the caller disabled the always-keep path).
-    return *options_.slow_seconds > 0.0
-               ? *options_.slow_seconds
-               : std::numeric_limits<double>::infinity();
-  }
-  const auto snap = latency_.snapshot();
-  if (snap.count < options_.adaptive_min_count) {
-    return std::numeric_limits<double>::infinity();
-  }
-  return latency_.Quantile(options_.adaptive_quantile);
-}
-
-bool QueryLog::Record(QueryLogRecord record) {
+void QueryLog::Record(QueryLogRecord record) {
   record.seq = seen_.fetch_add(1, std::memory_order_relaxed);
-  // Threshold is read BEFORE this request's latency is observed, so a
-  // request never raises the bar it is itself judged against.
-  const double threshold = SlowThreshold();
-  latency_.Observe(record.total_seconds);
-  record.sampled = WouldSample(record.fingerprint, record.seq);
-  record.slow = record.total_seconds >= threshold;
-  if (!record.sampled && !record.slow) return false;
-  retained_.fetch_add(1, std::memory_order_relaxed);
   ring_.Append(std::move(record));
-  return true;
 }
 
 std::vector<QueryLogRecord> QueryLog::Snapshot() const {
@@ -178,7 +116,6 @@ std::vector<QueryLogRecord> QueryLog::Snapshot() const {
 std::string QueryLog::Dump() const {
   const std::vector<QueryLogRecord> records = Snapshot();
   std::string out = "query log: seen=" + std::to_string(seen()) +
-                    " retained=" + std::to_string(retained()) +
                     " showing=" + std::to_string(records.size()) + "\n";
   for (const auto& record : records) {
     out += record.ToString();

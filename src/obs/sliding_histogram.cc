@@ -158,14 +158,11 @@ double SlidingHistogram::WindowQuantile(double window_seconds,
 // SloTracker
 
 SloTracker::SloTracker(Options options)
-    : options_(std::move(options)),
-      window_total_(options_.slice_seconds, options_.num_slices,
-                    options_.clock),
-      window_good_(options_.slice_seconds, options_.num_slices,
-                   options_.clock) {}
+    : window_total_(kSliceSeconds, kNumSlices, options.clock),
+      window_good_(kSliceSeconds, kNumSlices, options.clock) {}
 
 void SloTracker::Record(double latency_seconds) {
-  const bool good = latency_seconds < options_.threshold_seconds;
+  const bool good = latency_seconds < kThresholdSeconds;
   window_total_.Add(1);
   total_.Increment();
   if (good) {
@@ -188,8 +185,7 @@ SloTracker::Window SloTracker::Snapshot(double window_seconds) const {
   w.good = std::min(w.good, w.total);
   w.attainment =
       w.total == 0 ? 1.0 : static_cast<double>(w.good) / w.total;
-  const double budget = 1.0 - options_.objective;
-  w.burn_rate = budget > 0 ? (1.0 - w.attainment) / budget : 0.0;
+  w.burn_rate = (1.0 - w.attainment) / (1.0 - kObjective);
   return w;
 }
 
@@ -201,7 +197,7 @@ std::string SloTracker::Describe() const {
                 "slo target=latency<%.1fms objective=%.2f%% | "
                 "1m: %llu/%llu good attainment=%.4f burn=%.2f | "
                 "5m: %llu/%llu good attainment=%.4f burn=%.2f",
-                options_.threshold_seconds * 1e3, options_.objective * 100.0,
+                kThresholdSeconds * 1e3, kObjective * 100.0,
                 static_cast<unsigned long long>(w1.good),
                 static_cast<unsigned long long>(w1.total), w1.attainment,
                 w1.burn_rate, static_cast<unsigned long long>(w5.good),

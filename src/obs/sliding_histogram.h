@@ -122,9 +122,9 @@ class SlidingHistogram {
 
 /// \brief Windowed SLO attainment + burn rate against a latency target.
 ///
-/// The objective reads "`objective` of requests complete within
-/// `threshold_seconds`" — e.g. {0.5s, 0.99} is "p99 personalize < 500ms,
-/// 99% of requests". Record(latency) classifies one request; RecordBad()
+/// The objective reads "kObjective of requests complete within
+/// kThresholdSeconds": 99% of personalize calls under 500 ms.
+/// Record(latency) classifies one request; RecordBad()
 /// counts a request that never produced a latency (shed, expired in queue)
 /// as a violation. Attainment over a window is good/total (1.0 when the
 /// window is empty — no traffic is not a violation); burn rate is
@@ -132,11 +132,13 @@ class SlidingHistogram {
 /// 1.0 burns the budget exactly at the objective's rate, >1 is an alert.
 class SloTracker {
  public:
+  static constexpr double kThresholdSeconds = 0.5;
+  static constexpr double kObjective = 0.99;
+  /// 60 x 5s slices: the 5m window, with 1m as the last 12.
+  static constexpr double kSliceSeconds = 5.0;
+  static constexpr size_t kNumSlices = 60;
+
   struct Options {
-    double threshold_seconds = 0.5;
-    double objective = 0.99;  ///< in (0, 1)
-    double slice_seconds = 5.0;
-    size_t num_slices = 60;   ///< 60 x 5s = the 5m window, 1m = last 12
     std::function<double()> clock = MonotonicClock;
   };
 
@@ -159,13 +161,11 @@ class SloTracker {
   /// shell command's rendering.
   std::string Describe() const;
 
-  const Options& options() const { return options_; }
   /// Cumulative (non-windowed) totals since construction.
   uint64_t total() const { return total_.Value(); }
   uint64_t good() const { return good_.Value(); }
 
  private:
-  Options options_;
   SlidingCounter window_total_;
   SlidingCounter window_good_;
   Counter total_;

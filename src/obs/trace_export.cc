@@ -5,38 +5,11 @@
 #include <utility>
 #include <vector>
 
+#include "common/string_util.h"
+
 namespace qp::obs {
 
 namespace {
-
-void AppendJsonString(const std::string& s, std::string* out) {
-  out->push_back('"');
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out->append("\\\"");
-        break;
-      case '\\':
-        out->append("\\\\");
-        break;
-      case '\n':
-        out->append("\\n");
-        break;
-      case '\t':
-        out->append("\\t");
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out->append(buf);
-        } else {
-          out->push_back(c);
-        }
-    }
-  }
-  out->push_back('"');
-}
 
 /// Microseconds with sub-microsecond precision; Chrome accepts fractional
 /// ts/dur.
@@ -82,46 +55,20 @@ class Exporter {
     return duration;
   }
 
-  /// Lays out the children of `root` sequentially from ts 0 on tid 0
-  /// without emitting the root itself.
-  void LayoutChildrenOnly(const TraceSpan& root) {
-    double cursor = 0.0;
-    UseTid(0, "main");
-    size_t i = 0;
-    while (i < root.num_children()) {
-      const TraceSpan& child = root.child(i);
-      if (child.track() == 0) {
-        cursor += Layout(child, cursor, 0);
-        ++i;
-        continue;
-      }
-      double run_extent = 0.0;
-      while (i < root.num_children() && root.child(i).track() > 0) {
-        const TraceSpan& slot = root.child(i);
-        const int slot_tid = next_tid_++;
-        UseTid(slot_tid, "slot " + std::to_string(slot.track()));
-        run_extent = std::max(run_extent, Layout(slot, cursor, slot_tid));
-        ++i;
-      }
-      cursor += run_extent;
-    }
-  }
-
   std::string Finish() {
     std::string out = "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
     bool first = true;
     // Metadata first: process name, then one thread_name per tid used.
     std::string meta = "{\"ph\":\"M\",\"pid\":1,\"tid\":0,"
                        "\"name\":\"process_name\",\"args\":{\"name\":";
-    AppendJsonString(options_.process_name, &meta);
+    meta += JsonQuote(options_.process_name);
     meta += "}}";
     Append(std::move(meta), &first, &out);
     for (const auto& [tid, name] : tids_) {
       std::string event = "{\"ph\":\"M\",\"pid\":1,\"tid\":" +
                           std::to_string(tid) +
                           ",\"name\":\"thread_name\",\"args\":{\"name\":";
-      AppendJsonString(name.empty() ? "track " + std::to_string(tid) : name,
-                       &event);
+      event += JsonQuote(name.empty() ? "track " + std::to_string(tid) : name);
       event += "}}";
       Append(std::move(event), &first, &out);
     }
@@ -142,14 +89,14 @@ class Exporter {
     std::string event = "{\"ph\":\"X\",\"pid\":1,\"tid\":" +
                         std::to_string(tid) + ",\"ts\":" + FormatMicros(ts) +
                         ",\"dur\":" + FormatMicros(dur) + ",\"name\":";
-    AppendJsonString(span.name(), &event);
-    if (options_.include_attrs && !span.attrs().empty()) {
+    event += JsonQuote(span.name());
+    if (!span.attrs().empty()) {
       event += ",\"args\":{";
       for (size_t i = 0; i < span.attrs().size(); ++i) {
         if (i > 0) event += ",";
-        AppendJsonString(span.attrs()[i].first, &event);
+        event += JsonQuote(span.attrs()[i].first);
         event += ":";
-        AppendJsonString(span.attrs()[i].second, &event);
+        event += JsonQuote(span.attrs()[i].second);
       }
       event += "}";
     }
@@ -174,11 +121,7 @@ class Exporter {
 std::string TraceToChromeJson(const TraceSpan& root,
                               const ChromeTraceOptions& options) {
   Exporter exporter(options);
-  if (options.skip_root) {
-    exporter.LayoutChildrenOnly(root);
-  } else {
-    exporter.Layout(root, 0.0, 0);
-  }
+  exporter.Layout(root, 0.0, 0);
   return exporter.Finish();
 }
 

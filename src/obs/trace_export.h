@@ -4,7 +4,8 @@
 // Chrome trace-event format ({"traceEvents": [...], "displayTimeUnit":
 // "ms"}), loadable in Perfetto (ui.perfetto.dev) or chrome://tracing. Each
 // span becomes one complete ("ph":"X") event with microsecond ts/dur;
-// process and thread names are emitted as "M" metadata events.
+// process and thread names are emitted as "M" metadata events, and span
+// attributes as each event's "args" object.
 //
 // TraceSpans record only durations, not absolute timestamps (by design —
 // wall-clock starts would break the cross-thread-count determinism
@@ -28,11 +29,6 @@ namespace qp::obs {
 struct ChromeTraceOptions {
   /// Value of the process_name metadata event.
   std::string process_name = "qp";
-  /// Emit span attributes as the event's "args" object.
-  bool include_attrs = true;
-  /// Skip the root span itself and lay out its children at ts 0 — the
-  /// usual case when the root is a synthetic per-call wrapper.
-  bool skip_root = false;
 };
 
 /// Renders `root` as Chrome trace-event JSON (object form). Always valid

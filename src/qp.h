@@ -10,7 +10,7 @@
 //   qp::serve::Scheduler          async admission-controlled request queue
 //                                 (lanes, deadlines, partial answers)
 //   qp::Status / qp::Result<T>    error handling (Status codes classify
-//                                 caller bugs vs retryable failures)
+//                                 caller bugs, overload and interruption)
 //
 // plus the supporting vocabulary types they expose: UserProfile, DoiPair,
 // RankingFunction, DescriptorRegistry, SelectQuery / ParseQuery, the

@@ -1,9 +1,10 @@
 #include "serve/scheduler.h"
 
-#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <utility>
+
+#include "common/string_util.h"
 
 namespace qp::serve {
 
@@ -15,23 +16,21 @@ double SecondsSince(const Clock::time_point& t0) {
   return std::chrono::duration<double>(Clock::now() - t0).count();
 }
 
-/// FNV-1a — same family the query-log sampler and fingerprints use, so a
-/// user's shard is stable across processes and runs.
-uint64_t HashUser(const std::string& user_id) {
-  uint64_t h = 1469598103934665603ull;
-  for (unsigned char c : user_id) {
-    h ^= c;
-    h *= 1099511628211ull;
-  }
-  return h;
-}
+/// Fraction of a request's deadline handed to execution; the rest is
+/// slack for the cooperative cut to reach a checkpoint and finish, so
+/// admitted requests COMPLETE (possibly partial) inside the caller's
+/// deadline instead of overshooting it by one PPA round.
+constexpr double kDeadlineMargin = 0.85;
 
-uint64_t SplitMix64(uint64_t& state) {
-  uint64_t z = (state += 0x9e3779b97f4a7c15ull);
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-  return z ^ (z >> 31);
-}
+/// Weighted round-robin dispatch credits per lane, indexed by Lane. Every
+/// weight is >= 1, so no lane can starve.
+constexpr std::array<size_t, kNumLanes> kLaneWeights = {4, 2, 1};
+
+/// The "scheduler" /healthz source reports unhealthy while more than this
+/// fraction of the arrivals over the trailing window was shed with
+/// kOverloaded.
+constexpr double kHealthzMaxShedRate = 0.5;
+constexpr double kHealthzWindowSeconds = 60.0;
 
 /// The scheduler's counters, one row each, in Scheduler::SchedCounter
 /// order. SchedulerStats::max_queue_depth is a high-water mark, not a
@@ -51,9 +50,6 @@ constexpr obs::CounterRow<SchedulerStats, uint64_t> kCounterTable[] = {
     {"qp_sched_deadline_cut_total",
      "Requests that completed with a partial (deadline-cut) answer",
      &SchedulerStats::deadline_cut},
-    {"qp_sched_retries_total",
-     "Re-execution attempts after retryable failures",
-     &SchedulerStats::retries},
     {"qp_sched_completed_total", "Requests finished OK (incl. partial)",
      &SchedulerStats::completed},
     {"qp_sched_failed_total", "Requests finished with a non-OK status",
@@ -104,11 +100,6 @@ Scheduler::Scheduler(ServingContext* ctx, Options options)
     : ctx_(ctx), options_(options) {
   if (options_.num_shards == 0) options_.num_shards = 1;
   if (options_.shard_queue_capacity == 0) options_.shard_queue_capacity = 1;
-  if (options_.max_attempts == 0) options_.max_attempts = 1;
-  if (options_.deadline_margin <= 0.0 || options_.deadline_margin > 1.0) {
-    options_.deadline_margin = 1.0;
-  }
-  for (size_t& w : options_.lane_weights) w = std::max<size_t>(w, 1);
 
   obs::MetricsRegistry* metrics = ctx_->metrics();
   static_assert(std::size(kCounterTable) == kNumCounters);
@@ -137,32 +128,26 @@ Scheduler::Scheduler(ServingContext* ctx, Options options)
   }
 
   // Trailing shed-rate window for /healthz: 12 slices covering the
-  // configured window, on the context's clock so an injected test clock
-  // drives it too.
-  const double window =
-      options_.healthz_window_seconds > 0.0 ? options_.healthz_window_seconds
-                                            : 60.0;
-  options_.healthz_window_seconds = window;
+  // window, on the context's clock so an injected test clock drives it too.
   window_admitted_ = std::make_unique<obs::SlidingCounter>(
-      window / 12.0, 12, ctx_->clock());
+      kHealthzWindowSeconds / 12.0, 12, ctx_->clock());
   window_shed_ = std::make_unique<obs::SlidingCounter>(
-      window / 12.0, 12, ctx_->clock());
+      kHealthzWindowSeconds / 12.0, 12, ctx_->clock());
   health_id_ = ctx_->AddHealthSource("scheduler", [this] {
-    const uint64_t shed = window_shed_->WindowTotal(
-        options_.healthz_window_seconds);
-    const uint64_t admitted = window_admitted_->WindowTotal(
-        options_.healthz_window_seconds);
+    const uint64_t shed = window_shed_->WindowTotal(kHealthzWindowSeconds);
+    const uint64_t admitted =
+        window_admitted_->WindowTotal(kHealthzWindowSeconds);
     const uint64_t total = shed + admitted;
     if (total == 0) return std::string();
     const double rate =
         static_cast<double>(shed) / static_cast<double>(total);
-    if (rate <= options_.healthz_max_shed_rate) return std::string();
+    if (rate <= kHealthzMaxShedRate) return std::string();
     char buf[128];
     std::snprintf(buf, sizeof(buf),
                   "shedding %.0f%% of arrivals over the last %.0fs "
                   "(threshold %.0f%%)",
-                  rate * 100.0, options_.healthz_window_seconds,
-                  options_.healthz_max_shed_rate * 100.0);
+                  rate * 100.0, kHealthzWindowSeconds,
+                  kHealthzMaxShedRate * 100.0);
     return std::string(buf);
   });
   health_registered_ = true;
@@ -170,8 +155,7 @@ Scheduler::Scheduler(ServingContext* ctx, Options options)
   shards_.reserve(options_.num_shards);
   for (size_t s = 0; s < options_.num_shards; ++s) {
     auto shard = std::make_unique<Shard>();
-    shard->credits = options_.lane_weights;
-    shard->rng_state = options_.seed ^ (0xd1b54a32d192ed03ull * (s + 1));
+    shard->credits = kLaneWeights;
     shards_.push_back(std::move(shard));
   }
   for (size_t s = 0; s < options_.num_shards; ++s) {
@@ -182,7 +166,7 @@ Scheduler::Scheduler(ServingContext* ctx, Options options)
 Scheduler::~Scheduler() { Shutdown(/*drain=*/true); }
 
 size_t Scheduler::ShardOf(const std::string& user_id) const {
-  return HashUser(user_id) % options_.num_shards;
+  return Fnv1a64(user_id) % options_.num_shards;
 }
 
 Result<std::shared_ptr<RequestHandle>> Scheduler::Submit(Request request) {
@@ -199,7 +183,7 @@ Result<std::shared_ptr<RequestHandle>> Scheduler::Submit(Request request) {
   handle->admitted_at_ = Clock::now();
   if (request.deadline_seconds > 0.0) {
     handle->token_.SetDeadlineAfter(request.deadline_seconds *
-                                    options_.deadline_margin);
+                                    kDeadlineMargin);
   }
   if (request.force_cut_round != std::numeric_limits<size_t>::max()) {
     handle->token_.ForceCutAtRound(request.force_cut_round);
@@ -273,7 +257,7 @@ size_t Scheduler::PickLane(Shard& shard) {
         return lane;
       }
     }
-    shard.credits = options_.lane_weights;
+    shard.credits = kLaneWeights;
   }
   // Unreachable while queued > 0, but keep a safe answer.
   for (size_t lane = 0; lane < kNumLanes; ++lane) {
@@ -298,24 +282,8 @@ void Scheduler::WorkerLoop(size_t shard_index) {
       if (stopping_.load(std::memory_order_acquire) &&
           !drain_.load(std::memory_order_acquire)) {
         // Cancel-shutdown: fail everything still queued, newest included.
-        std::array<std::deque<QueuedRequest>, kNumLanes> lanes;
-        lanes.swap(shard.lanes);
-        shard.queued = 0;
-        for (size_t lane = 0; lane < kNumLanes; ++lane) {
-          depth_gauges_[shard_index][lane]->Add(
-              -static_cast<double>(lanes[lane].size()));
-        }
         lock.unlock();
-        for (auto& lane : lanes) {
-          for (auto& queued : lane) {
-            Response r;
-            r.status = Status::Cancelled("scheduler shut down");
-            r.lane = queued.request.lane;
-            r.shard = shard_index;
-            r.queue_seconds = SecondsSince(queued.handle->admitted_at_);
-            FinishRequest(std::move(queued), std::move(r));
-          }
-        }
+        CancelQueued(shard_index);
         continue;
       }
       const size_t lane = PickLane(shard);
@@ -330,7 +298,6 @@ void Scheduler::WorkerLoop(size_t shard_index) {
 }
 
 void Scheduler::Execute(size_t shard_index, QueuedRequest&& item) {
-  Shard& shard = *shards_[shard_index];
   RequestHandle& handle = *item.handle;
   Response response;
   response.lane = item.request.lane;
@@ -368,70 +335,37 @@ void Scheduler::Execute(size_t shard_index, QueuedRequest&& item) {
     queue_span->AddAttr("shard", shard_index);
   }
 
-  const auto execute_start = Clock::now();
-  Status status = Status::OK();
-  for (size_t attempt = 0; attempt < options_.max_attempts; ++attempt) {
-    response.attempts = attempt + 1;
-    if (attempt > 0) Count(kRetries);
-
-    std::optional<Status> scripted;
-    if (item.request.intercept) scripted = item.request.intercept(attempt);
-    if (scripted.has_value()) {
-      status = std::move(*scripted);
-    } else {
-      // Shared ownership: the handle keeps the session alive even if the
-      // context's LRU cap evicts it mid-request.
-      std::shared_ptr<Session> session =
-          ctx_->AcquireSession(item.request.user_id);
-      if (session == nullptr) {
-        status = Status::NotFound("no session for user '" +
-                                  item.request.user_id + "'");
-      } else {
-        auto parsed = core::ParseSingleSelect(item.request.sql);
-        if (!parsed.ok()) {
-          status = parsed.status();
-        } else {
-          core::PersonalizeOptions opts = item.request.options;
-          opts.cancel = &handle.token_;
-          AdmissionInfo admission;
-          admission.lane = LaneName(item.request.lane);
-          admission.shard = shard_index;
-          admission.attempt = attempt;
-          admission.queue_seconds = response.queue_seconds;
-          auto result =
-              session->PersonalizeAdmitted(parsed.value(), opts, &admission);
-          if (result.ok()) {
-            response.partial = result.value().stats.partial;
-            response.answer = std::move(result).value();
-            status = Status::OK();
-          } else {
-            status = result.status();
-          }
-        }
+  const auto execute = [&]() -> Status {
+    if (item.request.intercept) {
+      if (std::optional<Status> scripted = item.request.intercept()) {
+        return std::move(*scripted);
       }
     }
-
-    if (status.ok() || !IsRetryable(status.code()) ||
-        attempt + 1 >= options_.max_attempts) {
-      break;
+    // Shared ownership: the handle keeps the session alive even if the
+    // context's LRU cap evicts it mid-request.
+    std::shared_ptr<Session> session =
+        ctx_->AcquireSession(item.request.user_id);
+    if (session == nullptr) {
+      return Status::NotFound("no session for user '" +
+                              item.request.user_id + "'");
     }
-    // Jittered exponential backoff. The jitter stream is per shard and
-    // seeded, so a single-shard test replays the same waits; the sleep
-    // aborts early only via the deadline check below.
-    double backoff = options_.retry_backoff_seconds *
-                     static_cast<double>(uint64_t{1} << std::min<size_t>(
-                                             attempt, 32)) *
-                     (0.5 + NextJitter(shard));
-    backoff = std::min(backoff, options_.max_backoff_seconds);
-    std::this_thread::sleep_for(std::chrono::duration<double>(backoff));
-    Status due = handle.token_.Check();
-    if (!due.ok()) {
-      status = std::move(due);
-      break;
-    }
-  }
+    QP_ASSIGN_OR_RETURN(sql::SelectQuery query,
+                        core::ParseSingleSelect(item.request.sql));
+    core::PersonalizeOptions opts = item.request.options;
+    opts.cancel = &handle.token_;
+    AdmissionInfo admission;
+    admission.lane = LaneName(item.request.lane);
+    admission.shard = shard_index;
+    admission.queue_seconds = response.queue_seconds;
+    QP_ASSIGN_OR_RETURN(response.answer,
+                        session->PersonalizeAdmitted(query, opts, &admission));
+    response.partial = response.answer->stats.partial;
+    return Status::OK();
+  };
+  const auto execute_start = Clock::now();
+  response.executed = true;
+  response.status = execute();
   response.execute_seconds = SecondsSince(execute_start);
-  response.status = std::move(status);
   FinishRequest(std::move(item), std::move(response));
 }
 
@@ -452,8 +386,28 @@ void Scheduler::FinishRequest(QueuedRequest&& item, Response&& response) {
   item.handle->Finish(std::move(response));
 }
 
-double Scheduler::NextJitter(Shard& shard) {
-  return static_cast<double>(SplitMix64(shard.rng_state) >> 11) * 0x1.0p-53;
+void Scheduler::CancelQueued(size_t shard_index) {
+  Shard& shard = *shards_[shard_index];
+  std::array<std::deque<QueuedRequest>, kNumLanes> lanes;
+  {
+    std::lock_guard<common::ProfiledMutex> lock(shard.mu);
+    lanes.swap(shard.lanes);
+    shard.queued = 0;
+    for (size_t lane = 0; lane < kNumLanes; ++lane) {
+      depth_gauges_[shard_index][lane]->Add(
+          -static_cast<double>(lanes[lane].size()));
+    }
+  }
+  for (auto& lane : lanes) {
+    for (auto& queued : lane) {
+      Response r;
+      r.status = Status::Cancelled("scheduler shut down");
+      r.lane = queued.request.lane;
+      r.shard = shard_index;
+      r.queue_seconds = SecondsSince(queued.handle->admitted_at_);
+      FinishRequest(std::move(queued), std::move(r));
+    }
+  }
 }
 
 void Scheduler::Shutdown(bool drain) {
@@ -478,28 +432,7 @@ void Scheduler::Shutdown(bool drain) {
   // A Submit racing Shutdown can slip a request in after its worker's
   // final empty-queue check; with the workers joined, fail any strays so
   // no handle waits forever.
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    std::array<std::deque<QueuedRequest>, kNumLanes> lanes;
-    {
-      std::lock_guard<common::ProfiledMutex> lock(shards_[s]->mu);
-      lanes.swap(shards_[s]->lanes);
-      shards_[s]->queued = 0;
-      for (size_t lane = 0; lane < kNumLanes; ++lane) {
-        depth_gauges_[s][lane]->Add(
-            -static_cast<double>(lanes[lane].size()));
-      }
-    }
-    for (auto& lane : lanes) {
-      for (auto& queued : lane) {
-        Response r;
-        r.status = Status::Cancelled("scheduler shut down");
-        r.lane = queued.request.lane;
-        r.shard = s;
-        r.queue_seconds = SecondsSince(queued.handle->admitted_at_);
-        FinishRequest(std::move(queued), std::move(r));
-      }
-    }
-  }
+  for (size_t s = 0; s < shards_.size(); ++s) CancelQueued(s);
 }
 
 SchedulerStats Scheduler::stats() const {

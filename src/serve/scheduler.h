@@ -6,14 +6,14 @@
 // sees concurrent scheduler calls, while distinct users spread across
 // shards. Each shard runs one worker thread over three priority lanes
 // (interactive / normal / batch) served by weighted round-robin: with the
-// default weights {4, 2, 1}, any window of 7 dispatches from a backlogged
-// shard serves every lane at least once, so no lane starves.
+// weights {4, 2, 1}, any window of 7 dispatches from a backlogged shard
+// serves every lane at least once, so no lane starves.
 //
 // Admission control is where overload becomes an error instead of a
 // latency spiral: Submit rejects with kOverloaded the moment the target
-// shard's queue is full, and the caller is told to back off and resubmit
-// (IsRetryable(kOverloaded) is true). The scheduler itself NEVER retries
-// admission — internally retrying overload would amplify it.
+// shard's queue is full, and the caller is told to back off and resubmit.
+// The scheduler itself NEVER retries admission — internally retrying
+// overload would amplify it.
 //
 // Deadlines are measured from admission and include queue wait. A request
 // whose deadline passes while still queued completes with
@@ -23,11 +23,8 @@
 // answers come back SUCCESSFULLY as the progressive prefix with
 // stats.partial = true (see core/ppa.h for the determinism contract: the
 // prefix for a given cut round is byte-identical at every thread count).
-//
-// Transient execution failures (IsRetryable, minus kOverloaded which
-// execution never produces) are retried up to Options::max_attempts with
-// jittered exponential backoff; the jitter RNG is seeded per shard from
-// Options::seed, so backoff sequences are reproducible.
+// Each admitted request executes at most once: an execution failure is the
+// request's outcome.
 //
 // Shutdown(drain=true) (the destructor's spelling) stops admission and
 // finishes everything already queued; Shutdown(drain=false) fails pending
@@ -84,12 +81,11 @@ struct Request {
   /// of wall time (forwarded to CancelToken::ForceCutAtRound). The default
   /// never cuts.
   size_t force_cut_round = std::numeric_limits<size_t>::max();
-  /// Test seam: when set, called INSTEAD of the session lookup + execution
-  /// for each attempt. Return a Status to simulate that attempt's outcome,
-  /// or nullopt to fall through to real execution. Lets the scheduler
-  /// tests script failures, block workers on latches, and run without
-  /// open sessions.
-  std::function<std::optional<Status>(size_t attempt)> intercept;
+  /// Test seam: when set, called INSTEAD of the session lookup +
+  /// execution. Return a Status to simulate the outcome, or nullopt to
+  /// fall through to real execution. Lets the scheduler tests script
+  /// failures, block workers on latches, and run without open sessions.
+  std::function<std::optional<Status>()> intercept;
 };
 
 /// \brief The terminal outcome of a scheduled request.
@@ -99,7 +95,9 @@ struct Response {
   /// Mirror of answer->stats.partial (false on error): the deadline cut
   /// the answer to its progressive prefix.
   bool partial = false;
-  size_t attempts = 0;       ///< execution attempts made (0 = never ran)
+  /// The request reached execution (false: shed, or expired or cancelled
+  /// while queued).
+  bool executed = false;
   double queue_seconds = 0.0;
   double execute_seconds = 0.0;
   Lane lane = Lane::kNormal;
@@ -155,7 +153,6 @@ struct SchedulerStats {
   uint64_t dispatched = 0;       ///< dequeued onto a worker (incl. expired)
   uint64_t expired_in_queue = 0; ///< deadline passed before dispatch
   uint64_t deadline_cut = 0;     ///< completed with a partial (cut) answer
-  uint64_t retries = 0;          ///< re-execution attempts after retryables
   uint64_t completed = 0;        ///< finished OK (including partial)
   uint64_t failed = 0;           ///< finished non-OK (any reason)
   size_t max_queue_depth = 0;    ///< per-shard queued-request high water
@@ -173,32 +170,6 @@ class Scheduler {
     /// Max requests queued per shard, summed across lanes. A full shard
     /// sheds new arrivals with kOverloaded.
     size_t shard_queue_capacity = 64;
-    /// Total execution attempts per request (1 = no retries). Only
-    /// IsRetryable failures from execution re-attempt; kOverloaded never
-    /// enters here (admission is not retried internally).
-    size_t max_attempts = 1;
-    /// Backoff before retry r (1-based) sleeps
-    /// base * 2^(r-1) * (0.5 + jitter), capped at max_backoff_seconds.
-    double retry_backoff_seconds = 0.001;
-    double max_backoff_seconds = 0.050;
-    /// Fraction of a request's deadline handed to execution; the rest is
-    /// slack for the cooperative cut to reach a checkpoint and finish, so
-    /// admitted requests COMPLETE (possibly partial) inside the caller's
-    /// deadline instead of overshooting it by one PPA round. 1.0 disables
-    /// the margin.
-    double deadline_margin = 0.85;
-    /// Seed of the per-shard jitter RNG (shard s uses seed ^ s).
-    uint64_t seed = 0x9e3779b97f4a7c15ull;
-    /// Weighted round-robin dispatch credits per lane, indexed by Lane.
-    /// Every weight must be >= 1 so no lane can starve.
-    std::array<size_t, kNumLanes> lane_weights = {4, 2, 1};
-    /// /healthz threshold: the scheduler registers a "scheduler" health
-    /// source on the context that reports unhealthy while the fraction of
-    /// arrivals shed with kOverloaded over the trailing
-    /// `healthz_window_seconds` exceeds this. >= 1.0 never trips (the
-    /// source stays registered but always healthy).
-    double healthz_max_shed_rate = 0.5;
-    double healthz_window_seconds = 60.0;
   };
 
   /// `ctx` is borrowed and must outlive the scheduler.
@@ -211,7 +182,7 @@ class Scheduler {
   Result<std::shared_ptr<RequestHandle>> Submit(Request request);
 
   /// Submit + Wait. On shed, the Response carries the kOverloaded status
-  /// with attempts == 0.
+  /// and executed == false.
   Response SubmitAndWait(Request request);
 
   /// Stops admission. drain=true finishes all queued work first;
@@ -238,11 +209,10 @@ class Scheduler {
     std::condition_variable_any cv;
     std::array<std::deque<QueuedRequest>, kNumLanes> lanes;
     size_t queued = 0;
-    /// Remaining WRR credits per lane; refilled from lane_weights when no
-    /// backlogged lane has any left.
+    /// Remaining WRR credits per lane; refilled from the lane weights
+    /// when no backlogged lane has any left.
     std::array<size_t, kNumLanes> credits;
     std::thread worker;
-    uint64_t rng_state = 0;
   };
 
   void WorkerLoop(size_t shard_index);
@@ -251,7 +221,9 @@ class Scheduler {
   size_t PickLane(Shard& shard);
   void Execute(size_t shard_index, QueuedRequest&& item);
   void FinishRequest(QueuedRequest&& item, Response&& response);
-  double NextJitter(Shard& shard);  ///< uniform in [0, 1)
+  /// Fails every request queued on shard `shard_index` with kCancelled
+  /// (call without the shard mutex held).
+  void CancelQueued(size_t shard_index);
 
   ServingContext* ctx_;
   Options options_;
@@ -271,7 +243,6 @@ class Scheduler {
     kDispatched,
     kExpired,
     kCut,
-    kRetries,
     kCompleted,
     kFailed,
     kNumCounters,

@@ -10,6 +10,7 @@
 #include <thread>
 #include <utility>
 
+#include "common/string_util.h"
 #include "core/conflict.h"
 #include "index/catalog.h"
 #include "obs/prof.h"
@@ -62,14 +63,9 @@ std::string PlanKey(const std::string& selection_key,
 /// query text + every option that shapes the answer), rendered as 16 hex
 /// digits. Deterministic across runs and thread counts by construction.
 std::string FingerprintOf(const std::string& key) {
-  uint64_t h = 1469598103934665603ull;
-  for (unsigned char c : key) {
-    h ^= c;
-    h *= 1099511628211ull;
-  }
   char buf[17];
   std::snprintf(buf, sizeof(buf), "%016llx",
-                static_cast<unsigned long long>(h));
+                static_cast<unsigned long long>(Fnv1a64(key)));
   return buf;
 }
 
@@ -150,7 +146,7 @@ bool ClosureTouches(const core::PersonalizationGraph& graph,
 }
 
 /// The context's counters, one row each, in ServingContext::ServeCounter
-/// order. The two qp_query_* rows have no ServeCounters field.
+/// order. The qp_query_* row has no ServeCounters field.
 constexpr obs::CounterRow<ServeCounters> kCounterTable[] = {
     {"qp_serve_personalize_calls_total", "Personalize calls served",
      &ServeCounters::personalize_calls},
@@ -192,8 +188,6 @@ constexpr obs::CounterRow<ServeCounters> kCounterTable[] = {
      "Sessions evicted by the LRU capacity cap",
      &ServeCounters::sessions_evicted},
     {"qp_query_rows_returned_total", "Answer tuples returned to callers"},
-    {"qp_query_log_retained_total",
-     "Query-log records retained (sampled or slow)"},
 };
 
 }  // namespace
@@ -223,7 +217,7 @@ ServingContext::ServingContext(const storage::Database* db, Options options)
     pool_ = std::make_unique<common::ThreadPool>(options.num_threads - 1);
   }
   if (options.query_log_enabled) {
-    query_log_ = std::make_unique<obs::QueryLog>(options.query_log);
+    query_log_ = std::make_unique<obs::QueryLog>();
   }
   static_assert(std::size(kCounterTable) == kNumCounters);
   counters_ = obs::RegisterCounters(metrics_, kCounterTable);
@@ -235,8 +229,6 @@ ServingContext::ServingContext(const storage::Database* db, Options options)
   if (!options_.clock) options_.clock = obs::MonotonicClock;
   const std::function<double()>& clock = options_.clock;
   obs::SloTracker::Options slo_opts;
-  slo_opts.threshold_seconds = options_.slo_threshold_seconds;
-  slo_opts.objective = options_.slo_objective;
   slo_opts.clock = clock;
   slo_ = std::make_unique<obs::SloTracker>(slo_opts);
   // 60 x 5s slices: the 5m window with 1m as the last 12 slices.
@@ -445,9 +437,8 @@ std::string ServingContext::StatuszText() const {
   out += buf;
   out += slo_->Describe() + "\n";
   if (query_log_ != nullptr) {
-    std::snprintf(buf, sizeof(buf), "query_log: seen=%llu retained=%llu\n",
-                  static_cast<unsigned long long>(query_log_->seen()),
-                  static_cast<unsigned long long>(query_log_->retained()));
+    std::snprintf(buf, sizeof(buf), "query_log: seen=%llu\n",
+                  static_cast<unsigned long long>(query_log_->seen()));
     out += buf;
   }
   const std::vector<index::IndexCatalog::Info> indexes =
@@ -477,7 +468,6 @@ std::string ServingContext::TracezJson() const {
 }
 
 void ServingContext::RecordSampledTrace(const obs::TraceSpan& root) {
-  if (tracez_.capacity() == 0) return;
   obs::ChromeTraceOptions copts;
   copts.process_name = "qp-serve";
   tracez_.Append(obs::TraceToChromeJson(root, copts));
@@ -562,7 +552,6 @@ void ServingContext::StartIntrospection() {
 
   obs::IntrospectionServer::Options server_opts;
   server_opts.port = options_.introspect_port;
-  server_opts.num_threads = options_.introspect_threads;
   std::string error;
   if (introspect_.Start(server_opts, &error)) {
     // Continuous heap sampling rides along with introspection: /allocz is
@@ -599,8 +588,8 @@ Result<std::shared_ptr<const Session::State>> Session::CurrentState(
     uint64_t stats_epoch, StateOutcome* outcome, size_t* repaired_mutations) {
   *repaired_mutations = 0;
   // Profile epochs are only comparable within one lineage: a wholesale
-  // replacement (mutable_profile() = other) swaps the lineage and makes
-  // every cached artifact stale even if the epoch numbers align.
+  // replacement (Mutate assigning another profile) swaps the lineage and
+  // makes every cached artifact stale even if the epoch numbers align.
   const auto matches = [this, stats_epoch](const State& s) {
     return s.profile_epoch == profile_.epoch() &&
            s.snapshot->profile.lineage() == profile_.lineage() &&
@@ -860,14 +849,11 @@ Result<PersonalizedAnswer> Session::PersonalizeAdmitted(
       record.scheduled = true;
       record.lane = admission->lane;
       record.shard = admission->shard;
-      record.attempt = admission->attempt;
       record.queue_seconds = admission->queue_seconds;
     }
     record.thread_seconds = stats.thread_seconds;
     record.total_seconds = total_seconds;
-    if (log->Record(std::move(record))) {
-      ctx_->Count(ServingContext::kLogRetained);
-    }
+    log->Record(std::move(record));
   }
   return result;
 }

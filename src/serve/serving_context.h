@@ -49,11 +49,9 @@
 // Within one session, concurrent Personalize calls are safe and lock-free
 // on the read path — the session state (graph + caches) is an immutable
 // snapshot behind std::atomic<std::shared_ptr>, and cache inserts
-// copy-on-write the snapshot under a small per-session mutex. Mutating the
-// profile concurrently with in-flight Personalize calls is safe through
-// Session::Mutate (it serializes against the state-rebuild path); touching
-// mutable_profile() directly keeps the historical contract — don't mutate
-// WHILE a call on the same session is in flight.
+// copy-on-write the snapshot under a small per-session mutex. The live
+// profile changes only through Session::Mutate, which serializes against
+// the state-rebuild path, so mutating while calls are in flight is safe.
 //
 // Session lifetime: ServingContext::Options::max_sessions turns on LRU
 // eviction — a soft cap, because sessions with calls in flight are never
@@ -143,7 +141,6 @@ class ServingContext;
 struct AdmissionInfo {
   std::string lane;            ///< "interactive" | "normal" | "batch"
   size_t shard = 0;            ///< worker shard the user hashed to
-  size_t attempt = 0;          ///< 0-based retry attempt
   double queue_seconds = 0.0;  ///< admission -> dispatch wait
 };
 
@@ -153,17 +150,16 @@ class Session {
   Session(const Session&) = delete;
   Session& operator=(const Session&) = delete;
 
-  /// The live profile. Mutations bump its epoch; the next Personalize call
-  /// repairs (or rebuilds) the session state. Direct access keeps the
-  /// historical ordering contract (no concurrent Personalize in flight);
-  /// use Mutate() when servers race mutators.
-  core::UserProfile& mutable_profile() { return profile_; }
+  /// The live profile. Read it only while no Mutate can race the read.
   const core::UserProfile& profile() const { return profile_; }
   const std::string& user_id() const { return user_id_; }
 
   /// Applies `fn` to the live profile under the session's profile mutex —
   /// safe to call while Personalize calls on this session are in flight.
-  /// Returns whatever `fn` returns; a failed mutation attempt that left the
+  /// Mutations bump the profile epoch, and the next Personalize call
+  /// repairs (or rebuilds) the session state; assigning a whole new
+  /// profile changes its lineage, which forces the rebuild. Returns
+  /// whatever `fn` returns; a failed mutation attempt that left the
   /// profile untouched (the UserProfile mutators are all-or-nothing)
   /// invalidates nothing.
   Status Mutate(const std::function<Status(core::UserProfile&)>& fn);
@@ -299,9 +295,6 @@ class ServingContext {
     /// default; disabling removes every per-call logging cost (no record
     /// assembly, no fingerprint hash) for overhead benchmarking.
     bool query_log_enabled = true;
-    /// Capacity / sampling / slow-threshold knobs of the query log; only
-    /// consulted when query_log_enabled.
-    obs::QueryLog::Options query_log;
     /// Optional flight recorder (not owned; must outlive the context).
     /// When set, every Personalize call records a span event into it —
     /// pair with FlightRecorder::CaptureStatusErrors for error capture.
@@ -313,16 +306,7 @@ class ServingContext {
     /// may forbid even localhost sockets — is recorded in the flight
     /// recorder and serving continues without the endpoint.
     int introspect_port = -1;
-    /// Threads of the server's private pool (accept loop + concurrent
-    /// handlers); see IntrospectionServer::Options::num_threads.
-    size_t introspect_threads = 4;
 
-    /// SLO target for Session::Personalize latency: "`slo_objective` of
-    /// requests complete within `slo_threshold_seconds`". Drives the
-    /// qp_slo_* gauges, /healthz-adjacent burn-rate reporting and the
-    /// shell's \slo command.
-    double slo_threshold_seconds = 0.5;
-    double slo_objective = 0.99;
     /// Clock for every windowed structure (SLO windows, the rolling-p99
     /// latency window). Null uses obs::MonotonicClock; tests inject a
     /// manual clock to make windowed reads deterministic.
@@ -330,11 +314,13 @@ class ServingContext {
 
     /// Sample every Nth Personalize call into the /tracez ring (a private
     /// root span is attached when the caller provided none). 0 disables
-    /// sampling; the ring keeps the last `tracez_capacity` trees rendered
-    /// as Chrome trace JSON.
+    /// sampling; the ring keeps the last kTracezCapacity trees rendered as
+    /// Chrome trace JSON.
     size_t trace_sample_every = 0;
-    size_t tracez_capacity = 8;
   };
+
+  /// Sampled span trees the /tracez ring keeps.
+  static constexpr size_t kTracezCapacity = 8;
 
   explicit ServingContext(const storage::Database* db);
   ServingContext(const storage::Database* db, Options options);
@@ -375,9 +361,8 @@ class ServingContext {
   /// The context's metrics registry: the qp_serve_* counters, the per-user
   /// qp_serve_personalize_seconds histograms (cardinality-capped; overflow
   /// users share the user="__other__" series), the qp_query_* per-request
-  /// series (rows returned, thread-seconds, log retention), and the
-  /// qp_exec_* counters of every executor sessions run. Callers may
-  /// register their own series.
+  /// series (rows returned, thread-seconds), and the qp_exec_* counters of
+  /// every executor sessions run. Callers may register their own series.
   obs::MetricsRegistry* metrics() { return &metrics_; }
 
   /// The context's query log; null when Options::query_log_enabled is
@@ -389,8 +374,7 @@ class ServingContext {
   obs::FlightRecorder* flight() { return options_.flight; }
 
   /// The Personalize-latency SLO tracker (always constructed; windowed
-  /// attainment and burn rate against Options::slo_threshold_seconds /
-  /// slo_objective).
+  /// attainment and burn rate against obs::SloTracker's fixed objective).
   obs::SloTracker* slo() { return slo_.get(); }
   const obs::SloTracker* slo() const { return slo_.get(); }
 
@@ -493,7 +477,6 @@ class ServingContext {
     kPlanEntriesDropped,
     kSessionsEvicted,
     kRowsReturned,
-    kLogRetained,
     kNumCounters,
   };
   void Count(ServeCounter counter, uint64_t n = 1) {
@@ -561,7 +544,7 @@ class ServingContext {
       health_sources_;
 
   /// Tracez ring: last-N sampled traces as rendered Chrome JSON strings.
-  obs::OverwriteRing<std::string> tracez_{options_.tracez_capacity};
+  obs::OverwriteRing<std::string> tracez_{kTracezCapacity};
   std::atomic<uint64_t> trace_sample_counter_{0};
 
   std::chrono::steady_clock::time_point start_time_;

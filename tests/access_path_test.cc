@@ -1,9 +1,9 @@
 // The AccessPath contract, from both sides:
 //
-//  1. Path choice is a pure function of the predicate shape, the
-//     index-independent cardinality estimate and the selectivity
-//     threshold — golden plans pin scan vs hash probe vs B+-tree range
-//     across thresholds.
+//  1. Path choice is a pure function of the predicate shape and the
+//     index-independent cardinality estimate — golden plans pin scan vs
+//     hash probe vs B+-tree range, and a path is taken only when its
+//     estimate is strictly below the table's row count.
 //  2. Which indexes exist changes ONLY the physical backing: plans,
 //     answers, ExecStats and emission order are byte-identical with
 //     indexes on vs off at 1, 2 and 8 threads. The one counter allowed
@@ -52,11 +52,8 @@ class AccessPathTest : public ::testing::Test {
     indexed_ = plain_ = nullptr;
   }
 
-  static std::string Plan(const storage::Database* db, const char* sql,
-                          double threshold = 1.0) {
-    ExecOptions options;
-    options.index_selectivity_threshold = threshold;
-    Executor executor(db, nullptr, options);
+  static std::string Plan(const storage::Database* db, const char* sql) {
+    Executor executor(db);
     auto plan = executor.ExplainSql(sql);
     EXPECT_TRUE(plan.ok()) << sql << ": " << plan.status();
     return plan.ok() ? *plan : "";
@@ -93,31 +90,17 @@ TEST_F(AccessPathTest, NoPredicateMeansFullScan) {
   EXPECT_NE(plan.find("full scan"), std::string::npos) << plan;
 }
 
-TEST_F(AccessPathTest, ThresholdDemotesWideRangesToFullScan) {
-  // year >= 1960 keeps ~80% of the rows: under the default threshold the
-  // range path still wins (it excludes something), but a 0.5 cutoff demotes
-  // it to a full scan while the 1-row equality probe survives.
+TEST_F(AccessPathTest, RangeIsTakenOnlyWhenItExcludesRows) {
+  // year >= 1960 keeps ~80% of the rows: the range path still wins, since
+  // it is estimated to exclude something. year >= 0 keeps every row, so
+  // the source full-scans.
   const char* wide = "select title from movie where movie.year >= 1960";
   EXPECT_NE(Plan(indexed_, wide).find("range scan on year"),
             std::string::npos);
-  const std::string demoted = Plan(indexed_, wide, /*threshold=*/0.5);
-  EXPECT_EQ(demoted.find("range scan"), std::string::npos) << demoted;
-  EXPECT_NE(demoted.find("full scan"), std::string::npos) << demoted;
-  EXPECT_NE(
-      Plan(indexed_, "select title from movie where mid = 7", 0.5)
-          .find("index lookup on mid = 7"),
-      std::string::npos);
-}
-
-TEST_F(AccessPathTest, ZeroThresholdDisablesEveryIndexPath) {
-  for (const char* sql :
-       {"select title from movie where mid = 7",
-        "select title from movie where movie.year >= 2000"}) {
-    const std::string plan = Plan(indexed_, sql, /*threshold=*/0.0);
-    EXPECT_EQ(plan.find("index lookup"), std::string::npos) << plan;
-    EXPECT_EQ(plan.find("range scan"), std::string::npos) << plan;
-    EXPECT_NE(plan.find("full scan"), std::string::npos) << plan;
-  }
+  const std::string all =
+      Plan(indexed_, "select title from movie where movie.year >= 0");
+  EXPECT_EQ(all.find("range scan"), std::string::npos) << all;
+  EXPECT_NE(all.find("full scan"), std::string::npos) << all;
 }
 
 TEST_F(AccessPathTest, PlanTextIgnoresWhichIndexesExist) {

@@ -382,7 +382,12 @@ TEST(ChurnDifferentialTest, WholesaleProfileReplacementIsBeyondRepair) {
   // epochs look comparable.
   auto other = datagen::GenerateProfile(ChurnConfig(10));
   ASSERT_TRUE(other.ok());
-  (*session)->mutable_profile() = *other;
+  ASSERT_TRUE((*session)
+                  ->Mutate([&](core::UserProfile& live) {
+                    live = *other;
+                    return Status::OK();
+                  })
+                  .ok());
   auto warm = (*session)->Personalize(sql, options);
   ASSERT_TRUE(warm.ok()) << warm.status();
   const ServeCounters c = ctx.counters();

@@ -189,11 +189,13 @@ TEST_F(DifferentialTest, EveryQueryShape) {
       "select count(*) n, sum(duration) s, max(year) y from movie "
       "where year > 1990");
   ExpectSameResults("select count(*) n, min(year) y from movie where year > 3000");
+  // '*' over a join: every source's columns, in FROM order.
+  ExpectSameResults("select * from genre g, movie m where g.mid = m.mid");
   // DISTINCT, plain and over groups.
   ExpectSameResults("select distinct g.genre from genre g");
   ExpectSameResults("select distinct count(*) from genre group by genre");
-  // ORDER BY over input columns, a select-item alias (grouped and not) and
-  // LIMIT, on unique keys.
+  // ORDER BY over input columns, a select-item alias (grouped and not), a
+  // select-list position and LIMIT, on unique keys.
   ExpectSameResults("select title, year from movie order by year desc, mid asc",
                     /*ordered=*/true);
   ExpectSameResults(
@@ -205,6 +207,11 @@ TEST_F(DifferentialTest, EveryQueryShape) {
       /*ordered=*/true);
   ExpectSameResults("select title from movie order by mid desc limit 5",
                     /*ordered=*/true);
+  ExpectSameResults("select mid, year from movie order by 2 desc, 1 asc",
+                    /*ordered=*/true);
+  ExpectSameResults(
+      "select genre, count(*) from genre group by genre order by 2 desc, 1",
+      /*ordered=*/true);
   ExpectSameResults("select distinct genre from genre order by genre limit 3",
                     /*ordered=*/true);
   ExpectSameResults(

@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <string>
+#include <vector>
+
 #include "exec/executor.h"
 #include "sql/parser.h"
 #include "storage/database.h"
@@ -340,6 +345,61 @@ TEST_F(ExecutorTest, OrderByOutputAliasOfComputedColumn) {
   ASSERT_TRUE(grouped.ok()) << grouped.status();
   ASSERT_EQ(grouped->num_rows(), 3u);
   EXPECT_EQ(grouped->row(0)[0], Value("comedy"));
+}
+
+TEST_F(ExecutorTest, OrderByIntegerIsSelectListPosition) {
+  // `order by 2` sorts by the second select item, year.
+  auto rows = Run("select title, year from movie order by 2 desc");
+  ASSERT_TRUE(rows.ok()) << rows.status();
+  ASSERT_EQ(rows->num_rows(), 4u);
+  EXPECT_EQ(rows->row(0)[0], Value("Delta"));  // 2001
+  // A position outside the select list fails, naming the position.
+  auto out_of_range = Run("select title, year from movie order by 3");
+  ASSERT_FALSE(out_of_range.ok());
+  EXPECT_EQ(out_of_range.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(out_of_range.status().message().find("position 3"),
+            std::string::npos)
+      << out_of_range.status();
+}
+
+std::atomic<int> g_originated{0};
+void CountOrigination(StatusCode, const std::string&) { ++g_originated; }
+
+TEST_F(ExecutorTest, OrderByAliasOriginatesNoError) {
+  // The key resolves to the alias once, before the row loop: no row tries
+  // `t` as an input column first and originates a NotFound.
+  g_originated = 0;
+  const StatusListener previous = SetStatusListener(CountOrigination);
+  auto rows = Run("select mid, title t from movie order by t");
+  SetStatusListener(previous);
+  ASSERT_TRUE(rows.ok()) << rows.status();
+  EXPECT_EQ(rows->row(0)[1], Value("Alpha"));
+  EXPECT_EQ(g_originated.load(), 0);
+}
+
+TEST_F(ExecutorTest, OrderByUnknownNameFailsBeforeAnyRow) {
+  // No row reaches the key, and the unknown name still fails.
+  auto rows = Run("select mid from movie where mid = -1 order by nosuch");
+  ASSERT_FALSE(rows.ok());
+  EXPECT_EQ(rows.status().code(), StatusCode::kNotFound) << rows.status();
+}
+
+TEST_F(ExecutorTest, StarExpandsInFromOrder) {
+  // The join starts from movie (4 rows < 5), but '*' lists genre's columns
+  // first, as the FROM clause does.
+  auto rows = Run("select * from genre g, movie m where g.mid = m.mid");
+  ASSERT_TRUE(rows.ok()) << rows.status();
+  std::vector<std::string> names;
+  for (const auto& col : rows->columns()) names.push_back(col.name);
+  EXPECT_EQ(names, (std::vector<std::string>{"mid", "genre", "mid", "title",
+                                             "year", "duration"}));
+  ASSERT_EQ(rows->num_rows(), 5u);
+  const auto musical =
+      std::find_if(rows->rows().begin(), rows->rows().end(),
+                   [](const auto& row) { return row[1] == Value("musical"); });
+  ASSERT_NE(musical, rows->rows().end());
+  EXPECT_EQ((*musical)[2], Value(int64_t{1}));
+  EXPECT_EQ((*musical)[3], Value("Alpha"));
 }
 
 TEST_F(ExecutorTest, LimitAppliesToAggregateOutput) {

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <map>
 #include <string>
@@ -310,7 +311,7 @@ TEST(ExpositionTest, EveryNewFamilyAppearsInTextAndJson) {
     serve::Scheduler scheduler(&ctx, {});
     serve::Request request;
     request.user_id = "scrape_user";
-    request.intercept = [](size_t) { return Status::OK(); };
+    request.intercept = [] { return Status::OK(); };
     auto handle = scheduler.Submit(std::move(request));
     ASSERT_TRUE(handle.ok());
     handle.value()->Wait();
@@ -375,6 +376,27 @@ TEST(ExpositionTest, EveryNewFamilyAppearsInTextAndJson) {
             nullptr);
   ASSERT_NE(Find(exposition, "qp_index_path_total", {{"kind", "range"}}),
             nullptr);
+}
+
+TEST(ExpositionTest, JsonEscapesControlBytesInSeriesNames) {
+  // Session ids come from the API caller and name the per-user latency
+  // series; RFC 8259 allows no raw byte below 0x20 in a JSON string.
+  const datagen::ProfileGenConfig config = SmallConfig(11);
+  auto db = datagen::GenerateMovieDatabase(config.db_config);
+  ASSERT_TRUE(db.ok()) << db.status();
+  auto profile = datagen::GenerateProfile(config);
+  ASSERT_TRUE(profile.ok()) << profile.status();
+  serve::ServingContext ctx(&*db);
+  ASSERT_TRUE(ctx.OpenSession("tab\tuser", *profile).ok());
+
+  const std::string json = ctx.MetricsJson();
+  EXPECT_NE(json.find("tab\\tuser"), std::string::npos) << json;
+  EXPECT_EQ(std::count_if(json.begin(), json.end(),
+                          [](char c) {
+                            return static_cast<unsigned char>(c) < 0x20;
+                          }),
+            0)
+      << json;
 }
 
 }  // namespace

@@ -178,7 +178,6 @@ TEST(IntrospectionServerTest, ConcurrentScrapesAllAnswer) {
     return response;
   });
   obs::IntrospectionServer::Options options;
-  options.num_threads = 4;
   START_OR_SKIP(server, options);
 
   constexpr size_t kThreads = 8;
@@ -379,29 +378,28 @@ TEST_F(ServingEndpointsTest, SchedulerShedRateTripsHealthz) {
   serve::Scheduler::Options options;
   options.num_shards = 1;
   options.shard_queue_capacity = 1;
-  options.healthz_max_shed_rate = 0.4;
   serve::Scheduler scheduler(&ctx, options);
   EXPECT_EQ(ctx.Healthz().status, 200);  // registered but quiet
 
   Latch latch;
   serve::Request wedge;
   wedge.user_id = "u";
-  wedge.intercept = [&latch](size_t attempt) { return latch.Block(attempt); };
+  wedge.intercept = [&latch] { return latch.Block(); };
   auto wedged = scheduler.Submit(std::move(wedge));
   ASSERT_TRUE(wedged.ok()) << wedged.status();
   latch.AwaitEntered();  // worker busy; the queue is empty again
 
   serve::Request fill;
   fill.user_id = "u";
-  fill.intercept = [](size_t) { return Status::OK(); };
+  fill.intercept = [] { return Status::OK(); };
   auto queued = scheduler.Submit(std::move(fill));
   ASSERT_TRUE(queued.ok()) << queued.status();
 
-  // Queue full: these all shed. 3 shed / 5 arrivals = 60% > 40%.
+  // Queue full: these all shed. 3 shed / 5 arrivals = 60% > the 50% bar.
   for (int i = 0; i < 3; ++i) {
     serve::Request excess;
     excess.user_id = "u";
-    excess.intercept = [](size_t) { return Status::OK(); };
+    excess.intercept = [] { return Status::OK(); };
     auto shed = scheduler.Submit(std::move(excess));
     ASSERT_FALSE(shed.ok());
     EXPECT_EQ(shed.status().code(), StatusCode::kOverloaded);
@@ -438,7 +436,7 @@ TEST_F(ServingEndpointsTest, QueueDepthGaugesTrackEnqueueDequeue) {
   Latch latch;
   serve::Request wedge;
   wedge.user_id = "u";
-  wedge.intercept = [&latch](size_t attempt) { return latch.Block(attempt); };
+  wedge.intercept = [&latch] { return latch.Block(); };
   auto wedged = scheduler.Submit(std::move(wedge));
   ASSERT_TRUE(wedged.ok());
   latch.AwaitEntered();
@@ -447,7 +445,7 @@ TEST_F(ServingEndpointsTest, QueueDepthGaugesTrackEnqueueDequeue) {
     serve::Request r;
     r.user_id = "u";
     r.lane = serve::Lane::kNormal;
-    r.intercept = [](size_t) { return Status::OK(); };
+    r.intercept = [] { return Status::OK(); };
     ASSERT_TRUE(scheduler.Submit(std::move(r)).ok());
   }
   EXPECT_DOUBLE_EQ(depth->Value(), 3.0);

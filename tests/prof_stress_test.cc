@@ -48,8 +48,6 @@ RunOutput RunWorkload(const storage::Database& db,
                       size_t num_threads) {
   ServingContext::Options options;
   options.num_threads = num_threads;
-  options.query_log.sample_rate = 1.0;
-  options.query_log.slow_seconds = -1.0;  // timing-derived flag: off
   ServingContext ctx(&db, options);
 
   const std::string queries[] = {

@@ -1,16 +1,13 @@
 // obs::QueryLog tests. The headline property inherits the repo's trace
 // determinism contract: for the same request stream through a
-// serve::ServingContext, the retained records' DeterministicString renders
-// are byte-identical at 1, 2 and 8 threads — only the *_seconds timings
-// (and the timing-derived `slow` flag) may vary. Also covers retention
-// (deterministic sampler, fixed and adaptive slow thresholds), ring wrap,
-// and concurrent Record. Runs under TSan/ASan via the `sanitizer` label.
+// serve::ServingContext, the records' DeterministicString renders are
+// byte-identical at 1, 2 and 8 threads — only the *_seconds timings may
+// vary. Also covers the every-record ring, its wrap and concurrent Record.
+// Runs under TSan/ASan via the `sanitizer` label.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cmath>
-#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -38,7 +35,7 @@ QueryLogRecord MakeRecord(const std::string& fingerprint,
   return r;
 }
 
-TEST(QueryLogRecordTest, DeterministicStringExcludesTimingsAndSlow) {
+TEST(QueryLogRecordTest, DeterministicStringExcludesTimings) {
   QueryLogRecord a = MakeRecord("abc", 0.001);
   QueryLogRecord b = a;
   b.total_seconds = 9.0;
@@ -47,7 +44,6 @@ TEST(QueryLogRecordTest, DeterministicStringExcludesTimingsAndSlow) {
   b.plan_seconds = 3.0;
   b.execute_seconds = 4.0;
   b.thread_seconds = 5.0;
-  b.slow = true;
   EXPECT_EQ(a.DeterministicString(), b.DeterministicString());
   EXPECT_NE(a.ToString(), b.ToString());
 
@@ -56,147 +52,35 @@ TEST(QueryLogRecordTest, DeterministicStringExcludesTimingsAndSlow) {
   EXPECT_NE(a.DeterministicString(), b.DeterministicString());
 }
 
-TEST(QueryLogTest, SampleRateOneKeepsEverything) {
-  QueryLog::Options options;
-  options.capacity = 32;
-  options.sample_rate = 1.0;
-  QueryLog log(options);
-  for (int i = 0; i < 10; ++i) {
-    EXPECT_TRUE(log.Record(MakeRecord("f", 0.001)));
-  }
+TEST(QueryLogTest, RecordKeepsEverything) {
+  QueryLog log;
+  for (int i = 0; i < 10; ++i) log.Record(MakeRecord("f", 0.001));
   EXPECT_EQ(log.seen(), 10u);
-  EXPECT_EQ(log.retained(), 10u);
   const auto records = log.Snapshot();
   ASSERT_EQ(records.size(), 10u);
   for (size_t i = 0; i < records.size(); ++i) {
     EXPECT_EQ(records[i].seq, i);
-    EXPECT_TRUE(records[i].sampled);
-    EXPECT_FALSE(records[i].slow);
-  }
-}
-
-TEST(QueryLogTest, SampleRateZeroKeepsOnlyFixedThresholdSlow) {
-  QueryLog::Options options;
-  options.capacity = 32;
-  options.sample_rate = 0.0;
-  options.slow_seconds = 0.05;
-  QueryLog log(options);
-  EXPECT_FALSE(log.Record(MakeRecord("f", 0.01)));
-  EXPECT_TRUE(log.Record(MakeRecord("f", 0.10)));
-  EXPECT_TRUE(log.Record(MakeRecord("f", 0.05)));  // threshold is inclusive
-  EXPECT_EQ(log.seen(), 3u);
-  EXPECT_EQ(log.retained(), 2u);
-  const auto records = log.Snapshot();
-  ASSERT_EQ(records.size(), 2u);
-  EXPECT_TRUE(records[0].slow);
-  EXPECT_FALSE(records[0].sampled);
-  EXPECT_DOUBLE_EQ(log.SlowThreshold(), 0.05);
-}
-
-TEST(QueryLogTest, NonPositiveSlowSecondsDisablesSlowPath) {
-  QueryLog::Options options;
-  options.sample_rate = 0.0;
-  options.slow_seconds = 0.0;
-  QueryLog log(options);
-  EXPECT_FALSE(log.Record(MakeRecord("f", 1e6)));
-  EXPECT_EQ(log.retained(), 0u);
-  EXPECT_EQ(log.SlowThreshold(), std::numeric_limits<double>::infinity());
-}
-
-TEST(QueryLogTest, WouldSampleIsDeterministicAndRoughlyCalibrated) {
-  QueryLog::Options options;
-  options.sample_rate = 0.5;
-  QueryLog log(options);
-  size_t kept = 0;
-  for (uint64_t seq = 0; seq < 2000; ++seq) {
-    const bool a = log.WouldSample("fingerprint", seq);
-    const bool b = log.WouldSample("fingerprint", seq);
-    EXPECT_EQ(a, b);  // pure function of (fingerprint, seq)
-    if (a) ++kept;
-  }
-  EXPECT_GT(kept, 800u);
-  EXPECT_LT(kept, 1200u);
-  // Different fingerprints decide independently.
-  bool differs = false;
-  for (uint64_t seq = 0; seq < 64 && !differs; ++seq) {
-    differs = log.WouldSample("x", seq) != log.WouldSample("y", seq);
-  }
-  EXPECT_TRUE(differs);
-
-  QueryLog all(QueryLog::Options{});  // sample_rate 1.0
-  QueryLog none([] {
-    QueryLog::Options o;
-    o.sample_rate = 0.0;
-    return o;
-  }());
-  for (uint64_t seq = 0; seq < 16; ++seq) {
-    EXPECT_TRUE(all.WouldSample("f", seq));
-    EXPECT_FALSE(none.WouldSample("f", seq));
   }
 }
 
 TEST(QueryLogTest, RingWrapKeepsNewestRecords) {
-  QueryLog::Options options;
-  options.capacity = 4;
-  options.sample_rate = 1.0;
-  QueryLog log(options);
-  for (int i = 0; i < 10; ++i) {
-    ASSERT_TRUE(log.Record(MakeRecord("f", 0.001)));
-  }
-  EXPECT_EQ(log.seen(), 10u);
-  EXPECT_EQ(log.retained(), 10u);
+  QueryLog log;
+  const size_t total = QueryLog::kCapacity + 6;
+  for (size_t i = 0; i < total; ++i) log.Record(MakeRecord("f", 0.001));
+  EXPECT_EQ(log.seen(), total);
   const auto records = log.Snapshot();
-  ASSERT_EQ(records.size(), 4u);
+  ASSERT_EQ(records.size(), QueryLog::kCapacity);
   for (size_t i = 0; i < records.size(); ++i) {
-    EXPECT_EQ(records[i].seq, 6 + i);  // oldest first, newest 4 kept
+    EXPECT_EQ(records[i].seq, 6 + i);  // oldest first, newest kCapacity kept
   }
-}
-
-TEST(QueryLogTest, AdaptiveThresholdActivatesAfterMinCount) {
-  QueryLog::Options options;
-  options.sample_rate = 0.0;  // retention only via the slow path
-  options.adaptive_min_count = 16;
-  options.adaptive_quantile = 0.99;
-  QueryLog log(options);
-  // Until adaptive_min_count observations exist there is no threshold:
-  // nothing is slow, however long it took.
-  for (int i = 0; i < 16; ++i) {
-    EXPECT_FALSE(log.Record(MakeRecord("f", 0.001)));
-    if (i < 15) {
-      EXPECT_EQ(log.SlowThreshold(),
-                std::numeric_limits<double>::infinity());
-    }
-  }
-  const double threshold = log.SlowThreshold();
-  EXPECT_LT(threshold, 1.0);  // p99 of a 1ms population
-  EXPECT_GT(threshold, 0.0);
-  EXPECT_TRUE(log.Record(MakeRecord("f", 1.0)));
-  const auto records = log.Snapshot();
-  ASSERT_EQ(records.size(), 1u);
-  EXPECT_TRUE(records[0].slow);
-  EXPECT_EQ(records[0].seq, 16u);
-}
-
-TEST(QueryLogTest, ThresholdReadBeforeObservingOwnLatency) {
-  // A single enormous outlier arriving exactly when the adaptive window
-  // fills must be judged against the threshold of the PRIOR population —
-  // it cannot raise the bar for itself.
-  QueryLog::Options options;
-  options.sample_rate = 0.0;
-  options.adaptive_min_count = 4;
-  options.adaptive_quantile = 0.5;
-  QueryLog log(options);
-  for (int i = 0; i < 4; ++i) log.Record(MakeRecord("f", 0.001));
-  EXPECT_TRUE(log.Record(MakeRecord("f", 100.0)));
 }
 
 TEST(QueryLogTest, ConcurrentRecordCountsAreExact) {
   constexpr size_t kThreads = 8;
   constexpr size_t kPerThread = 200;
-  QueryLog::Options options;
-  options.capacity = 64;
-  options.sample_rate = 1.0;
-  QueryLog log(options);
+  static_assert(kThreads * kPerThread > QueryLog::kCapacity,
+                "the writers must wrap the ring");
+  QueryLog log;
   std::vector<std::thread> threads;
   for (size_t t = 0; t < kThreads; ++t) {
     threads.emplace_back([&log, t] {
@@ -207,9 +91,8 @@ TEST(QueryLogTest, ConcurrentRecordCountsAreExact) {
   }
   for (auto& thread : threads) thread.join();
   EXPECT_EQ(log.seen(), kThreads * kPerThread);
-  EXPECT_EQ(log.retained(), kThreads * kPerThread);
   const auto records = log.Snapshot();
-  EXPECT_LE(records.size(), 64u);
+  EXPECT_LE(records.size(), QueryLog::kCapacity);
   EXPECT_GE(records.size(), 1u);
   // Every surviving record is intact (no torn slots): seqs are unique and
   // within the issued range. Ring order is by append ticket, which may
@@ -221,14 +104,11 @@ TEST(QueryLogTest, ConcurrentRecordCountsAreExact) {
   EXPECT_LT(seqs.back(), kThreads * kPerThread);
 }
 
-TEST(QueryLogTest, DumpListsRetainedRecords) {
-  QueryLog::Options options;
-  options.capacity = 8;
-  QueryLog log(options);
+TEST(QueryLogTest, DumpListsRecords) {
+  QueryLog log;
   log.Record(MakeRecord("deadbeef", 0.001));
   const std::string dump = log.Dump();
-  EXPECT_NE(dump.find("seen=1"), std::string::npos);
-  EXPECT_NE(dump.find("retained=1"), std::string::npos);
+  EXPECT_NE(dump.find("seen=1 showing=1"), std::string::npos) << dump;
   EXPECT_NE(dump.find("deadbeef"), std::string::npos);
 }
 

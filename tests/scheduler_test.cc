@@ -6,8 +6,8 @@
 // byte-identical across 1/2/8 execution threads and equals a prefix of the
 // full answer (the partial-answer contract of core/ppa.h).
 //
-// Scheduling behavior (shedding, lane fairness, retries, queue-expired
-// deadlines) is driven through Request::intercept, which replaces
+// Scheduling behavior (shedding, lane fairness, single execution,
+// queue-expired deadlines) is driven through Request::intercept, which replaces
 // execution with scripted outcomes: a latch-blocking intercept wedges the
 // single worker so the queue fills deterministically. The whole file runs
 // under the `sanitizer` CTest label for QP_SANITIZE builds.
@@ -102,7 +102,7 @@ struct Rig {
 };
 
 Request InterceptRequest(const std::string& user, Lane lane,
-                         std::function<std::optional<Status>(size_t)> fn) {
+                         std::function<std::optional<Status>()> fn) {
   Request request;
   request.user_id = user;
   request.sql = "select mid from movie";
@@ -367,7 +367,7 @@ TEST(SchedulerTest, ScheduledPartialAnswerMatchesDirectCutAndIsLogged) {
     EXPECT_EQ(response.answer->stats.rounds_run, cut_round);
     EXPECT_TRUE(IsPrefixOf(*response.answer, *full));
     EXPECT_EQ(response.lane, Lane::kInteractive);
-    EXPECT_EQ(response.attempts, 1u);
+    EXPECT_TRUE(response.executed);
     if (!reference.has_value()) {
       reference = *response.answer;
     } else {
@@ -406,24 +406,26 @@ TEST(SchedulerTest, FullShardShedsWithOverloadedAndRecovers) {
 
   Latch latch;
   auto blocker = scheduler.Submit(InterceptRequest(
-      "blocker", Lane::kNormal, [&](size_t a) { return latch.Block(a); }));
+      "blocker", Lane::kNormal, [&] { return latch.Block(); }));
   ASSERT_TRUE(blocker.ok()) << blocker.status();
   latch.AwaitEntered();  // worker is wedged; the queue is now empty
 
   auto q1 = scheduler.Submit(InterceptRequest(
-      "u1", Lane::kNormal, [](size_t) { return Status::OK(); }));
+      "u1", Lane::kNormal, [] { return Status::OK(); }));
   auto q2 = scheduler.Submit(InterceptRequest(
-      "u2", Lane::kNormal, [](size_t) { return Status::OK(); }));
+      "u2", Lane::kNormal, [] { return Status::OK(); }));
   ASSERT_TRUE(q1.ok());
   ASSERT_TRUE(q2.ok());
 
   auto shed = scheduler.Submit(InterceptRequest(
-      "u3", Lane::kNormal, [](size_t) { return Status::OK(); }));
+      "u3", Lane::kNormal, [] { return Status::OK(); }));
   ASSERT_FALSE(shed.ok());
   EXPECT_EQ(shed.status().code(), StatusCode::kOverloaded);
-  // The overload contract: callers may back off and retry, the scheduler
-  // itself never does.
-  EXPECT_TRUE(IsRetryable(StatusCode::kOverloaded));
+  // The overload contract: callers may back off and resubmit, the
+  // scheduler itself never does.
+  EXPECT_NE(shed.status().message().find("back off and resubmit"),
+            std::string::npos)
+      << shed.status();
 
   latch.Release();
   EXPECT_TRUE((*blocker)->Wait().status.ok());
@@ -438,7 +440,7 @@ TEST(SchedulerTest, FullShardShedsWithOverloadedAndRecovers) {
 
   // Backpressure released: the same shard admits again.
   Response again = scheduler.SubmitAndWait(InterceptRequest(
-      "u3", Lane::kNormal, [](size_t) { return Status::OK(); }));
+      "u3", Lane::kNormal, [] { return Status::OK(); }));
   EXPECT_TRUE(again.status.ok());
 }
 
@@ -451,7 +453,7 @@ TEST(SchedulerTest, WeightedRoundRobinStarvesNoLane) {
 
   Latch latch;
   auto blocker = scheduler.Submit(InterceptRequest(
-      "blocker", Lane::kNormal, [&](size_t a) { return latch.Block(a); }));
+      "blocker", Lane::kNormal, [&] { return latch.Block(); }));
   ASSERT_TRUE(blocker.ok());
   latch.AwaitEntered();
 
@@ -459,7 +461,7 @@ TEST(SchedulerTest, WeightedRoundRobinStarvesNoLane) {
   std::vector<Lane> dispatch_order;
   std::vector<std::shared_ptr<RequestHandle>> handles;
   const auto record = [&](Lane lane) {
-    return [&, lane](size_t) -> std::optional<Status> {
+    return [&, lane]() -> std::optional<Status> {
       std::lock_guard<std::mutex> lock(order_mu);
       dispatch_order.push_back(lane);
       return Status::OK();
@@ -499,41 +501,23 @@ TEST(SchedulerTest, WeightedRoundRobinStarvesNoLane) {
   EXPECT_GE(normal, batch);
 }
 
-TEST(SchedulerTest, RetryableFailuresBackOffThenSucceed) {
+TEST(SchedulerTest, ExecutionFailureEndsAfterOneExecution) {
+  // An execution failure is the request's outcome: under default options
+  // the scheduler executes each admitted request once.
   Scheduler::Options options;
   options.num_shards = 1;
-  options.max_attempts = 3;
-  options.retry_backoff_seconds = 0.0005;
-  options.max_backoff_seconds = 0.002;
   Rig rig(options);
 
+  size_t executions = 0;
   Response response = rig.scheduler->SubmitAndWait(InterceptRequest(
-      "flaky", Lane::kNormal, [](size_t attempt) -> std::optional<Status> {
-        if (attempt < 2) return Status::ExecutionError("transient");
-        return Status::OK();
+      "flaky", Lane::kNormal, [&]() -> std::optional<Status> {
+        ++executions;
+        return Status::ExecutionError("transient");
       }));
-  EXPECT_TRUE(response.status.ok()) << response.status;
-  EXPECT_EQ(response.attempts, 3u);
-
-  const auto stats = rig.scheduler->stats();
-  EXPECT_EQ(stats.retries, 2u);
-  EXPECT_EQ(stats.completed, 1u);
-  EXPECT_EQ(stats.failed, 0u);
-}
-
-TEST(SchedulerTest, NonRetryableFailureIsNotRetried) {
-  Scheduler::Options options;
-  options.num_shards = 1;
-  options.max_attempts = 5;
-  Rig rig(options);
-
-  Response response = rig.scheduler->SubmitAndWait(InterceptRequest(
-      "bad", Lane::kNormal, [](size_t) -> std::optional<Status> {
-        return Status::InvalidArgument("caller bug");
-      }));
-  EXPECT_EQ(response.status.code(), StatusCode::kInvalidArgument);
-  EXPECT_EQ(response.attempts, 1u);
-  EXPECT_EQ(rig.scheduler->stats().retries, 0u);
+  EXPECT_EQ(response.status.code(), StatusCode::kExecution);
+  EXPECT_TRUE(response.executed);
+  EXPECT_EQ(executions, 1u);
+  EXPECT_EQ(rig.scheduler->stats().completed, 0u);
   EXPECT_EQ(rig.scheduler->stats().failed, 1u);
 }
 
@@ -545,13 +529,13 @@ TEST(SchedulerTest, DeadlineExpiredInQueueNeverExecutes) {
 
   Latch latch;
   auto blocker = scheduler.Submit(InterceptRequest(
-      "blocker", Lane::kNormal, [&](size_t a) { return latch.Block(a); }));
+      "blocker", Lane::kNormal, [&] { return latch.Block(); }));
   ASSERT_TRUE(blocker.ok());
   latch.AwaitEntered();
 
   bool executed = false;
   Request doomed = InterceptRequest(
-      "doomed", Lane::kInteractive, [&](size_t) -> std::optional<Status> {
+      "doomed", Lane::kInteractive, [&]() -> std::optional<Status> {
         executed = true;
         return Status::OK();
       });
@@ -565,7 +549,7 @@ TEST(SchedulerTest, DeadlineExpiredInQueueNeverExecutes) {
   latch.Release();
   const Response& response = (*handle)->Wait();
   EXPECT_EQ(response.status.code(), StatusCode::kDeadlineExceeded);
-  EXPECT_EQ(response.attempts, 0u);
+  EXPECT_FALSE(response.executed);
   EXPECT_FALSE(executed);
   EXPECT_EQ(scheduler.stats().expired_in_queue, 1u);
   EXPECT_TRUE((*blocker)->Wait().status.ok());
@@ -579,12 +563,12 @@ TEST(SchedulerTest, CancelWhileQueuedFailsWithCancelled) {
 
   Latch latch;
   auto blocker = scheduler.Submit(InterceptRequest(
-      "blocker", Lane::kNormal, [&](size_t a) { return latch.Block(a); }));
+      "blocker", Lane::kNormal, [&] { return latch.Block(); }));
   ASSERT_TRUE(blocker.ok());
   latch.AwaitEntered();
 
   auto handle = scheduler.Submit(InterceptRequest(
-      "victim", Lane::kNormal, [](size_t) { return Status::OK(); }));
+      "victim", Lane::kNormal, [] { return Status::OK(); }));
   ASSERT_TRUE(handle.ok());
   (*handle)->Cancel();
   latch.Release();
@@ -598,7 +582,7 @@ TEST(SchedulerTest, StatsCountOnlyTheirOwnSchedulersRequests) {
   Scheduler::Options options;
   options.num_shards = 1;
   Rig rig(options);
-  const auto ok = [](size_t) -> std::optional<Status> { return Status::OK(); };
+  const auto ok = []() -> std::optional<Status> { return Status::OK(); };
   for (int i = 0; i < 3; ++i) {
     EXPECT_TRUE(rig.scheduler->SubmitAndWait(InterceptRequest(
                     "a", Lane::kNormal, ok)).status.ok());
@@ -607,7 +591,7 @@ TEST(SchedulerTest, StatsCountOnlyTheirOwnSchedulersRequests) {
   const SchedulerStats fresh = b.stats();
   for (const uint64_t value :
        {fresh.submitted, fresh.shed, fresh.dispatched, fresh.expired_in_queue,
-        fresh.deadline_cut, fresh.retries, fresh.completed, fresh.failed}) {
+        fresh.deadline_cut, fresh.completed, fresh.failed}) {
     EXPECT_EQ(value, 0u);
   }
   EXPECT_EQ(fresh.max_queue_depth, 0u);
@@ -638,7 +622,7 @@ TEST(SchedulerTest, UsersHashToStableShardsAndSubmitAfterShutdownFails) {
 
   scheduler.Shutdown(/*drain=*/true);
   auto rejected = scheduler.Submit(InterceptRequest(
-      "alice", Lane::kNormal, [](size_t) { return Status::OK(); }));
+      "alice", Lane::kNormal, [] { return Status::OK(); }));
   EXPECT_FALSE(rejected.ok());
 }
 
@@ -650,11 +634,11 @@ TEST(SchedulerTest, ShutdownWithoutDrainCancelsQueuedRequests) {
 
   Latch latch;
   auto blocker = scheduler.Submit(InterceptRequest(
-      "blocker", Lane::kNormal, [&](size_t a) { return latch.Block(a); }));
+      "blocker", Lane::kNormal, [&] { return latch.Block(); }));
   ASSERT_TRUE(blocker.ok());
   latch.AwaitEntered();
   auto queued = scheduler.Submit(InterceptRequest(
-      "victim", Lane::kNormal, [](size_t) { return Status::OK(); }));
+      "victim", Lane::kNormal, [] { return Status::OK(); }));
   ASSERT_TRUE(queued.ok());
 
   // Shutdown joins the workers, so the wedge must lift concurrently.

@@ -179,10 +179,8 @@ TEST(SloTrackerTest, EmptyWindowIsPerfectAttainment) {
 TEST(SloTrackerTest, AttainmentAndBurnRateMath) {
   ManualClock clock;
   SloTracker::Options options;
-  options.threshold_seconds = 0.5;
-  options.objective = 0.9;  // 10% error budget
   options.clock = clock.fn();
-  SloTracker slo(options);
+  SloTracker slo(options);  // 0.5 s threshold, 0.99 objective: 1% budget
   for (int i = 0; i < 80; ++i) slo.Record(0.1);  // good
   for (int i = 0; i < 15; ++i) slo.Record(2.0);  // bad (over threshold)
   for (int i = 0; i < 5; ++i) slo.RecordBad();   // bad (never completed)
@@ -190,8 +188,8 @@ TEST(SloTrackerTest, AttainmentAndBurnRateMath) {
   EXPECT_EQ(window.total, 100u);
   EXPECT_EQ(window.good, 80u);
   EXPECT_DOUBLE_EQ(window.attainment, 0.8);
-  // (1 - 0.8) / (1 - 0.9) = 2x budget burn.
-  EXPECT_DOUBLE_EQ(window.burn_rate, 2.0);
+  // (1 - 0.8) / (1 - 0.99) = 20x budget burn.
+  EXPECT_NEAR(window.burn_rate, 20.0, 1e-9);
   EXPECT_EQ(slo.total(), 100u);
   EXPECT_EQ(slo.good(), 80u);
 }
@@ -199,7 +197,6 @@ TEST(SloTrackerTest, AttainmentAndBurnRateMath) {
 TEST(SloTrackerTest, ThresholdBoundaryIsExclusive) {
   ManualClock clock;
   SloTracker::Options options;
-  options.threshold_seconds = 0.5;
   options.clock = clock.fn();
   SloTracker slo(options);
   slo.Record(0.499999);  // good: strictly under the threshold
@@ -212,10 +209,8 @@ TEST(SloTrackerTest, ThresholdBoundaryIsExclusive) {
 TEST(SloTrackerTest, ViolationsAgeOutOfTheWindow) {
   ManualClock clock;
   SloTracker::Options options;
-  options.slice_seconds = 5.0;
-  options.num_slices = 60;
   options.clock = clock.fn();
-  SloTracker slo(options);
+  SloTracker slo(options);  // 5 s x 60 slices
   slo.RecordBad();
   EXPECT_LT(slo.Snapshot(60.0).attainment, 1.0);
   // 70s later the violation is outside the 1m window but inside 5m.
@@ -243,7 +238,6 @@ TEST(SloTrackerTest, DeterministicAcrossThreadCounts) {
   for (size_t threads : {1u, 2u, 8u}) {
     ManualClock clock;
     SloTracker::Options options;
-    options.threshold_seconds = 0.5;
     options.clock = clock.fn();
     SloTracker slo(options);
     std::vector<std::thread> workers;

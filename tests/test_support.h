@@ -46,7 +46,7 @@ inline datagen::ProfileGenConfig SmallConfig(uint64_t seed) {
 /// Release(), so everything submitted behind it queues up deterministically.
 class Latch {
  public:
-  std::optional<Status> Block(size_t) {
+  std::optional<Status> Block() {
     std::unique_lock<std::mutex> lock(mu_);
     entered_ = true;
     cv_.notify_all();
@@ -167,6 +167,19 @@ inline Result<exec::RowSet> NaiveSelect(const storage::Database& db,
     }
   }
 
+  // The select list, '*' standing for every FROM column in FROM order.
+  std::vector<sql::SelectItem> items;
+  for (const auto& item : q.select) {
+    if (item.expr->kind() != sql::ExprKind::kColumnRef ||
+        item.expr->column() != "*") {
+      items.push_back(item);
+      continue;
+    }
+    for (const auto& col : columns) {
+      items.push_back({sql::Expr::Column(col.qualifier, col.name), col.name});
+    }
+  }
+
   // Grouping: groups in first-seen order, each aggregate call computed over
   // its group; a group stands as its first row (all NULLs when empty).
   const bool grouped = q.IsAggregate();
@@ -176,7 +189,7 @@ inline Result<exec::RowSet> NaiveSelect(const storage::Database& db,
     const auto collect_call = [&](const sql::Expr& e) {
       if (e.kind() == sql::ExprKind::kAggregateCall) calls.push_back(&e);
     };
-    for (const auto& item : q.select) NaiveWalk(item.expr, collect_call);
+    for (const auto& item : items) NaiveWalk(item.expr, collect_call);
     NaiveWalk(q.having, collect_call);
     for (const auto& o : q.order_by) NaiveWalk(o.expr, collect_call);
     std::vector<storage::Row> keys;
@@ -227,38 +240,55 @@ inline Result<exec::RowSet> NaiveSelect(const storage::Database& db,
     rows = std::move(reps);
   }
 
-  // Projection and ORDER BY keys: a key is an input expression, else the
-  // select item it names. Then a stable sort, DISTINCT (first occurrences)
+  // ORDER BY keys: a name is an input column, else the select item it
+  // names; an integer literal is a 1-based select-list position; anything
+  // else is an input expression. key_item holds the select item a key
+  // stands for.
+  std::vector<std::optional<size_t>> key_item(q.order_by.size());
+  for (size_t k = 0; k < q.order_by.size(); ++k) {
+    const sql::Expr& key = *q.order_by[k].expr;
+    if (key.kind() == sql::ExprKind::kLiteral && key.literal().is_int()) {
+      const int64_t position = key.literal().as_int();
+      if (position < 1 || position > static_cast<int64_t>(items.size())) {
+        return Status::InvalidArgument("naive reference: ORDER BY position " +
+                                       std::to_string(position));
+      }
+      key_item[k] = static_cast<size_t>(position - 1);
+    } else if (key.kind() == sql::ExprKind::kColumnRef &&
+               scope.Count(key.table(), key.column()) != 1) {
+      for (size_t i = 0; i < items.size() && !key_item[k]; ++i) {
+        if (EqualsIgnoreCase(items[i].OutputName(), key.column())) {
+          key_item[k] = i;
+        }
+      }
+      if (!key_item[k]) {
+        QP_RETURN_IF_ERROR(scope.Resolve(key.table(), key.column()).status());
+      }
+    }
+  }
+
+  // Projection and keys, then a stable sort, DISTINCT (first occurrences)
   // and LIMIT.
   std::vector<std::pair<storage::Row, storage::Row>> keyed;  // keys, row
   for (size_t i = 0; i < rows.size(); ++i) {
     const exec::AggregateValues* values = grouped ? &aggregates[i] : nullptr;
     storage::Row out;
-    for (const auto& item : q.select) {
-      if (item.expr->kind() == sql::ExprKind::kColumnRef &&
-          item.expr->column() == "*") {
-        return Status::Unimplemented("naive reference: '*'");
-      }
+    for (const auto& item : items) {
       QP_ASSIGN_OR_RETURN(storage::Value v,
                           exec::EvalScalar(*item.expr, scope, rows[i],
                                            &subqueries, values));
       out.push_back(std::move(v));
     }
     storage::Row keys;
-    for (const auto& o : q.order_by) {
-      auto key = exec::EvalScalar(*o.expr, scope, rows[i], &subqueries, values);
-      if (key.ok()) {
-        keys.push_back(std::move(key).value());
+    for (size_t k = 0; k < q.order_by.size(); ++k) {
+      if (key_item[k]) {
+        keys.push_back(out[*key_item[k]]);
         continue;
       }
-      size_t k = 0;
-      while (k < q.select.size() &&
-             !(o.expr->kind() == sql::ExprKind::kColumnRef &&
-               EqualsIgnoreCase(q.select[k].OutputName(), o.expr->column()))) {
-        ++k;
-      }
-      if (k == q.select.size()) return key.status();
-      keys.push_back(out[k]);
+      QP_ASSIGN_OR_RETURN(storage::Value v,
+                          exec::EvalScalar(*q.order_by[k].expr, scope, rows[i],
+                                           &subqueries, values));
+      keys.push_back(std::move(v));
     }
     keyed.emplace_back(std::move(keys), std::move(out));
   }
@@ -273,7 +303,7 @@ inline Result<exec::RowSet> NaiveSelect(const storage::Database& db,
                      return false;
                    });
   std::vector<exec::OutputColumn> out_cols;
-  for (const auto& item : q.select) out_cols.push_back({"", item.OutputName()});
+  for (const auto& item : items) out_cols.push_back({"", item.OutputName()});
   exec::RowSet result(std::move(out_cols));
   std::set<storage::Row> seen;
   for (auto& [keys, row] : keyed) {
@@ -293,7 +323,7 @@ inline Result<exec::RowSet> NaiveSelect(const storage::Database& db,
 /// [NOT] IN subqueries run through this same reference; then grouping
 /// (first-seen group order) and HAVING, projection, a stable ORDER BY
 /// sort, DISTINCT (first occurrences) and LIMIT. UNION ALL concatenates
-/// its branches. '*' is not supported.
+/// its branches.
 inline Result<exec::RowSet> NaiveExecute(const storage::Database& db,
                                          const sql::Query& query) {
   exec::RowSet out;

@@ -239,19 +239,6 @@ TEST(TraceExportTest, AttrsBecomeArgsAndStringsAreEscaped) {
             std::string::npos);
 }
 
-TEST(TraceExportTest, SkipRootOmitsTheRootEvent) {
-  TraceSpan root("wrapper");
-  TraceSpan* child = root.AddChild("work");
-  child->set_seconds(0.002);
-  ChromeTraceOptions options;
-  options.skip_root = true;
-  const std::string json = TraceToChromeJson(root, options);
-  EXPECT_TRUE(JsonValidator(json).Valid()) << json;
-  EXPECT_EQ(json.find("\"name\":\"wrapper\""), std::string::npos);
-  EXPECT_NE(json.find("\"name\":\"work\""), std::string::npos);
-  EXPECT_EQ(CountOccurrences(json, "\"ph\":\"X\""), 1u);
-}
-
 TEST(TraceExportTest, ProcessNameOptionIsRespected) {
   TraceSpan root("r");
   ChromeTraceOptions options;
