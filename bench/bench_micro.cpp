@@ -1,7 +1,7 @@
 // Micro-benchmarks (google-benchmark) for the hot paths underneath the
 // figure reproductions: ranking functions, elastic doi evaluation,
-// personalization-graph selection, executor scans / joins / point probes,
-// and histogram estimation.
+// personalization-graph selection, executor scans / joins / point probes /
+// SPA's grouped union, and histogram estimation.
 
 #include <benchmark/benchmark.h>
 
@@ -11,6 +11,8 @@
 
 #include "bench_util.h"
 #include "core/path_probe.h"
+#include "core/pipeline.h"
+#include "core/spa.h"
 #include "core/select_top_k.h"
 #include "datagen/moviegen.h"
 #include "datagen/profilegen.h"
@@ -207,6 +209,35 @@ void BM_ExecutorNotInSubquery(benchmark::State& state) {
 }
 BENCHMARK(BM_ExecutorNotInSubquery);
 
+// SPA's personalized query for a fixed generated profile over
+// `select mid, title from movie`: a union of grouped branches under an
+// outer GROUP BY / HAVING count(*) >= L, ordered by the rank(degree)
+// aggregate — the executor's aggregate operator end to end, run the way
+// SPA runs a cached plan.
+void BM_ExecutorSpaQuery(benchmark::State& state) {
+  const auto& db = SharedDb();
+  auto graph = core::PersonalizationGraph::Build(&db, &SharedProfile());
+  auto base = sql::ParseQuery("select mid, title from movie");
+  core::PersonalizeOptions options;
+  options.k = 10;
+  options.l = 2;
+  auto resolved = core::ResolvePersonalization(options, SharedProfile());
+  auto prefs =
+      core::RunSelection(*graph, (*base)->single(), options, *resolved);
+  const core::SpaGenerator spa(
+      &db, core::RankingFunction::Make(core::CombinationStyle::kInflationary));
+  auto plan = spa.BuildPlan((*base)->single(), *prefs, options.l);
+  if (!plan.ok()) {
+    state.SkipWithError(plan.status().ToString().c_str());
+    return;
+  }
+  for (auto _ : state) {
+    auto answer = spa.GenerateWithPlan(*plan);
+    benchmark::DoNotOptimize(answer);
+  }
+}
+BENCHMARK(BM_ExecutorSpaQuery);
+
 void BM_PreparedPathProbe(benchmark::State& state) {
   const auto& db = SharedDb();
   // A two-hop probe (movie -> directed -> director), PPA's hottest path.
@@ -282,7 +313,7 @@ BENCHMARK(BM_ProfileParse);
 // console table and the BENCH_micro.json report written from main().
 double WarmServeSecondsPerCall(bool observability_on, size_t iters) {
   const auto& db = SharedDb();
-  obs::FlightRecorder flight(256);
+  obs::FlightRecorder flight;
   serve::ServingContext::Options options;
   options.query_log_enabled = observability_on;
   if (observability_on) {
@@ -315,7 +346,7 @@ double WarmServeSecondsPerCall(bool observability_on, size_t iters) {
 void BM_ServeWarmPersonalize(benchmark::State& state) {
   const bool observability_on = state.range(0) != 0;
   const auto& db = SharedDb();
-  obs::FlightRecorder flight(256);
+  obs::FlightRecorder flight;
   serve::ServingContext::Options options;
   options.query_log_enabled = observability_on;
   if (observability_on) options.flight = &flight;

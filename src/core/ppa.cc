@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <iterator>
 #include <limits>
 #include <map>
 #include <memory>
@@ -327,8 +328,7 @@ Result<PersonalizedAnswer> PpaGenerator::GenerateWithPlan(
                                    std::to_string(p.pref_index))
             : nullptr;
     obs::SpanTimer timer(span);
-    QP_ASSIGN_OR_RETURN(exec::RowSet rows,
-                        executor.Execute(*sql::Query::Single(p.query), span));
+    QP_ASSIGN_OR_RETURN(exec::RowSet rows, executor.Execute(p.query, span));
     // Degrees are numeric (the truth condition excludes NULL), so the max
     // over a tuple's rows is the degree its own filtered query would give.
     HitMap& hits = hit_maps[p.pref_index].emplace();
@@ -477,7 +477,7 @@ Result<PersonalizedAnswer> PpaGenerator::GenerateWithPlan(
     obs::TraceSpan* span =
         options.trace != nullptr ? options.trace->AddChild(name()) : nullptr;
     obs::SpanTimer timer(span);
-    auto rows = executor.Execute(*sql::Query::Single(query), span);
+    auto rows = executor.Execute(query, span);
     const Status status = rows.ok() ? consume(*rows, span) : rows.status();
     if (IsCancellation(status.code())) {
       cut = true;
@@ -516,9 +516,9 @@ Result<PersonalizedAnswer> PpaGenerator::GenerateWithPlan(
     };
     QP_RETURN_IF_ERROR(run_round(
         name, plan.query,
-        [&](const exec::RowSet& rows, obs::TraceSpan* span) -> Status {
-          std::vector<const storage::Row*> fresh;
-          for (const auto& row : rows.rows()) {
+        [&](exec::RowSet& rows, obs::TraceSpan* span) -> Status {
+          std::vector<storage::Row*> fresh;
+          for (auto& row : rows.rows()) {
             const Value& tid = row[n_base_cols];
             if (tid.is_null()) continue;
             if (absence) nids.insert(tid);
@@ -537,10 +537,13 @@ Result<PersonalizedAnswer> PpaGenerator::GenerateWithPlan(
                   QP_RETURN_IF_ERROR(options.cancel->Check());
                 }
                 ctx.Reset();
-                const storage::Row& row = *fresh[j];
+                storage::Row& row = *fresh[j];
                 const Value& tid = row[n_base_cols];
                 TupleRecord& rec = recs[j];
-                rec.values.assign(row.begin(), row.begin() + n_base_cols);
+                // The claimed row is this record's alone: its values move.
+                rec.values.assign(
+                    std::make_move_iterator(row.begin()),
+                    std::make_move_iterator(row.begin() + n_base_cols));
                 // The round's own outcome: an S query returns the tuples
                 // satisfying its preference, an A query those failing it.
                 const double own_degree =
@@ -582,16 +585,18 @@ Result<PersonalizedAnswer> PpaGenerator::GenerateWithPlan(
   if (step3_possible && !top_n_reached() && !cut) {
     QP_RETURN_IF_ERROR(run_round(
         [] { return std::string("complement scan (step 3)"); }, rep.base2,
-        [&](const exec::RowSet& rows, obs::TraceSpan* span) -> Status {
+        [&](exec::RowSet& rows, obs::TraceSpan* span) -> Status {
           size_t complement_fresh = 0;
-          for (const auto& row : rows.rows()) {
+          for (auto& row : rows.rows()) {
             const Value& tid = row[n_base_cols];
             if (tid.is_null() || nids.count(tid) > 0 ||
                 !seen.insert(tid).second) {
               continue;
             }
             TupleRecord rec;
-            rec.values.assign(row.begin(), row.begin() + n_base_cols);
+            rec.values.assign(
+                std::make_move_iterator(row.begin()),
+                std::make_move_iterator(row.begin() + n_base_cols));
             for (size_t k = num_s; k < plans.size(); ++k) {
               rec.satisfied.push_back(
                   {plans[k].pref_index, plans[k].satisfaction_degree});

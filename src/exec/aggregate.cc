@@ -1,77 +1,21 @@
 #include "exec/aggregate.h"
 
 #include <algorithm>
+#include <iterator>
 
 #include "common/string_util.h"
 
 namespace qp::exec {
 
-using storage::Value;
-
 namespace {
 
-class CountAggregator : public Aggregator {
- public:
-  void Add(const Value&) override { ++count_; }
-  Value Finalize() const override {
-    return Value(static_cast<int64_t>(count_));
-  }
+/// The built-in aggregate names, in AggregateFunction::Kind order.
+constexpr const char* kBuiltins[] = {"count", "sum", "avg", "min", "max"};
 
- private:
-  size_t count_ = 0;
-};
-
-class SumAggregator : public Aggregator {
- public:
-  void Add(const Value& v) override {
-    if (v.is_numeric()) sum_ += v.ToNumeric();
-  }
-  Value Finalize() const override { return Value(sum_); }
-
- private:
-  double sum_ = 0.0;
-};
-
-class AvgAggregator : public Aggregator {
- public:
-  void Add(const Value& v) override {
-    if (v.is_numeric()) {
-      sum_ += v.ToNumeric();
-      ++count_;
-    }
-  }
-  Value Finalize() const override {
-    return count_ == 0 ? Value::Null() : Value(sum_ / count_);
-  }
-
- private:
-  double sum_ = 0.0;
-  size_t count_ = 0;
-};
-
-class MinMaxAggregator : public Aggregator {
- public:
-  explicit MinMaxAggregator(bool is_min) : is_min_(is_min) {}
-  void Add(const Value& v) override {
-    if (v.is_null()) return;
-    if (!best_.has_value()) {
-      best_ = v;
-    } else if (is_min_ ? v < *best_ : v > *best_) {
-      best_ = v;
-    }
-  }
-  Value Finalize() const override {
-    return best_.has_value() ? *best_ : Value::Null();
-  }
-
- private:
-  bool is_min_;
-  std::optional<Value> best_;
-};
-
-bool IsBuiltin(const std::string& lower) {
-  return lower == "count" || lower == "sum" || lower == "avg" ||
-         lower == "min" || lower == "max";
+/// Index of `key` (lower case) among the built-ins, or their count.
+size_t BuiltinIndex(const std::string& key) {
+  return std::find(std::begin(kBuiltins), std::end(kBuiltins), key) -
+         std::begin(kBuiltins);
 }
 
 }  // namespace
@@ -79,7 +23,7 @@ bool IsBuiltin(const std::string& lower) {
 Status AggregateRegistry::Register(const std::string& name,
                                    AggregatorFactory factory) {
   const std::string key = ToLower(name);
-  if (IsBuiltin(key)) {
+  if (BuiltinIndex(key) < std::size(kBuiltins)) {
     return Status::InvalidArgument("aggregate name '" + key +
                                    "' is reserved (built-in)");
   }
@@ -89,28 +33,26 @@ Status AggregateRegistry::Register(const std::string& name,
   return Status::OK();
 }
 
-Result<std::unique_ptr<Aggregator>> AggregateRegistry::Create(
+Result<AggregateFunction> AggregateRegistry::Resolve(
     const std::string& name) const {
   const std::string key = ToLower(name);
-  if (key == "count") return std::unique_ptr<Aggregator>(new CountAggregator());
-  if (key == "sum") return std::unique_ptr<Aggregator>(new SumAggregator());
-  if (key == "avg") return std::unique_ptr<Aggregator>(new AvgAggregator());
-  if (key == "min") {
-    return std::unique_ptr<Aggregator>(new MinMaxAggregator(true));
+  AggregateFunction fn;
+  if (const size_t k = BuiltinIndex(key); k < std::size(kBuiltins)) {
+    fn.kind_ = static_cast<AggregateFunction::Kind>(k);
+    return fn;
   }
-  if (key == "max") {
-    return std::unique_ptr<Aggregator>(new MinMaxAggregator(false));
-  }
-  auto it = custom_.find(key);
+  const auto it = custom_.find(key);
   if (it == custom_.end()) {
     return Status::NotFound("unknown aggregate function '" + key + "'");
   }
-  return it->second();
+  fn.kind_ = AggregateFunction::Kind::kRegistered;
+  fn.factory_ = it->second;
+  return fn;
 }
 
 bool AggregateRegistry::Contains(const std::string& name) const {
   const std::string key = ToLower(name);
-  return IsBuiltin(key) || custom_.count(key) > 0;
+  return BuiltinIndex(key) < std::size(kBuiltins) || custom_.count(key) > 0;
 }
 
 }  // namespace qp::exec

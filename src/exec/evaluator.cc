@@ -1,5 +1,7 @@
 #include "exec/evaluator.h"
 
+#include <algorithm>
+
 #include "common/string_util.h"
 
 namespace qp::exec {
@@ -7,8 +9,8 @@ namespace qp::exec {
 using sql::BinaryOp;
 using sql::Expr;
 using sql::ExprKind;
-using sql::ExprPtr;
 using storage::Value;
+using Node = BoundExpr::Node;
 
 namespace {
 
@@ -22,24 +24,28 @@ bool Names(const OutputColumn& column, const std::string& qualifier,
 
 }  // namespace
 
+void Scope::AddSource(const std::vector<OutputColumn>& columns) {
+  const size_t source = slots_.empty() ? 0 : slots_.back().first + 1;
+  for (size_t c = 0; c < columns.size(); ++c) {
+    columns_.push_back(columns[c]);
+    slots_.emplace_back(source, c);
+  }
+}
+
 Result<size_t> Scope::Resolve(const std::string& qualifier,
                               const std::string& name) const {
+  const auto label = [&] {
+    return "'" + (qualifier.empty() ? name : qualifier + "." + name) + "'";
+  };
   int found = -1;
   for (size_t i = 0; i < columns_.size(); ++i) {
     if (!Names(columns_[i], qualifier, name)) continue;
     if (found >= 0) {
-      return Status::InvalidArgument("ambiguous column reference '" +
-                                     (qualifier.empty() ? name
-                                                        : qualifier + "." + name) +
-                                     "'");
+      return Status::InvalidArgument("ambiguous column reference " + label());
     }
     found = static_cast<int>(i);
   }
-  if (found < 0) {
-    return Status::NotFound("unknown column '" +
-                            (qualifier.empty() ? name : qualifier + "." + name) +
-                            "'");
-  }
+  if (found < 0) return Status::NotFound("unknown column " + label());
   return static_cast<size_t>(found);
 }
 
@@ -52,168 +58,185 @@ size_t Scope::Count(const std::string& qualifier,
   return n;
 }
 
-Result<size_t> Scope::ResolveColumn(const Expr& column_ref) const {
-  auto it = resolution_cache_.find(&column_ref);
-  if (it != resolution_cache_.end()) return it->second;
-  QP_ASSIGN_OR_RETURN(size_t idx,
-                      Resolve(column_ref.table(), column_ref.column()));
-  resolution_cache_.emplace(&column_ref, idx);
-  return idx;
-}
-
 namespace {
+
+/// Appends `expr`'s program to `nodes` (root first, then the left subtree,
+/// then the right), checking every name and shape on the way.
+Status BindNode(const Expr& expr, const BindContext& context, bool predicate,
+                std::vector<Node>* nodes) {
+  const size_t at = nodes->size();
+  nodes->emplace_back();
+  Node node;
+  node.kind = expr.kind();
+  node.op = expr.op();
+  if (expr.kind() == ExprKind::kScalarFn) node.call = &expr;
+  const bool value_only = expr.kind() == ExprKind::kColumnRef ||
+                          expr.kind() == ExprKind::kAggregateCall ||
+                          expr.kind() == ExprKind::kScalarFn;
+  switch (expr.kind()) {
+    case ExprKind::kLiteral:
+      node.literal = expr.literal();
+      break;
+    case ExprKind::kColumnRef: {
+      QP_ASSIGN_OR_RETURN(size_t i,
+                          context.scope.Resolve(expr.table(), expr.column()));
+      node.source = static_cast<uint32_t>(context.scope.Slot(i).first);
+      node.column = static_cast<uint32_t>(context.scope.Slot(i).second);
+      break;
+    }
+    case ExprKind::kAggregateCall: {
+      if (context.aggregates == nullptr) {
+        return Status::InvalidArgument("aggregate '" + expr.function() +
+                                       "' used outside GROUP BY evaluation");
+      }
+      const std::vector<std::string>& texts = *context.aggregates;
+      node.column = static_cast<uint32_t>(
+          std::find(texts.begin(), texts.end(), expr.ToString()) -
+          texts.begin());
+      break;
+    }
+    case ExprKind::kInSubquery: {
+      const auto it = context.subqueries.find(&expr);
+      if (it == context.subqueries.end()) {
+        return Status::Internal("IN-subquery was not pre-materialized");
+      }
+      node.set = &it->second;
+      node.negated = expr.negated();
+      break;
+    }
+    default:
+      break;
+  }
+  if (predicate && value_only) {
+    return Status::InvalidArgument("expression is not a predicate: " +
+                                   expr.ToString());
+  }
+  // The operands: predicates under AND, OR and NOT, values elsewhere. An
+  // aggregate's argument binds on its own, over the group's tuples.
+  const bool logical = expr.kind() == ExprKind::kAnd ||
+                       expr.kind() == ExprKind::kOr ||
+                       expr.kind() == ExprKind::kNot;
+  if (expr.left() != nullptr && expr.kind() != ExprKind::kAggregateCall) {
+    node.left = static_cast<uint32_t>(nodes->size());
+    QP_RETURN_IF_ERROR(BindNode(*expr.left(), context, logical, nodes));
+  }
+  if (expr.right() != nullptr) {
+    node.right = static_cast<uint32_t>(nodes->size());
+    QP_RETURN_IF_ERROR(BindNode(*expr.right(), context, logical, nodes));
+  }
+  (*nodes)[at] = std::move(node);
+  return Status::OK();
+}
 
 /// Three-valued truth.
 enum class Truth { kFalse, kTrue, kNull };
 
-Truth Invert(Truth t) {
-  switch (t) {
-    case Truth::kFalse:
-      return Truth::kTrue;
-    case Truth::kTrue:
-      return Truth::kFalse;
-    case Truth::kNull:
-      return Truth::kNull;
-  }
-  return Truth::kNull;
-}
+Truth TruthOf(const Node* nodes, uint32_t i, const Frame& frame);
 
-/// What an evaluation reads besides the expression: the row, its layout,
-/// and the values materialized before the row loop.
-struct Env {
-  const Scope& scope;
-  const storage::Row& row;
-  const SubqueryResults* subqueries;
-  const AggregateValues* aggregates;
-};
-
-Result<Truth> EvalTruth(const Expr& expr, const Env& env);
-
-Result<Value> EvalValue(const Expr& expr, const Env& env) {
-  switch (expr.kind()) {
+const Value& ValueOf(const Node* nodes, uint32_t i, const Frame& frame,
+                     Value& scratch) {
+  const Node& n = nodes[i];
+  switch (n.kind) {
+    case ExprKind::kColumnRef:
+      return (*frame.tuple[n.source])[n.column];
     case ExprKind::kLiteral:
-      return expr.literal();
-    case ExprKind::kColumnRef: {
-      QP_ASSIGN_OR_RETURN(size_t idx, env.scope.ResolveColumn(expr));
-      return env.row[idx];
-    }
-    case ExprKind::kAggregateCall: {
-      if (env.aggregates != nullptr) {
-        const auto it = env.aggregates->find(&expr);
-        if (it != env.aggregates->end()) return it->second;
-      }
-      return Status::InvalidArgument(
-          "aggregate '" + expr.function() +
-          "' used outside GROUP BY evaluation");
-    }
+      return n.literal;
+    case ExprKind::kAggregateCall:
+      return frame.aggregates[n.column];
     case ExprKind::kScalarFn: {
-      QP_ASSIGN_OR_RETURN(Value arg, EvalValue(*expr.argument(), env));
-      return expr.scalar_fn()(arg);
+      Value arg;
+      scratch = n.call->scalar_fn()(ValueOf(nodes, n.left, frame, arg));
+      return scratch;
     }
     default: {
-      QP_ASSIGN_OR_RETURN(Truth t, EvalTruth(expr, env));
-      return t == Truth::kNull
-                 ? Value::Null()
-                 : Value(static_cast<int64_t>(t == Truth::kTrue ? 1 : 0));
+      const Truth t = TruthOf(nodes, i, frame);
+      scratch = t == Truth::kNull
+                    ? Value::Null()
+                    : Value(static_cast<int64_t>(t == Truth::kTrue ? 1 : 0));
+      return scratch;
     }
   }
 }
 
-Result<Truth> EvalTruth(const Expr& expr, const Env& env) {
-  switch (expr.kind()) {
+Truth TruthOf(const Node* nodes, uint32_t i, const Frame& frame) {
+  const Node& n = nodes[i];
+  switch (n.kind) {
     case ExprKind::kComparison: {
-      QP_ASSIGN_OR_RETURN(Value l, EvalValue(*expr.left(), env));
-      QP_ASSIGN_OR_RETURN(Value r, EvalValue(*expr.right(), env));
+      Value left_scratch;
+      Value right_scratch;
+      const Value& l = ValueOf(nodes, n.left, frame, left_scratch);
+      const Value& r = ValueOf(nodes, n.right, frame, right_scratch);
       if (l.is_null() || r.is_null()) return Truth::kNull;
-      const int cmp = l.Compare(r);
-      bool result = false;
-      switch (expr.op()) {
-        case BinaryOp::kEq:
-          result = cmp == 0;
-          break;
-        case BinaryOp::kNe:
-          result = cmp != 0;
-          break;
-        case BinaryOp::kLt:
-          result = cmp < 0;
-          break;
-        case BinaryOp::kLe:
-          result = cmp <= 0;
-          break;
-        case BinaryOp::kGt:
-          result = cmp > 0;
-          break;
-        case BinaryOp::kGe:
-          result = cmp >= 0;
-          break;
-      }
-      return result ? Truth::kTrue : Truth::kFalse;
+      const int c = l.Compare(r);
+      const bool holds = n.op == BinaryOp::kEq   ? c == 0
+                         : n.op == BinaryOp::kNe ? c != 0
+                         : n.op == BinaryOp::kLt ? c < 0
+                         : n.op == BinaryOp::kLe ? c <= 0
+                         : n.op == BinaryOp::kGt ? c > 0
+                                                 : c >= 0;
+      return holds ? Truth::kTrue : Truth::kFalse;
     }
-    case ExprKind::kAnd: {
-      QP_ASSIGN_OR_RETURN(Truth l, EvalTruth(*expr.left(), env));
-      if (l == Truth::kFalse) return Truth::kFalse;
-      QP_ASSIGN_OR_RETURN(Truth r, EvalTruth(*expr.right(), env));
-      if (r == Truth::kFalse) return Truth::kFalse;
-      if (l == Truth::kNull || r == Truth::kNull) return Truth::kNull;
-      return Truth::kTrue;
-    }
+    case ExprKind::kAnd:
     case ExprKind::kOr: {
-      QP_ASSIGN_OR_RETURN(Truth l, EvalTruth(*expr.left(), env));
-      if (l == Truth::kTrue) return Truth::kTrue;
-      QP_ASSIGN_OR_RETURN(Truth r, EvalTruth(*expr.right(), env));
-      if (r == Truth::kTrue) return Truth::kTrue;
+      // AND is FALSE when either side is, OR is TRUE when either side is;
+      // otherwise NULL when either side is.
+      const Truth decisive =
+          n.kind == ExprKind::kAnd ? Truth::kFalse : Truth::kTrue;
+      const Truth l = TruthOf(nodes, n.left, frame);
+      if (l == decisive) return decisive;
+      const Truth r = TruthOf(nodes, n.right, frame);
+      if (r == decisive) return decisive;
       if (l == Truth::kNull || r == Truth::kNull) return Truth::kNull;
-      return Truth::kFalse;
+      return decisive == Truth::kFalse ? Truth::kTrue : Truth::kFalse;
     }
     case ExprKind::kNot: {
-      QP_ASSIGN_OR_RETURN(Truth t, EvalTruth(*expr.operand(), env));
-      return Invert(t);
+      const Truth t = TruthOf(nodes, n.left, frame);
+      if (t == Truth::kNull) return Truth::kNull;
+      return t == Truth::kTrue ? Truth::kFalse : Truth::kTrue;
     }
     case ExprKind::kInSubquery: {
-      if (env.subqueries == nullptr) {
-        return Status::Internal("IN-subquery encountered without materialized "
-                                "subquery results");
-      }
-      auto it = env.subqueries->find(&expr);
-      if (it == env.subqueries->end()) {
-        return Status::Internal("IN-subquery was not pre-materialized");
-      }
-      QP_ASSIGN_OR_RETURN(Value needle, EvalValue(*expr.left(), env));
+      Value scratch;
+      const Value& needle = ValueOf(nodes, n.left, frame, scratch);
       if (needle.is_null()) return Truth::kNull;
-      const bool member = it->second.count(needle) > 0;
-      const bool result = expr.negated() ? !member : member;
-      return result ? Truth::kTrue : Truth::kFalse;
+      return (n.set->count(needle) > 0) != n.negated ? Truth::kTrue
+                                                     : Truth::kFalse;
     }
-    case ExprKind::kLiteral: {
-      const Value& v = expr.literal();
-      if (v.is_null()) return Truth::kNull;
-      if (v.is_numeric()) {
-        return v.ToNumeric() != 0.0 ? Truth::kTrue : Truth::kFalse;
-      }
-      return Truth::kFalse;
+    default: {
+      // A literal; the bind admits no other kind as a predicate.
+      if (n.literal.is_null()) return Truth::kNull;
+      return n.literal.is_numeric() && n.literal.ToNumeric() != 0.0
+                 ? Truth::kTrue
+                 : Truth::kFalse;
     }
-    default:
-      return Status::InvalidArgument("expression is not a predicate: " +
-                                     expr.ToString());
   }
 }
 
 }  // namespace
 
-Result<Value> EvalScalar(const Expr& expr, const Scope& scope,
-                         const storage::Row& row,
-                         const SubqueryResults* subqueries,
-                         const AggregateValues* aggregates) {
-  return EvalValue(expr, Env{scope, row, subqueries, aggregates});
+Result<BoundExpr> BoundExpr::Bind(const Expr& expr, const BindContext& context,
+                                  bool predicate) {
+  BoundExpr bound;
+  bound.expr_ = &expr;
+  QP_RETURN_IF_ERROR(BindNode(expr, context, predicate, &bound.nodes_));
+  return bound;
 }
 
-Result<bool> EvalPredicate(const Expr& expr, const Scope& scope,
-                           const storage::Row& row,
-                           const SubqueryResults* subqueries,
-                           const AggregateValues* aggregates) {
-  QP_ASSIGN_OR_RETURN(Truth t,
-                      EvalTruth(expr, Env{scope, row, subqueries, aggregates}));
-  return t == Truth::kTrue;
+const Value& BoundExpr::Eval(const Frame& frame, Value& scratch) const {
+  return ValueOf(nodes_.data(), 0, frame, scratch);
+}
+
+bool BoundExpr::Holds(const Frame& frame) const {
+  return TruthOf(nodes_.data(), 0, frame) == Truth::kTrue;
+}
+
+std::vector<std::pair<size_t, size_t>> BoundExpr::Columns() const {
+  std::vector<std::pair<size_t, size_t>> out;
+  for (const Node& node : nodes_) {
+    if (node.kind == ExprKind::kColumnRef) {
+      out.emplace_back(node.source, node.column);
+    }
+  }
+  return out;
 }
 
 }  // namespace qp::exec

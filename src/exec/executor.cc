@@ -8,7 +8,6 @@
 #include <optional>
 #include <set>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "common/string_util.h"
 #include "index/access_path.h"
@@ -28,19 +27,20 @@ using sql::TableRef;
 using storage::Row;
 using storage::Value;
 
-namespace {
+/// Tuples between operators: `width` row pointers each, slot s for FROM
+/// source s (null until s is joined), pointing into base tables or the
+/// plan's derived rows. No operator copies a value.
+struct Tuples {
+  size_t width = 1;
+  std::vector<const Row*> slots;
 
-/// Hash of a full row, for DISTINCT and grouping.
-struct RowHash {
-  size_t operator()(const Row& row) const {
-    size_t h = 1469598103934665603ULL;
-    for (const auto& v : row) {
-      h ^= v.Hash();
-      h *= 1099511628211ULL;
-    }
-    return h;
+  size_t size() const { return slots.size() / width; }
+  const Row* const* operator[](size_t i) const {
+    return slots.data() + i * width;
   }
 };
+
+namespace {
 
 /// One FROM source. Base tables stay a pointer until an operator reads them
 /// through their access path, so equality predicates can use hash indexes;
@@ -50,18 +50,20 @@ struct Source {
   std::vector<OutputColumn> columns;
   /// Base table (null for derived sources).
   const storage::Table* base = nullptr;
+  /// A derived table's rows, and the ones its filters keep.
   std::vector<Row> rows;
+  Tuples kept;
   bool materialized = false;
 
   size_t EstimatedRows() const {
-    return materialized ? rows.size() : base->num_rows();
+    return materialized ? kept.size() : base->num_rows();
   }
 };
 
 /// A join conjunct pinned to the two sources it connects, with its column
 /// in each.
 struct JoinEdge {
-  ExprPtr atom;
+  BoundExpr atom;
   size_t left_source;
   size_t right_source;
   size_t left_col;
@@ -70,60 +72,57 @@ struct JoinEdge {
 
 /// One step of the join order: the source it adds, the edge whose hash join
 /// adds it (none: a cross product), and the other edges that become
-/// internal to the joined rows at this step. Each edge is evaluated once:
+/// internal to the joined tuples at this step. Each edge is evaluated once:
 /// as its step's probe, or as a filter at the step that joins its second
 /// source.
 struct JoinStep {
   size_t source = 0;
   std::optional<size_t> edge;
-  std::vector<ExprPtr> internal;
+  std::vector<BoundExpr> internal;
 };
 
-/// The one column resolver of the plan step: a name resolves against every
-/// FROM column at once, so an unknown or ambiguous name fails with the
-/// message evaluation gives.
-class FromColumns {
- public:
-  explicit FromColumns(const std::vector<Source>& sources) {
-    std::vector<OutputColumn> all;
-    for (size_t s = 0; s < sources.size(); ++s) {
-      for (size_t c = 0; c < sources[s].columns.size(); ++c) {
-        all.push_back(sources[s].columns[c]);
-        place_.emplace_back(s, c);
-      }
-    }
-    scope_ = Scope(std::move(all));
-  }
-
-  /// The source `qualifier.name` belongs to, and its column there.
-  Result<std::pair<size_t, size_t>> Resolve(const std::string& qualifier,
-                                            const std::string& name) const {
-    QP_ASSIGN_OR_RETURN(size_t i, scope_.Resolve(qualifier, name));
-    return place_[i];
-  }
-
- private:
-  Scope scope_;
-  std::vector<std::pair<size_t, size_t>> place_;
+/// One distinct aggregate call of a grouped block: its function, resolved
+/// once, and its argument bound over the input tuples (none for COUNT(*)).
+struct AggregateCall {
+  AggregateFunction fn;
+  std::optional<BoundExpr> argument;
 };
 
 }  // namespace
 
-/// What the plan step hands the operators.
+/// What the plan step hands the operators: every expression already bound.
 struct SelectPlan {
   std::vector<Source> sources;
   SubqueryResults subqueries;
   /// Per source, the WHERE conjuncts over it alone, in WHERE order.
-  std::vector<std::vector<ExprPtr>> filters;
+  std::vector<std::vector<BoundExpr>> filters;
   std::vector<JoinEdge> edges;
   /// Conjuncts over several sources that are not join edges.
-  std::vector<ExprPtr> residual;
+  std::vector<BoundExpr> residual;
   std::vector<index::AccessPath> access;
   /// The greedy join order: the start source, then one step per other.
   size_t start = 0;
   std::vector<JoinStep> steps;
-  /// The select list, '*' expanded over the FROM columns.
+  /// The select list, '*' expanded over the FROM columns, and its items
+  /// bound.
   std::vector<sql::SelectItem> items;
+  std::vector<BoundExpr> projection;
+  /// Grouped blocks: the GROUP BY keys, the distinct aggregate calls (a
+  /// bound aggregate reads its call's slot) and HAVING.
+  std::vector<BoundExpr> group_by;
+  std::vector<AggregateCall> aggregates;
+  std::optional<BoundExpr> having;
+  std::vector<BoundExpr> order_by;
+};
+
+/// What Aggregate hands Finish: each kept group's representative tuple and
+/// its aggregate values (all of a group's slots together), the all-NULL
+/// rows an empty global group stands as, and the group count before HAVING.
+struct Groups {
+  Tuples reps;
+  std::vector<Value> aggregates;
+  std::vector<Row> null_rows;
+  size_t num_groups = 0;
 };
 
 namespace {
@@ -152,29 +151,32 @@ void ForEachNode(const ExprPtr& expr, const Visit& visit) {
   }
 }
 
-/// True when every predicate in `filters` holds on `row` (stops at the
+/// True when every predicate in `filters` holds on `frame` (stops at the
 /// first that does not).
-Result<bool> AllHold(const std::vector<ExprPtr>& filters, const Scope& scope,
-                     const Row& row, const SubqueryResults* subqueries) {
-  for (const auto& f : filters) {
-    QP_ASSIGN_OR_RETURN(bool ok, EvalPredicate(*f, scope, row, subqueries));
-    if (!ok) return false;
-  }
-  return true;
+bool AllHold(const std::vector<BoundExpr>& filters, const Frame& frame) {
+  return std::all_of(filters.begin(), filters.end(),
+                     [&](const BoundExpr& f) { return f.Holds(frame); });
 }
 
 /// Concatenates per-morsel outputs in morsel order; a single part is moved
 /// whole.
-std::vector<Row> Splice(std::vector<std::vector<Row>>&& parts) {
+template <typename T>
+std::vector<T> Splice(std::vector<std::vector<T>>&& parts) {
   if (parts.size() == 1) return std::move(parts[0]);
   size_t total = 0;
   for (const auto& part : parts) total += part.size();
-  std::vector<Row> out;
+  std::vector<T> out;
   out.reserve(total);
-  for (auto& part : parts) {
-    out.insert(out.end(), std::make_move_iterator(part.begin()),
-               std::make_move_iterator(part.end()));
-  }
+  for (auto& part : parts) out.insert(out.end(), part.begin(), part.end());
+  return out;
+}
+
+/// One `width`-slot tuple per row `row_at(i)`, i < n, holding it in slot
+/// `s`.
+template <typename RowAt>
+Tuples OneSource(size_t width, size_t s, size_t n, const RowAt& row_at) {
+  Tuples out{width, std::vector<const Row*>(n * width)};
+  for (size_t i = 0; i < n; ++i) out.slots[i * width + s] = row_at(i);
   return out;
 }
 
@@ -184,36 +186,109 @@ double SecondsSince(std::chrono::steady_clock::time_point t0) {
       .count();
 }
 
-/// Sorts the WHERE conjuncts into the plan: a conjunct over one source is
+/// Binds the WHERE conjuncts into the plan: a conjunct over one source is
 /// that source's filter (over none, the first source's), a column = column
-/// equality over two is a join edge, anything else is residual. Every
-/// column name is resolved here, so a bad one fails before any row is read.
-Status Classify(const ExprPtr& where, const FromColumns& from,
+/// equality over two is a join edge, anything else is residual. Every name
+/// is resolved here, so a bad one fails before any row is read.
+Status Classify(const ExprPtr& where, const BindContext& context,
                 SelectPlan* plan) {
   plan->filters.resize(plan->sources.size());
   for (const ExprPtr& conjunct : sql::ConjunctsOf(where)) {
-    std::vector<std::pair<size_t, size_t>> cols;
-    Status status;
-    ForEachNode(conjunct, [&](const Expr& e) {
-      if (e.kind() != ExprKind::kColumnRef || !status.ok()) return;
-      auto col = from.Resolve(e.table(), e.column());
-      if (col.ok()) {
-        cols.push_back(*col);
-      } else {
-        status = col.status();
-      }
-    });
-    QP_RETURN_IF_ERROR(status);
+    QP_ASSIGN_OR_RETURN(BoundExpr bound,
+                        BoundExpr::Bind(*conjunct, context, true));
+    const auto cols = bound.Columns();
     std::set<size_t> refs;
     for (const auto& col : cols) refs.insert(col.first);
     if (refs.size() <= 1) {
-      plan->filters[refs.empty() ? 0 : *refs.begin()].push_back(conjunct);
+      plan->filters[refs.empty() ? 0 : *refs.begin()].push_back(
+          std::move(bound));
     } else if (conjunct->IsJoinAtom()) {
-      plan->edges.push_back({conjunct, cols[0].first, cols[1].first,
+      plan->edges.push_back({std::move(bound), cols[0].first, cols[1].first,
                              cols[0].second, cols[1].second});
     } else {
-      plan->residual.push_back(conjunct);
+      plan->residual.push_back(std::move(bound));
     }
+  }
+  return Status::OK();
+}
+
+/// Binds the output side of a select block before any row is read: for a
+/// grouped block its GROUP BY keys, its distinct aggregate calls (each
+/// function resolved once) and HAVING; the select items; the ORDER BY
+/// keys. A key name is an input column, else a select-item alias;
+/// an integer literal is a 1-based select-list position; any other key is
+/// bound as written. Under DISTINCT every key must be a select item.
+Status BindOutput(const SelectQuery& q, const Scope& from,
+                  const AggregateRegistry& registry, SelectPlan* plan) {
+  for (const auto& g : q.group_by) {
+    QP_ASSIGN_OR_RETURN(BoundExpr bound,
+                        BoundExpr::Bind(*g, {from, plan->subqueries}));
+    plan->group_by.push_back(std::move(bound));
+  }
+  std::vector<std::string> texts;
+  if (q.IsAggregate()) {
+    std::vector<const Expr*> calls;
+    const auto collect = [&](const Expr& e) {
+      if (e.kind() != ExprKind::kAggregateCall) return;
+      const std::string text = e.ToString();
+      if (std::find(texts.begin(), texts.end(), text) != texts.end()) return;
+      texts.push_back(text);
+      calls.push_back(&e);
+    };
+    for (const auto& item : plan->items) ForEachNode(item.expr, collect);
+    ForEachNode(q.having, collect);
+    for (const auto& o : q.order_by) ForEachNode(o.expr, collect);
+    for (const Expr* call : calls) {
+      AggregateCall bound;
+      QP_ASSIGN_OR_RETURN(bound.fn, registry.Resolve(call->function()));
+      if (call->argument() != nullptr) {
+        QP_ASSIGN_OR_RETURN(bound.argument,
+                            BoundExpr::Bind(*call->argument(),
+                                            {from, plan->subqueries}));
+      }
+      plan->aggregates.push_back(std::move(bound));
+    }
+  }
+  const BindContext context{from, plan->subqueries,
+                            q.IsAggregate() ? &texts : nullptr};
+  if (q.having != nullptr) {
+    QP_ASSIGN_OR_RETURN(plan->having,
+                        BoundExpr::Bind(*q.having, context, true));
+  }
+  for (const auto& item : plan->items) {
+    QP_ASSIGN_OR_RETURN(BoundExpr bound, BoundExpr::Bind(*item.expr, context));
+    plan->projection.push_back(std::move(bound));
+  }
+  const std::vector<sql::SelectItem>& items = plan->items;
+  for (const sql::OrderItem& o : q.order_by) {
+    const Expr& key = *o.expr;
+    const Expr* target = &key;
+    if (key.kind() == ExprKind::kLiteral && key.literal().is_int()) {
+      const int64_t position = key.literal().as_int();
+      if (position < 1 || static_cast<size_t>(position) > items.size()) {
+        return Status::InvalidArgument(
+            "ORDER BY position " + std::to_string(position) +
+            " is not in the select list (1.." + std::to_string(items.size()) +
+            ")");
+      }
+      target = items[position - 1].expr.get();
+    } else if (key.kind() == ExprKind::kColumnRef &&
+               from.Count(key.table(), key.column()) != 1) {
+      const auto alias =
+          std::find_if(items.begin(), items.end(), [&](const auto& item) {
+            return EqualsIgnoreCase(item.OutputName(), key.column());
+          });
+      if (alias != items.end()) target = alias->expr.get();
+    }
+    QP_ASSIGN_OR_RETURN(BoundExpr bound, BoundExpr::Bind(*target, context));
+    if (q.distinct && target == &key &&
+        std::find(plan->projection.begin(), plan->projection.end(), bound) ==
+            plan->projection.end()) {
+      return Status::InvalidArgument(
+          "ORDER BY key '" + key.ToString() +
+          "' is not in the select list of a SELECT DISTINCT");
+    }
+    plan->order_by.push_back(std::move(bound));
   }
   return Status::OK();
 }
@@ -221,19 +296,28 @@ Status Classify(const ExprPtr& where, const FromColumns& from,
 /// Picks a base source's access path from its filters. The choice is
 /// logical: predicate shape plus an index-independent cardinality estimate
 /// (exact match counts by default, histogram estimates when
-/// ExecOptions::stats is set). The catalog only changes the physical
-/// backing — whether Collect probes a snapshot or falls back to a scan
-/// producing the identical candidate set — so results and ExecStats never
-/// depend on which indexes exist.
+/// ExecOptions::stats is set). The chosen probe or range path keeps its
+/// candidates (AccessPath::Prefetch): an exact count is that collection,
+/// and under histogram estimates the winner collects once chosen.
+/// The catalog only changes the physical backing — whether a snapshot is
+/// probed or a scan produces the identical candidate set — so results and
+/// ExecStats never depend on which indexes exist.
 index::AccessPath ChooseAccessPath(const Source& src,
-                                   const std::vector<ExprPtr>& filters,
-                                   const FromColumns& from,
+                                   const std::vector<BoundExpr>& filters,
                                    const index::IndexCatalog& catalog,
                                    const ExecOptions& options) {
   index::AccessPath path;
   // A path is taken only when its estimate is strictly below num_rows:
   // whenever the predicate is estimated to exclude anything.
   const size_t num_rows = src.base->num_rows();
+  // A histogram estimate collected nothing, so the winner collects now.
+  const auto chosen = [&](index::AccessPath winner) {
+    if (options.stats != nullptr &&
+        winner.kind != index::AccessPath::Kind::kFullScan) {
+      winner.Prefetch(*src.base);
+    }
+    return winner;
+  };
   // An equality atom wins outright (PPA's per-tuple point probes). Without
   // one, range atoms (elastic preferences translate to them) combine into
   // the tightest bounds per column, and the most selective column wins.
@@ -246,17 +330,16 @@ index::AccessPath ChooseAccessPath(const Source& src,
     storage::AttributeRef attr;
     BinaryOp op;
     Value lit;
-    if (!f->IsSelectionAtom(&attr, &op, &lit) || lit.is_null()) continue;
-    const auto col = from.Resolve(attr.table, attr.column);
-    if (!col.ok()) continue;
+    if (!f.expr().IsSelectionAtom(&attr, &op, &lit) || lit.is_null()) continue;
+    const size_t col = f.Columns()[0].second;
     if (op == BinaryOp::kEq) {
-      eq_col = col->second;
+      eq_col = col;
       eq_key = std::move(lit);
       eq_attr = attr;
       break;
     }
-    index::RangeBounds& b = per_column[col->second];
-    column_attr[col->second] = attr;
+    index::RangeBounds& b = per_column[col];
+    column_attr[col] = attr;
     switch (op) {
       case BinaryOp::kGt:
       case BinaryOp::kGe:
@@ -279,60 +362,45 @@ index::AccessPath ChooseAccessPath(const Source& src,
     }
   }
   if (eq_col.has_value()) {
-    auto hash = catalog.Hash(src.base, *eq_col);
-    if (options.stats != nullptr) {
-      path.estimated_rows = static_cast<size_t>(std::llround(
-          options.stats->EstimateSelectivity(eq_attr, stats::CompareOp::kEq,
-                                             eq_key) *
-          static_cast<double>(num_rows)));
-    } else {
-      path.estimated_rows =
-          index::ExactEqCount(*src.base, *eq_col, eq_key, hash.get());
-    }
-    if (path.estimated_rows < num_rows) {
-      path.kind = index::AccessPath::Kind::kHashProbe;
-      path.col = *eq_col;
-      path.column_name = src.columns[*eq_col].name;
-      path.eq_key = std::move(eq_key);
-      path.hash = std::move(hash);
-    }
+    index::AccessPath probe;
+    probe.kind = index::AccessPath::Kind::kHashProbe;
+    probe.col = *eq_col;
+    probe.column_name = src.columns[*eq_col].name;
+    probe.eq_key = std::move(eq_key);
+    probe.hash = catalog.Hash(src.base, *eq_col);
+    probe.estimated_rows =
+        options.stats != nullptr
+            ? static_cast<size_t>(std::llround(
+                  options.stats->EstimateSelectivity(
+                      eq_attr, stats::CompareOp::kEq, probe.eq_key) *
+                  static_cast<double>(num_rows)))
+            : probe.Prefetch(*src.base);
+    if (probe.estimated_rows < num_rows) return chosen(std::move(probe));
+    path.estimated_rows = probe.estimated_rows;
     return path;
   }
-  size_t best_count = num_rows;
-  std::optional<size_t> best_col;
-  index::RangeBounds best_bounds;
-  std::shared_ptr<const index::BPlusTree> best_tree;
+  path.estimated_rows = num_rows;
   for (const auto& [col, b] : per_column) {
     if (!b.has_lo && !b.has_hi) continue;
-    auto btree = catalog.Range(src.base, col);
-    size_t count;
+    index::AccessPath range;
+    range.kind = index::AccessPath::Kind::kBTreeRange;
+    range.col = col;
+    range.column_name = src.columns[col].name;
+    range.bounds = b;
+    range.btree = catalog.Range(src.base, col);
     const bool numeric_bounds =
         (!b.has_lo || b.lo.is_numeric()) && (!b.has_hi || b.hi.is_numeric());
-    if (options.stats != nullptr && numeric_bounds) {
-      const double lo = b.has_lo ? b.lo.ToNumeric() : -HUGE_VAL;
-      const double hi = b.has_hi ? b.hi.ToNumeric() : HUGE_VAL;
-      count = static_cast<size_t>(std::llround(
-          options.stats->EstimateRangeSelectivity(column_attr[col], lo, hi) *
-          static_cast<double>(num_rows)));
-    } else {
-      count = index::ExactRangeCount(*src.base, col, b, btree.get());
-    }
-    if (count < best_count) {
-      best_count = count;
-      best_col = col;
-      best_bounds = b;
-      best_tree = std::move(btree);
-    }
+    range.estimated_rows =
+        options.stats != nullptr && numeric_bounds
+            ? static_cast<size_t>(std::llround(
+                  options.stats->EstimateRangeSelectivity(
+                      column_attr[col], b.has_lo ? b.lo.ToNumeric() : -HUGE_VAL,
+                      b.has_hi ? b.hi.ToNumeric() : HUGE_VAL) *
+                  static_cast<double>(num_rows)))
+            : range.Prefetch(*src.base);
+    if (range.estimated_rows < path.estimated_rows) path = std::move(range);
   }
-  path.estimated_rows = best_count;
-  if (best_col.has_value()) {
-    path.kind = index::AccessPath::Kind::kBTreeRange;
-    path.col = *best_col;
-    path.column_name = src.columns[*best_col].name;
-    path.bounds = best_bounds;
-    path.btree = std::move(best_tree);
-  }
-  return path;
+  return chosen(std::move(path));
 }
 
 /// Records one span per base source: its access path, estimate and filter
@@ -431,63 +499,18 @@ void OrderJoins(SelectPlan* plan) {
   }
 }
 
-/// Every left row followed by each right row, left rows outermost.
-std::vector<Row> CrossProduct(const std::vector<Row>& left,
-                              const std::vector<Row>& right) {
-  std::vector<Row> out;
-  out.reserve(left.size() * right.size());
-  for (const Row& left_row : left) {
-    for (const Row& right_row : right) {
-      Row merged = left_row;
-      merged.insert(merged.end(), right_row.begin(), right_row.end());
-      out.push_back(std::move(merged));
+/// Every left tuple extended by each right tuple's row in slot `s`, left
+/// tuples outermost.
+Tuples CrossProduct(const Tuples& left, const Tuples& right, size_t s) {
+  Tuples out{left.width, {}};
+  out.slots.reserve(left.slots.size() * right.size());
+  for (size_t i = 0; i < left.size(); ++i) {
+    for (size_t j = 0; j < right.size(); ++j) {
+      out.slots.insert(out.slots.end(), left[i], left[i] + left.width);
+      out.slots[out.slots.size() - left.width + s] = right[j][s];
     }
   }
   return out;
-}
-
-/// What each ORDER BY key sorts by, decided before any row is read: a name
-/// is an input column, else a select-item alias; an integer literal is a
-/// 1-based select-list position; any other key is evaluated as written,
-/// and every column it names must resolve.
-Result<std::vector<const Expr*>> ResolveOrderKeys(
-    const SelectQuery& q, const std::vector<sql::SelectItem>& items,
-    const Scope& scope) {
-  std::vector<const Expr*> keys;
-  for (const sql::OrderItem& o : q.order_by) {
-    const Expr& key = *o.expr;
-    if (key.kind() == ExprKind::kLiteral && key.literal().is_int()) {
-      const int64_t position = key.literal().as_int();
-      if (position < 1 || static_cast<size_t>(position) > items.size()) {
-        return Status::InvalidArgument(
-            "ORDER BY position " + std::to_string(position) +
-            " is not in the select list (1.." + std::to_string(items.size()) +
-            ")");
-      }
-      keys.push_back(items[position - 1].expr.get());
-      continue;
-    }
-    if (key.kind() == ExprKind::kColumnRef &&
-        scope.Count(key.table(), key.column()) != 1) {
-      const auto alias =
-          std::find_if(items.begin(), items.end(), [&](const auto& item) {
-            return EqualsIgnoreCase(item.OutputName(), key.column());
-          });
-      if (alias != items.end()) {
-        keys.push_back(alias->expr.get());
-        continue;
-      }
-    }
-    Status status;
-    ForEachNode(o.expr, [&](const Expr& e) {
-      if (e.kind() == ExprKind::kColumnRef && status.ok()) {
-        status = scope.Resolve(e.table(), e.column()).status();
-      }
-    });
-    QP_RETURN_IF_ERROR(status);
-    keys.push_back(&key);
-  }
-  return keys;
 }
 
 constexpr char kPathHelp[] =
@@ -594,14 +617,12 @@ Result<std::string> Executor::ExplainAnalyzeChromeJsonSql(
 }
 
 template <typename Body>
-Status Executor::ForEachMorsel(size_t n, const Scope& scope,
-                               const Body& body) const {
+Status Executor::ForEachMorsel(size_t n, const Body& body) const {
   common::ThreadPool* pool = ParallelEnabled() ? ActivePool() : nullptr;
-  const bool pooled = pool != nullptr && n > 1;
   return common::ThreadPool::ParallelFor(pool, n, [&](size_t m) -> Status {
     QP_RETURN_IF_ERROR(CheckCancel());
     const auto t0 = std::chrono::steady_clock::now();
-    const Status status = pooled ? body(m, Scope(scope)) : body(m, scope);
+    const Status status = body(m);
     thread_seconds_.Add(SecondsSince(t0));
     return status;
   });
@@ -609,26 +630,22 @@ Status Executor::ForEachMorsel(size_t n, const Scope& scope,
 
 Result<RowSet> Executor::Execute(const sql::Query& query,
                                  obs::TraceSpan* trace) const {
+  if (!query.is_union()) return Execute(query.single(), trace);
   Add(kQueries);
   RowSet out;
-  bool first = true;
   size_t branch_no = 0;
   for (const auto& branch : query.branches()) {
-    obs::TraceSpan* branch_span = nullptr;
-    if (query.is_union() && trace != nullptr) {
-      branch_span =
-          trace->AddChild("union branch " + std::to_string(branch_no + 1) + ":");
-    }
-    ++branch_no;
+    obs::TraceSpan* branch_span =
+        trace != nullptr ? trace->AddChild("union branch " +
+                                           std::to_string(branch_no + 1) + ":")
+                         : nullptr;
     obs::SpanTimer branch_timer(branch_span);
-    auto part_result =
-        ExecuteSelect(branch, query.is_union() ? branch_span : trace);
+    auto part_result = ExecuteSelect(branch, branch_span);
     branch_timer.Stop();
     QP_ASSIGN_OR_RETURN(RowSet part, std::move(part_result));
     if (branch_span != nullptr) branch_span->AddAttr("rows", part.num_rows());
-    if (first) {
+    if (branch_no++ == 0) {
       out = std::move(part);
-      first = false;
     } else {
       if (part.num_columns() != out.num_columns()) {
         return Status::InvalidArgument(
@@ -644,45 +661,48 @@ Result<RowSet> Executor::Execute(const sql::Query& query,
   return out;
 }
 
+Result<RowSet> Executor::Execute(const SelectQuery& query,
+                                 obs::TraceSpan* trace) const {
+  Add(kQueries);
+  return ExecuteSelect(query, trace);
+}
+
 Result<RowSet> Executor::ExecuteSelect(const SelectQuery& q,
                                        obs::TraceSpan* span) const {
   QP_RETURN_IF_ERROR(CheckCancel());
   QP_ASSIGN_OR_RETURN(SelectPlan plan, PlanSelect(q, span));
   // A source's rows: a derived table's, filtered by the plan step, or a
   // base table's through scan+filter.
-  const auto rows_of = [&](size_t s) -> Result<std::vector<Row>> {
+  const auto rows_of = [&](size_t s) -> Result<Tuples> {
     Source& src = plan.sources[s];
-    if (src.materialized) return std::move(src.rows);
+    if (src.materialized) return std::move(src.kept);
     return ScanFilter(plan, s);
   };
   const auto start_t0 = std::chrono::steady_clock::now();
-  QP_ASSIGN_OR_RETURN(std::vector<Row> rows, rows_of(plan.start));
+  QP_ASSIGN_OR_RETURN(Tuples tuples, rows_of(plan.start));
   if (span != nullptr) {
     obs::TraceSpan* start_span = span->AddChild(
         "start from '" + plan.sources[plan.start].alias + "' (" +
-        std::to_string(rows.size()) + " rows after filters)");
-    start_span->AddAttr("rows", rows.size());
+        std::to_string(tuples.size()) + " rows after filters)");
+    start_span->AddAttr("rows", tuples.size());
     start_span->set_seconds(SecondsSince(start_t0));
   }
-  std::vector<OutputColumn> cols = plan.sources[plan.start].columns;
-  // Where each joined source's columns start in `cols`.
-  std::vector<size_t> offset(plan.sources.size(), 0);
   for (const JoinStep& step : plan.steps) {
     const auto step_t0 = std::chrono::steady_clock::now();
     const Source& next = plan.sources[step.source];
-    std::vector<Row> joined;
+    Tuples joined;
     if (step.edge.has_value()) {
       const JoinEdge& edge = plan.edges[*step.edge];
       const bool next_on_right = edge.right_source == step.source;
-      const size_t probe_col =
-          next_on_right ? offset[edge.left_source] + edge.left_col
-                        : offset[edge.right_source] + edge.right_col;
       QP_ASSIGN_OR_RETURN(
-          joined, HashJoin(plan, rows, probe_col, step.source,
-                           next_on_right ? edge.right_col : edge.left_col));
+          joined,
+          HashJoin(plan, tuples,
+                   next_on_right ? edge.left_source : edge.right_source,
+                   next_on_right ? edge.left_col : edge.right_col,
+                   step.source, next_on_right ? edge.right_col : edge.left_col));
     } else {
-      QP_ASSIGN_OR_RETURN(std::vector<Row> right, rows_of(step.source));
-      joined = CrossProduct(rows, right);
+      QP_ASSIGN_OR_RETURN(Tuples right, rows_of(step.source));
+      joined = CrossProduct(tuples, right, step.source);
     }
     Add(kRowsJoined, joined.size());
     if (span != nullptr) {
@@ -693,7 +713,7 @@ Result<RowSet> Executor::ExecuteSelect(const SelectQuery& q,
             "join '" + next.alias + "' via " +
             (next.materialized ? "transient hash on filtered rows"
                                : "persistent index") +
-            " [" + plan.edges[*step.edge].atom->ToString() + "] -> " +
+            " [" + plan.edges[*step.edge].atom.expr().ToString() + "] -> " +
             std::to_string(joined.size()) + " rows");
         step_span->AddAttr("method", next.materialized ? "transient_hash"
                                                        : "persistent_index");
@@ -706,16 +726,10 @@ Result<RowSet> Executor::ExecuteSelect(const SelectQuery& q,
       step_span->AddAttr("rows", joined.size());
       step_span->set_seconds(SecondsSince(step_t0));
     }
-    offset[step.source] = cols.size();
-    cols.insert(cols.end(), next.columns.begin(), next.columns.end());
-    rows = std::move(joined);
-    if (!step.internal.empty()) {
-      QP_RETURN_IF_ERROR(
-          Filter(step.internal, Scope(cols), plan.subqueries, &rows));
-    }
+    tuples = std::move(joined);
+    QP_RETURN_IF_ERROR(Filter(step.internal, &tuples));
   }
 
-  const Scope scope(cols);
   if (!plan.residual.empty()) {
     obs::TraceSpan* residual_span =
         span != nullptr ? span->AddChild("apply " +
@@ -723,13 +737,15 @@ Result<RowSet> Executor::ExecuteSelect(const SelectQuery& q,
                                          " residual predicate(s)")
                         : nullptr;
     obs::SpanTimer residual_timer(residual_span);
-    QP_RETURN_IF_ERROR(Filter(plan.residual, scope, plan.subqueries, &rows));
+    QP_RETURN_IF_ERROR(Filter(plan.residual, &tuples));
     residual_timer.Stop();
-    if (residual_span != nullptr) residual_span->AddAttr("rows", rows.size());
+    if (residual_span != nullptr) {
+      residual_span->AddAttr("rows", tuples.size());
+    }
   }
   RowSet out;
   if (!q.IsAggregate()) {
-    QP_ASSIGN_OR_RETURN(out, Finish(q, plan, scope, rows, nullptr));
+    QP_ASSIGN_OR_RETURN(out, Finish(q, plan, tuples, nullptr));
   } else {
     obs::TraceSpan* agg_span =
         span != nullptr
@@ -738,13 +754,12 @@ Result<RowSet> Executor::ExecuteSelect(const SelectQuery& q,
                              (q.having != nullptr ? ", with HAVING" : ""))
             : nullptr;
     obs::SpanTimer agg_timer(agg_span);
-    size_t num_groups = 0;
-    QP_ASSIGN_OR_RETURN(std::vector<AggregateValues> values,
-                        Aggregate(q, plan, scope, &rows, &num_groups));
-    QP_ASSIGN_OR_RETURN(out, Finish(q, plan, scope, rows, &values));
+    QP_ASSIGN_OR_RETURN(Groups groups, Aggregate(plan, tuples));
+    QP_ASSIGN_OR_RETURN(
+        out, Finish(q, plan, groups.reps, groups.aggregates.data()));
     agg_timer.Stop();
     if (agg_span != nullptr) {
-      agg_span->AddAttr("groups", num_groups);
+      agg_span->AddAttr("groups", groups.num_groups);
       agg_span->AddAttr("rows", out.num_rows());
     }
   }
@@ -798,39 +813,12 @@ Result<SelectPlan> Executor::PlanSelect(const SelectQuery& q,
     plan.sources.push_back(std::move(src));
   }
   QP_RETURN_IF_ERROR(MaterializeSubqueries(q, span, &plan.subqueries));
-  const FromColumns from(plan.sources);
-  QP_RETURN_IF_ERROR(Classify(q.where, from, &plan));
+  Scope from;
+  for (const Source& src : plan.sources) from.AddSource(src.columns);
+  QP_RETURN_IF_ERROR(Classify(q.where, {from, plan.subqueries}, &plan));
 
-  // Access paths, without reading base tables; derived tables are filtered
-  // now. Path-choice counters, one per base source, follow the logical
-  // choice, so ExecStats::paths_* (and the QueryLog fields fed from it) are
-  // deterministic regardless of which indexes exist.
-  plan.access.resize(plan.sources.size());
-  for (size_t s = 0; s < plan.sources.size(); ++s) {
-    Source& src = plan.sources[s];
-    if (!src.materialized) {
-      plan.access[s] = ChooseAccessPath(src, plan.filters[s], from,
-                                        db_->indexes(), options_);
-      continue;
-    }
-    if (!plan.filters[s].empty()) {
-      QP_RETURN_IF_ERROR(Filter(plan.filters[s], Scope(src.columns),
-                                plan.subqueries, &src.rows));
-    }
-    plan.access[s].estimated_rows = src.rows.size();
-  }
-  for (size_t s = 0; s < plan.sources.size(); ++s) {
-    if (plan.sources[s].materialized) continue;
-    switch (plan.access[s].kind) {
-      case index::AccessPath::Kind::kFullScan: Add(kPathScan); break;
-      case index::AccessPath::Kind::kHashProbe: Add(kPathProbe); break;
-      case index::AccessPath::Kind::kBTreeRange: Add(kPathRange); break;
-    }
-  }
-  if (span != nullptr) RecordSourceSpans(plan, span);
-  OrderJoins(&plan);
-
-  // Expand '*' over every source's columns, in FROM order.
+  // Expand '*' over every source's columns, in FROM order, and bind the
+  // output side.
   for (const auto& item : q.select) {
     if (item.expr->kind() != ExprKind::kColumnRef ||
         item.expr->column() != "*") {
@@ -844,6 +832,37 @@ Result<SelectPlan> Executor::PlanSelect(const SelectQuery& q,
       }
     }
   }
+  const AggregateRegistry builtins;
+  QP_RETURN_IF_ERROR(BindOutput(
+      q, from, aggregates_ != nullptr ? *aggregates_ : builtins, &plan));
+
+  // Access paths, without reading base tables; derived tables are filtered
+  // now. Path-choice counters, one per base source, follow the logical
+  // choice, so ExecStats::paths_* (and the QueryLog fields fed from it) are
+  // deterministic regardless of which indexes exist.
+  plan.access.resize(plan.sources.size());
+  for (size_t s = 0; s < plan.sources.size(); ++s) {
+    Source& src = plan.sources[s];
+    if (!src.materialized) {
+      plan.access[s] =
+          ChooseAccessPath(src, plan.filters[s], db_->indexes(), options_);
+      continue;
+    }
+    src.kept = OneSource(plan.sources.size(), s, src.rows.size(),
+                         [&](size_t i) { return &src.rows[i]; });
+    QP_RETURN_IF_ERROR(Filter(plan.filters[s], &src.kept));
+    plan.access[s].estimated_rows = src.kept.size();
+  }
+  for (size_t s = 0; s < plan.sources.size(); ++s) {
+    if (plan.sources[s].materialized) continue;
+    switch (plan.access[s].kind) {
+      case index::AccessPath::Kind::kFullScan: Add(kPathScan); break;
+      case index::AccessPath::Kind::kHashProbe: Add(kPathProbe); break;
+      case index::AccessPath::Kind::kBTreeRange: Add(kPathRange); break;
+    }
+  }
+  if (span != nullptr) RecordSourceSpans(plan, span);
+  OrderJoins(&plan);
   return plan;
 }
 
@@ -860,36 +879,33 @@ Status Executor::MaterializeSubqueries(const SelectQuery& q,
   };
   ForEachNode(q.where, collect);
   ForEachNode(q.having, collect);
-  std::vector<std::unordered_set<Value, storage::ValueHash>> sets(
-      nodes.size());
+  std::vector<ValueSet> sets(nodes.size());
   // Each subquery records into its own preallocated span slot; slots are
   // adopted in index order afterwards, so the trace tree is the same at
   // every thread count.
   std::vector<obs::TraceSpan> slots =
       obs::TraceSpan::MakeSlots(span != nullptr ? nodes.size() : 0);
-  QP_RETURN_IF_ERROR(ForEachMorsel(
-      nodes.size(), Scope(), [&](size_t n, const Scope&) -> Status {
-        obs::TraceSpan* sub_span = span != nullptr ? &slots[n] : nullptr;
-        if (sub_span != nullptr) {
-          sub_span->set_name(std::string(nodes[n]->negated() ? "NOT IN" : "IN") +
-                             " subquery (materialized to a hash set):");
-        }
-        obs::SpanTimer sub_timer(sub_span);
-        QP_ASSIGN_OR_RETURN(RowSet sub,
-                            Execute(*nodes[n]->subquery(), sub_span));
-        sub_timer.Stop();
-        if (sub.num_columns() != 1) {
-          return Status::InvalidArgument(
-              "IN-subquery must return exactly one column");
-        }
-        sets[n].reserve(sub.num_rows());
-        for (const auto& row : sub.rows()) {
-          if (!row[0].is_null()) sets[n].insert(row[0]);
-        }
-        if (sub_span != nullptr) sub_span->AddAttr("rows", sets[n].size());
-        Add(kSubqueries);
-        return Status::OK();
-      }));
+  QP_RETURN_IF_ERROR(ForEachMorsel(nodes.size(), [&](size_t n) -> Status {
+    obs::TraceSpan* sub_span = span != nullptr ? &slots[n] : nullptr;
+    if (sub_span != nullptr) {
+      sub_span->set_name(std::string(nodes[n]->negated() ? "NOT IN" : "IN") +
+                         " subquery (materialized to a hash set):");
+    }
+    obs::SpanTimer sub_timer(sub_span);
+    QP_ASSIGN_OR_RETURN(RowSet sub, Execute(*nodes[n]->subquery(), sub_span));
+    sub_timer.Stop();
+    if (sub.num_columns() != 1) {
+      return Status::InvalidArgument(
+          "IN-subquery must return exactly one column");
+    }
+    sets[n].reserve(sub.num_rows());
+    for (auto& row : sub.rows()) {
+      if (!row[0].is_null()) sets[n].insert(std::move(row[0]));
+    }
+    if (sub_span != nullptr) sub_span->AddAttr("rows", sets[n].size());
+    Add(kSubqueries);
+    return Status::OK();
+  }));
   for (size_t n = 0; n < nodes.size(); ++n) {
     if (span != nullptr) {
       obs::TraceSpan* sub_span = span->Adopt(std::move(slots[n]));
@@ -902,73 +918,53 @@ Status Executor::MaterializeSubqueries(const SelectQuery& q,
   return Status::OK();
 }
 
-Result<std::vector<Row>> Executor::ScanFilter(const SelectPlan& plan,
-                                              size_t s) const {
-  const Source& src = plan.sources[s];
+Result<Tuples> Executor::ScanFilter(const SelectPlan& plan, size_t s) const {
+  const storage::Table& table = *plan.sources[s].base;
   const index::AccessPath& path = plan.access[s];
-  std::vector<const Row*> candidates;
-  if (path.kind == index::AccessPath::Kind::kFullScan) {
-    candidates.reserve(src.base->num_rows());
-    for (const auto& row : src.base->rows()) candidates.push_back(&row);
-    Add(kRowsExamined, src.base->num_rows());
-  } else {
-    // Candidates come back in ascending row order whether an index
-    // snapshot or the scan fallback produced them — the backing is
-    // unobservable in results. Only rows_examined (physical work) can
-    // tell the difference.
-    std::vector<size_t> positions;
-    const size_t examined = path.Collect(*src.base, &positions);
-    Add(kRowsExamined, examined);
-    // Physical win of the index snapshot: the rows a full scan would have
-    // touched that the probe/range never did. Zero when Collect fell back
-    // to scanning (no index registered).
-    if (path.indexed() && examined < src.base->num_rows()) {
-      Add(kRowsSaved, src.base->num_rows() - examined);
-    }
-    candidates.reserve(positions.size());
-    for (size_t pos : positions) candidates.push_back(&src.base->row(pos));
+  // A probe or range path's candidates were kept by the planner
+  // (AccessPath::Prefetch), in ascending row order whether an index
+  // snapshot or the scan fallback produced them — the backing is
+  // unobservable in results. Only rows_examined (physical work) can tell
+  // the difference.
+  const bool full = path.kind == index::AccessPath::Kind::kFullScan;
+  const size_t examined = full ? table.num_rows() : path.examined;
+  Add(kRowsExamined, examined);
+  // Physical win of the index snapshot: the rows a full scan would have
+  // touched that the probe/range never did. Zero when Prefetch fell back
+  // to scanning (no index registered).
+  if (path.indexed() && examined < table.num_rows()) {
+    Add(kRowsSaved, table.num_rows() - examined);
   }
-  Add(kRowsScanned, candidates.size());
-  const auto morsels = MorselsFor(candidates.size());
-  std::vector<std::vector<Row>> kept(morsels.size());
-  QP_RETURN_IF_ERROR(ForEachMorsel(
-      morsels.size(), Scope(src.columns),
-      [&](size_t m, const Scope& scope) -> Status {
-        for (size_t i = morsels[m].first; i < morsels[m].second; ++i) {
-          QP_ASSIGN_OR_RETURN(bool pass, AllHold(plan.filters[s], scope,
-                                                 *candidates[i],
-                                                 &plan.subqueries));
-          if (pass) kept[m].push_back(*candidates[i]);
-        }
-        return Status::OK();
-      }));
-  return Splice(std::move(kept));
+  Tuples tuples = OneSource(
+      plan.sources.size(), s, full ? table.num_rows() : path.positions.size(),
+      [&](size_t i) { return &table.row(full ? i : path.positions[i]); });
+  Add(kRowsScanned, tuples.size());
+  QP_RETURN_IF_ERROR(Filter(plan.filters[s], &tuples));
+  return tuples;
 }
 
-Status Executor::Filter(const std::vector<ExprPtr>& filters,
-                        const Scope& scope, const SubqueryResults& subqueries,
-                        std::vector<Row>* rows) const {
-  const auto morsels = MorselsFor(rows->size());
-  std::vector<std::vector<Row>> kept(morsels.size());
-  QP_RETURN_IF_ERROR(ForEachMorsel(
-      morsels.size(), scope, [&](size_t m, const Scope& row_scope) -> Status {
-        const auto [lo, hi] = morsels[m];
-        kept[m].reserve(hi - lo);
-        for (size_t r = lo; r < hi; ++r) {
-          QP_ASSIGN_OR_RETURN(
-              bool pass, AllHold(filters, row_scope, (*rows)[r], &subqueries));
-          if (pass) kept[m].push_back(std::move((*rows)[r]));
-        }
-        return Status::OK();
-      }));
-  *rows = Splice(std::move(kept));
+Status Executor::Filter(const std::vector<BoundExpr>& filters,
+                        Tuples* tuples) const {
+  if (filters.empty()) return Status::OK();
+  const size_t width = tuples->width;
+  const auto morsels = MorselsFor(tuples->size());
+  std::vector<std::vector<const Row*>> kept(morsels.size());
+  QP_RETURN_IF_ERROR(ForEachMorsel(morsels.size(), [&](size_t m) -> Status {
+    for (size_t r = morsels[m].first; r < morsels[m].second; ++r) {
+      const Row* const* tuple = (*tuples)[r];
+      if (AllHold(filters, Frame{tuple})) {
+        kept[m].insert(kept[m].end(), tuple, tuple + width);
+      }
+    }
+    return Status::OK();
+  }));
+  tuples->slots = Splice(std::move(kept));
   return Status::OK();
 }
 
-Result<std::vector<Row>> Executor::HashJoin(const SelectPlan& plan,
-                                            const std::vector<Row>& left,
-                                            size_t probe_col, size_t s,
-                                            size_t build_col) const {
+Result<Tuples> Executor::HashJoin(const SelectPlan& plan, const Tuples& left,
+                                  size_t probe_source, size_t probe_col,
+                                  size_t s, size_t build_col) const {
   // A base table is probed through the catalog's hash snapshot on the join
   // column, or a transient build over the whole table when no index is
   // registered (identical matches in identical order, more rows examined);
@@ -977,9 +973,12 @@ Result<std::vector<Row>> Executor::HashJoin(const SelectPlan& plan,
   // table's rows are already filtered.
   const Source& next = plan.sources[s];
   const bool base = !next.materialized;
-  const std::vector<Row>& build_rows = base ? next.base->rows() : next.rows;
-  const std::vector<ExprPtr> no_filters;
-  const std::vector<ExprPtr>& filters = base ? plan.filters[s] : no_filters;
+  const size_t build_size = base ? next.base->num_rows() : next.kept.size();
+  const auto build_row = [&](size_t i) {
+    return base ? &next.base->row(i) : next.kept[i][s];
+  };
+  const std::vector<BoundExpr> no_filters;
+  const std::vector<BoundExpr>& filters = base ? plan.filters[s] : no_filters;
   const std::shared_ptr<const index::HashIndex> snapshot =
       base ? db_->indexes().Hash(next.base, build_col) : nullptr;
   // The transient build maps each key to its build-row positions in
@@ -990,22 +989,21 @@ Result<std::vector<Row>> Executor::HashJoin(const SelectPlan& plan,
       std::unordered_map<Value, std::vector<size_t>, storage::ValueHash>;
   BuildMap build;
   if (snapshot == nullptr) {
-    const auto morsels = MorselsFor(build_rows.size());
+    const auto morsels = MorselsFor(build_size);
     std::vector<BuildMap> partial(morsels.size());
-    QP_RETURN_IF_ERROR(ForEachMorsel(
-        morsels.size(), Scope(), [&](size_t m, const Scope&) -> Status {
-          const auto [lo, hi] = morsels[m];
-          partial[m].reserve(hi - lo);
-          for (size_t i = lo; i < hi; ++i) {
-            const Value& key = build_rows[i][build_col];
-            if (!key.is_null()) partial[m][key].push_back(i);
-          }
-          return Status::OK();
-        }));
+    QP_RETURN_IF_ERROR(ForEachMorsel(morsels.size(), [&](size_t m) -> Status {
+      const auto [lo, hi] = morsels[m];
+      partial[m].reserve(hi - lo);
+      for (size_t i = lo; i < hi; ++i) {
+        const Value& key = (*build_row(i))[build_col];
+        if (!key.is_null()) partial[m][key].push_back(i);
+      }
+      return Status::OK();
+    }));
     if (partial.size() == 1) {
       build = std::move(partial[0]);
     } else {
-      build.reserve(build_rows.size());
+      build.reserve(build_size);
       for (auto& part : partial) {
         for (auto& [key, positions] : part) {
           auto& dst = build[key];
@@ -1017,7 +1015,7 @@ Result<std::vector<Row>> Executor::HashJoin(const SelectPlan& plan,
         }
       }
     }
-    if (base) Add(kRowsExamined, build_rows.size());
+    if (base) Add(kRowsExamined, build_size);
   }
   const auto match_positions =
       [&](const Value& key) -> const std::vector<size_t>* {
@@ -1025,233 +1023,210 @@ Result<std::vector<Row>> Executor::HashJoin(const SelectPlan& plan,
     const auto it = build.find(key);
     return it == build.end() ? nullptr : &it->second;
   };
-  // The probe is morsel-parallel over `left`; matches per left row keep
+  // The probe is morsel-parallel over `left`; matches per left tuple keep
   // ascending build order and morsel outputs splice in morsel order, so the
-  // joined row order is scheduling-independent.
+  // joined tuple order is scheduling-independent.
+  const size_t width = left.width;
   const auto morsels = MorselsFor(left.size());
-  std::vector<std::vector<Row>> parts(morsels.size());
-  QP_RETURN_IF_ERROR(ForEachMorsel(
-      morsels.size(), Scope(next.columns),
-      [&](size_t m, const Scope& next_scope) -> Status {
-        size_t examined = 0;
-        for (size_t r = morsels[m].first; r < morsels[m].second; ++r) {
-          const Row& left_row = left[r];
-          const Value& key = left_row[probe_col];
-          if (key.is_null()) continue;
-          const std::vector<size_t>* matches = match_positions(key);
-          if (matches == nullptr) continue;
-          examined += matches->size();
-          for (size_t pos : *matches) {
-            const Row& right_row = build_rows[pos];
-            QP_ASSIGN_OR_RETURN(bool pass, AllHold(filters, next_scope,
-                                                   right_row,
-                                                   &plan.subqueries));
-            if (!pass) continue;
-            Row merged = left_row;
-            merged.insert(merged.end(), right_row.begin(), right_row.end());
-            parts[m].push_back(std::move(merged));
-          }
-        }
-        if (base) Add(kRowsExamined, examined);
-        return Status::OK();
-      }));
-  return Splice(std::move(parts));
+  std::vector<std::vector<const Row*>> parts(morsels.size());
+  QP_RETURN_IF_ERROR(ForEachMorsel(morsels.size(), [&](size_t m) -> Status {
+    std::vector<const Row*>& out = parts[m];
+    size_t examined = 0;
+    for (size_t r = morsels[m].first; r < morsels[m].second; ++r) {
+      const Row* const* tuple = left[r];
+      const Value& key = (*tuple[probe_source])[probe_col];
+      if (key.is_null()) continue;
+      const std::vector<size_t>* matches = match_positions(key);
+      if (matches == nullptr) continue;
+      examined += matches->size();
+      for (size_t pos : *matches) {
+        out.insert(out.end(), tuple, tuple + width);
+        const Row** joined = out.data() + out.size() - width;
+        joined[s] = build_row(pos);
+        if (!AllHold(filters, Frame{joined})) out.resize(out.size() - width);
+      }
+    }
+    if (base) Add(kRowsExamined, examined);
+    return Status::OK();
+  }));
+  return Tuples{width, Splice(std::move(parts))};
 }
 
-Result<std::vector<AggregateValues>> Executor::Aggregate(
-    const SelectQuery& q, const SelectPlan& plan, const Scope& scope,
-    std::vector<Row>* rows, size_t* num_groups) const {
-  std::vector<const Expr*> agg_nodes;
-  const auto collect = [&](const Expr& e) {
-    if (e.kind() == ExprKind::kAggregateCall) agg_nodes.push_back(&e);
-  };
-  for (const auto& item : plan.items) ForEachNode(item.expr, collect);
-  ForEachNode(q.having, collect);
-  for (const auto& o : q.order_by) ForEachNode(o.expr, collect);
-  // Each distinct aggregate (by SQL text) is computed once per group;
-  // agg_slot maps every call node to its distinct aggregate.
-  std::vector<const Expr*> distinct_aggs;
-  std::vector<size_t> agg_slot;
-  {
-    std::unordered_map<std::string, size_t> by_text;
-    for (const Expr* a : agg_nodes) {
-      const auto [it, inserted] =
-          by_text.try_emplace(a->ToString(), distinct_aggs.size());
-      if (inserted) distinct_aggs.push_back(a);
-      agg_slot.push_back(it->second);
+Result<Groups> Executor::Aggregate(const SelectPlan& plan,
+                                   const Tuples& tuples) const {
+  const size_t n = tuples.size();
+  const size_t num_aggs = plan.aggregates.size();
+  // Each tuple's GROUP BY key hash (FNV over the referenced key values),
+  // in per-tuple slots, so extraction parallelizes freely.
+  std::vector<size_t> hashes(n);
+  const auto key_morsels = MorselsFor(n);
+  QP_RETURN_IF_ERROR(ForEachMorsel(key_morsels.size(), [&](size_t m) -> Status {
+    Value scratch;
+    for (size_t i = key_morsels[m].first; i < key_morsels[m].second; ++i) {
+      size_t h = 1469598103934665603ULL;
+      for (const BoundExpr& g : plan.group_by) {
+        h = (h ^ g.Eval(Frame{tuples[i]}, scratch).Hash()) * 1099511628211ULL;
+      }
+      hashes[i] = h;
     }
+    return Status::OK();
+  }));
+  // Groups keyed by their first tuple, each with its tuples in order. The
+  // insertion stays serial in tuple order, so the map iterates its groups
+  // — the order they are aggregated and output in — identically at every
+  // thread count.
+  const auto key_hash = [&](size_t i) { return hashes[i]; };
+  const auto key_eq = [&](size_t a, size_t b) {
+    Value scratch_a;
+    Value scratch_b;
+    return std::all_of(
+        plan.group_by.begin(), plan.group_by.end(), [&](const BoundExpr& g) {
+          return g.Eval(Frame{tuples[a]}, scratch_a) ==
+                 g.Eval(Frame{tuples[b]}, scratch_b);
+        });
+  };
+  std::unordered_map<size_t, std::vector<size_t>, decltype(key_hash),
+                     decltype(key_eq)>
+      groups(0, key_hash, key_eq);
+  for (size_t i = 0; i < n; ++i) groups[i].push_back(i);
+  // The groups in iteration order, each standing as its first tuple. A
+  // fully aggregated block with no GROUP BY has one (possibly empty)
+  // global group, so COUNT(*) over no tuples yields 0; the empty group
+  // stands as a tuple of all-NULL rows.
+  Groups out;
+  out.reps.width = tuples.width;
+  std::vector<const std::vector<size_t>*> members;
+  std::vector<const Row* const*> reps;
+  for (const auto& [first, group] : groups) {
+    members.push_back(&group);
+    reps.push_back(tuples[first]);
   }
-  AggregateRegistry default_registry;
-  const AggregateRegistry* registry =
-      aggregates_ != nullptr ? aggregates_ : &default_registry;
-
-  // Group rows by evaluated GROUP BY keys. Key extraction writes into
-  // per-row slots so it parallelizes without any ordering concern; the
-  // grouping insertion itself stays serial in row order, which keeps the
-  // group iteration order (and hence ungrouped output order) identical at
-  // every thread count.
-  std::vector<Row> group_keys(rows->size());
-  const auto key_morsels = MorselsFor(rows->size());
-  QP_RETURN_IF_ERROR(ForEachMorsel(
-      key_morsels.size(), scope,
-      [&](size_t m, const Scope& row_scope) -> Status {
-        for (size_t i = key_morsels[m].first; i < key_morsels[m].second;
-             ++i) {
-          Row& key = group_keys[i];
-          key.reserve(q.group_by.size());
-          for (const auto& g : q.group_by) {
-            QP_ASSIGN_OR_RETURN(Value v, EvalScalar(*g, row_scope, (*rows)[i],
-                                                    &plan.subqueries));
-            key.push_back(std::move(v));
-          }
-        }
-        return Status::OK();
-      }));
-  std::unordered_map<Row, std::vector<size_t>, RowHash> groups;
-  for (size_t i = 0; i < rows->size(); ++i) {
-    groups[std::move(group_keys[i])].push_back(i);
+  const std::vector<size_t> no_members;
+  std::vector<const Row*> null_tuple;
+  if (plan.group_by.empty() && n == 0) {
+    for (const Source& src : plan.sources) {
+      out.null_rows.emplace_back(src.columns.size());
+    }
+    for (const Row& row : out.null_rows) null_tuple.push_back(&row);
+    members.push_back(&no_members);
+    reps.push_back(null_tuple.data());
   }
-  // A fully aggregated query with no GROUP BY has one (possibly empty)
-  // global group, so COUNT(*) over no rows yields 0.
-  if (q.group_by.empty() && groups.empty()) {
-    groups.emplace(Row{}, std::vector<size_t>{});
-  }
-
-  // Snapshot the groups in iteration order, then aggregate each group
-  // independently: every group's partial state (its aggregators) lives in
-  // its task and its values land in the group's slot, merged back in group
-  // order — the parallel analogue of a partial-aggregate merge, exact at
-  // any thread count. HAVING rejections leave an empty slot.
-  std::vector<const std::vector<size_t>*> group_indices;
-  group_indices.reserve(groups.size());
-  for (const auto& [key, indices] : groups) group_indices.push_back(&indices);
-  std::vector<std::optional<AggregateValues>> slots(group_indices.size());
-  const Row empty_row(scope.columns().size());
-  const auto group_morsels = MorselsFor(group_indices.size());
-  QP_RETURN_IF_ERROR(ForEachMorsel(
-      group_morsels.size(), scope,
-      [&](size_t m, const Scope& row_scope) -> Status {
+  // Each group folds into its own slots — the parallel analogue of a
+  // partial-aggregate merge, exact at any thread count. HAVING rejections
+  // are marked and dropped afterwards.
+  out.num_groups = members.size();
+  std::vector<Value> values(out.num_groups * num_aggs);
+  std::vector<char> keep(out.num_groups, 1);
+  static const Value kNull;
+  const auto group_morsels = MorselsFor(out.num_groups);
+  QP_RETURN_IF_ERROR(
+      ForEachMorsel(group_morsels.size(), [&](size_t m) -> Status {
+        Value scratch;
         for (size_t g = group_morsels[m].first; g < group_morsels[m].second;
              ++g) {
-          const std::vector<size_t>& indices = *group_indices[g];
-          std::vector<Value> finals;
-          finals.reserve(distinct_aggs.size());
-          for (const Expr* node : distinct_aggs) {
-            QP_ASSIGN_OR_RETURN(std::unique_ptr<Aggregator> agg,
-                                registry->Create(node->function()));
-            for (size_t idx : indices) {
-              Value arg = Value::Null();
-              if (node->argument() != nullptr) {
-                QP_ASSIGN_OR_RETURN(
-                    arg, EvalScalar(*node->argument(), row_scope,
-                                    (*rows)[idx], &plan.subqueries));
-              }
-              agg->Add(arg);
-            }
-            finals.push_back(agg->Finalize());
+          const std::vector<size_t>& group = *members[g];
+          Value* slots = values.data() + g * num_aggs;
+          for (size_t a = 0; a < num_aggs; ++a) {
+            const AggregateCall& call = plan.aggregates[a];
+            slots[a] = call.fn.Fold(group.size(), [&](size_t k) -> const Value& {
+              return call.argument.has_value()
+                         ? call.argument->Eval(Frame{tuples[group[k]]},
+                                               scratch)
+                         : kNull;
+            });
           }
-          AggregateValues values;
-          for (size_t a = 0; a < agg_nodes.size(); ++a) {
-            values.emplace(agg_nodes[a], finals[agg_slot[a]]);
+          // Non-aggregate references read the group's first tuple.
+          if (plan.having.has_value()) {
+            keep[g] = plan.having->Holds(Frame{reps[g], slots});
           }
-          // Non-aggregate references read the group's first row.
-          const Row& rep = indices.empty() ? empty_row : (*rows)[indices[0]];
-          if (q.having != nullptr) {
-            QP_ASSIGN_OR_RETURN(bool keep,
-                                EvalPredicate(*q.having, row_scope, rep,
-                                              &plan.subqueries, &values));
-            if (!keep) continue;
-          }
-          slots[g] = std::move(values);
         }
         return Status::OK();
       }));
-  *num_groups = group_indices.size();
-  std::vector<Row> reps;
-  std::vector<AggregateValues> kept;
-  for (size_t g = 0; g < slots.size(); ++g) {
-    if (!slots[g].has_value()) continue;
-    const std::vector<size_t>& indices = *group_indices[g];
-    if (indices.empty()) {
-      reps.push_back(empty_row);
-    } else {
-      reps.push_back(std::move((*rows)[indices[0]]));
-    }
-    kept.push_back(std::move(*slots[g]));
+  for (size_t g = 0; g < out.num_groups; ++g) {
+    if (!keep[g]) continue;
+    out.reps.slots.insert(out.reps.slots.end(), reps[g],
+                          reps[g] + tuples.width);
+    out.aggregates.insert(
+        out.aggregates.end(),
+        std::make_move_iterator(values.begin() + g * num_aggs),
+        std::make_move_iterator(values.begin() + (g + 1) * num_aggs));
   }
-  *rows = std::move(reps);
-  return kept;
+  return out;
 }
 
-Result<RowSet> Executor::Finish(
-    const SelectQuery& q, const SelectPlan& plan, const Scope& scope,
-    const std::vector<Row>& rows,
-    const std::vector<AggregateValues>* aggregates) const {
-  const auto eval = [&](const Expr& e, const Scope& row_scope, size_t i) {
-    return EvalScalar(e, row_scope, rows[i], &plan.subqueries,
-                      aggregates != nullptr ? &(*aggregates)[i] : nullptr);
+Result<RowSet> Executor::Finish(const SelectQuery& q, const SelectPlan& plan,
+                                const Tuples& rows,
+                                const Value* aggregates) const {
+  const size_t num_aggs = plan.aggregates.size();
+  const auto frame = [&](size_t i) {
+    return Frame{rows[i],
+                 aggregates != nullptr ? aggregates + i * num_aggs : nullptr};
   };
-  // ORDER BY: each key's meaning is fixed once (ResolveOrderKeys). Sort
-  // keys fill per-row slots, so extraction is morsel-parallel; the stable
+  // ORDER BY: each key was bound by the plan step. Sort keys fill per-row
+  // slots — a reference into the rows or aggregate values, or a computed
+  // value kept beside it — so extraction is morsel-parallel; the stable
   // sort stays serial and sees identical inputs either way.
-  std::vector<size_t> order(rows.size());
-  for (size_t i = 0; i < order.size(); ++i) order[i] = i;
-  if (!q.order_by.empty()) {
-    QP_ASSIGN_OR_RETURN(const std::vector<const Expr*> keys,
-                        ResolveOrderKeys(q, plan.items, scope));
-    std::vector<Row> sort_keys(rows.size());
-    const auto morsels = MorselsFor(rows.size());
-    QP_RETURN_IF_ERROR(ForEachMorsel(
-        morsels.size(), scope,
-        [&](size_t m, const Scope& row_scope) -> Status {
-          for (size_t i = morsels[m].first; i < morsels[m].second; ++i) {
-            for (const Expr* key : keys) {
-              QP_ASSIGN_OR_RETURN(Value v, eval(*key, row_scope, i));
-              sort_keys[i].push_back(std::move(v));
-            }
-          }
-          return Status::OK();
-        }));
+  const size_t n = rows.size();
+  std::vector<size_t> order(n);
+  for (size_t i = 0; i < n; ++i) order[i] = i;
+  const size_t num_keys = plan.order_by.size();
+  if (num_keys > 0) {
+    std::vector<Value> computed(n * num_keys);
+    std::vector<const Value*> keys(n * num_keys);
+    const auto morsels = MorselsFor(n);
+    QP_RETURN_IF_ERROR(ForEachMorsel(morsels.size(), [&](size_t m) -> Status {
+      for (size_t i = morsels[m].first; i < morsels[m].second; ++i) {
+        for (size_t k = 0; k < num_keys; ++k) {
+          const size_t slot = i * num_keys + k;
+          keys[slot] = &plan.order_by[k].Eval(frame(i), computed[slot]);
+        }
+      }
+      return Status::OK();
+    }));
     std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-      for (size_t k = 0; k < q.order_by.size(); ++k) {
-        const int cmp = sort_keys[a][k].Compare(sort_keys[b][k]);
+      for (size_t k = 0; k < num_keys; ++k) {
+        const int cmp =
+            keys[a * num_keys + k]->Compare(*keys[b * num_keys + k]);
         if (cmp != 0) return q.order_by[k].ascending ? cmp < 0 : cmp > 0;
       }
       return false;
     });
   }
 
-  // Projection fills per-row slots in sorted order. Under a LIMIT without
-  // DISTINCT only the rows the limit keeps are projected; DISTINCT needs
-  // every row, since its selection depends on order.
+  // Projection is the one place values are copied: into per-row slots, in
+  // sorted order. Under a LIMIT without DISTINCT only the rows the limit
+  // keeps are projected; DISTINCT needs every row, since its selection
+  // depends on order.
   const size_t to_project = q.limit.has_value() && !q.distinct
-                                ? std::min(*q.limit, order.size())
-                                : order.size();
+                                ? std::min(*q.limit, n)
+                                : n;
   std::vector<Row> projected(to_project);
   const auto morsels = MorselsFor(to_project);
-  QP_RETURN_IF_ERROR(ForEachMorsel(
-      morsels.size(), scope, [&](size_t m, const Scope& row_scope) -> Status {
-        for (size_t i = morsels[m].first; i < morsels[m].second; ++i) {
-          projected[i].reserve(plan.items.size());
-          for (const auto& item : plan.items) {
-            QP_ASSIGN_OR_RETURN(Value v, eval(*item.expr, row_scope, order[i]));
-            projected[i].push_back(std::move(v));
-          }
-        }
-        return Status::OK();
-      }));
+  QP_RETURN_IF_ERROR(ForEachMorsel(morsels.size(), [&](size_t m) -> Status {
+    Value scratch;
+    for (size_t i = morsels[m].first; i < morsels[m].second; ++i) {
+      Row& row = projected[i];
+      row.reserve(plan.projection.size());
+      for (const BoundExpr& item : plan.projection) {
+        row.push_back(item.Eval(frame(order[i]), scratch));
+      }
+    }
+    return Status::OK();
+  }));
   std::vector<OutputColumn> out_cols;
   out_cols.reserve(plan.items.size());
   for (const auto& item : plan.items) {
     out_cols.push_back({"", item.OutputName()});
   }
   RowSet out(std::move(out_cols));
-  out.rows().reserve(projected.size());
-  std::unordered_set<Row, RowHash> seen;
+  std::vector<Row>& kept = out.rows();
+  kept.reserve(projected.size());
+  const auto less = [&](size_t a, size_t b) { return kept[a] < kept[b]; };
+  std::set<size_t, decltype(less)> seen(less);
   for (Row& row : projected) {
-    if (q.limit.has_value() && out.num_rows() >= *q.limit) break;
-    if (q.distinct && !seen.insert(row).second) continue;
-    out.Add(std::move(row));
+    if (q.limit.has_value() && kept.size() >= *q.limit) break;
+    kept.push_back(std::move(row));
+    if (q.distinct && !seen.insert(kept.size() - 1).second) kept.pop_back();
   }
   return out;
 }

@@ -4,21 +4,32 @@
 // to hash sets), UNION ALL, GROUP BY / HAVING with built-in and user-defined
 // aggregates, DISTINCT, ORDER BY and LIMIT.
 //
-// Each select block runs as a plan step (sources, IN-subquery sets, WHERE
-// conjuncts classified with every column name resolved, access paths, join
-// order, '*' expansion) followed by operator functions: scan+filter,
-// filter, hash join, cross product, group+aggregate and one finish step
-// (ORDER BY, projection, DISTINCT, LIMIT).
+// Each select block runs as a plan step followed by operator functions.
+// The plan step runs derived tables and IN-subqueries, then binds every
+// expression of the block once (evaluator.h): first the WHERE conjuncts,
+// classified into per-source filters, join edges and residuals; then, with
+// '*' expanded over the FROM columns, the output side — select items,
+// GROUP BY keys, each distinct aggregate call with its function resolved,
+// HAVING and the ORDER BY keys — so every name and shape error fails before
+// any row is read. It then picks each base source's access path (the
+// chosen probe or range keeps its candidates, collected once), filters the
+// derived tables and orders the joins. The operators —
+// scan+filter, filter, hash join, cross product, group+aggregate and one
+// finish step (ORDER BY, projection, DISTINCT, LIMIT) — pass tuples of row
+// pointers, one per FROM source, into base tables or the plan's derived
+// rows. No operator copies a row; projection in the finish step is the one
+// place values are copied, into the result RowSet.
 //
 // Execution is morsel-driven: base-table scan+filter, hash-join build
 // (partitioned) and probe, the filter passes, IN-subquery materialization,
-// grouping-key extraction, per-group aggregation, sort-key extraction and
-// projection each write one body over index-ordered row ranges ("morsels"),
+// grouping-key hashing, per-group aggregation, sort-key extraction and
+// projection each write one body over index-ordered ranges ("morsels"),
 // run through common::ThreadPool::ParallelFor — inline as one morsel when
-// num_threads is 1, fanned out over the pool otherwise. Morsel outputs are
-// merged in morsel order, so results — row order, ORDER BY tie-breaking,
-// error reporting and ExecStats totals included — are byte-for-byte
-// identical at every thread count.
+// num_threads is 1, fanned out over the pool otherwise; every morsel reads
+// the same immutable bound programs. Morsel outputs are merged in morsel
+// order, so results — row order, ORDER BY tie-breaking, error reporting and
+// ExecStats totals included — are byte-for-byte identical at every thread
+// count.
 //
 // Observability: Execute() optionally records an obs::TraceSpan tree of the
 // physical plan it actually took (one span per source / join / residual /
@@ -28,7 +39,8 @@
 // timings) is identical at every thread count. Explain() renders the tree
 // in the legacy plan-text format; ExplainAnalyze() adds attrs and timings.
 // ExecOptions::metrics additionally mirrors ExecStats into registry
-// counters (qp_exec_*_total) at the same bulk accumulation points.
+// counters (qp_exec_*_total), resolved once per registry, at the same bulk
+// accumulation points.
 
 #pragma once
 
@@ -51,8 +63,12 @@ class StatsManager;
 
 namespace qp::exec {
 
-/// What Executor's plan step hands its operators (defined in executor.cc).
+/// What Executor's plan step hands its operators, the row-pointer tuples
+/// they pass each other, and what grouping hands the finish step (defined
+/// in executor.cc).
 struct SelectPlan;
+struct Tuples;
+struct Groups;
 
 /// \brief Parallelism knobs for one Executor instance.
 ///
@@ -76,8 +92,9 @@ struct ExecOptions {
   common::ThreadPool* pool = nullptr;
   /// Optional metrics registry (not owned; must outlive the executor).
   /// When set, the executor mirrors its ExecStats accumulation into
-  /// qp_exec_*_total counters resolved once at construction — the hot path
-  /// pays one null check plus a relaxed atomic add per bulk boundary.
+  /// qp_exec_*_total counters, resolved once per registry and read from its
+  /// lock-free cache at construction — the hot path pays one null check
+  /// plus a relaxed atomic add per bulk boundary.
   obs::MetricsRegistry* metrics = nullptr;
   /// Optional cooperative cancellation token (not owned; must outlive the
   /// executor). Polled at query entry and at every morsel boundary; when it
@@ -143,6 +160,10 @@ class Executor {
   /// concurrent Execute() call.
   Result<RowSet> Execute(const sql::Query& query,
                          obs::TraceSpan* trace = nullptr) const;
+  /// Executes one select block, as Execute does a single-select Query
+  /// (no copy of the block into a Query first).
+  Result<RowSet> Execute(const sql::SelectQuery& query,
+                         obs::TraceSpan* trace = nullptr) const;
 
   /// Parses and executes SQL text.
   Result<RowSet> ExecuteSql(const std::string& sql) const;
@@ -166,8 +187,6 @@ class Executor {
   /// their own tracks.
   Result<std::string> ExplainAnalyzeChromeJson(const sql::Query& query) const;
   Result<std::string> ExplainAnalyzeChromeJsonSql(const std::string& sql) const;
-
-  const ExecOptions& options() const { return options_; }
 
   /// Snapshot of the cumulative counters.
   ExecStats stats() const;
@@ -209,14 +228,15 @@ class Executor {
   };
 
   /// Runs one select block: the plan step, then the operators over the
-  /// plan, each taking and returning materialized rows.
+  /// plan, each taking and returning tuples of row pointers.
   Result<RowSet> ExecuteSelect(const sql::SelectQuery& q,
                                obs::TraceSpan* span) const;
 
-  /// The plan step: runs derived tables, materializes IN-subqueries,
-  /// classifies the WHERE conjuncts (resolving every column name), picks
-  /// and counts each base source's access path, orders the joins and
-  /// expands '*'. Records the derived-table, subquery and source spans.
+  /// The plan step, in order: runs derived tables, materializes
+  /// IN-subqueries, binds and classifies the WHERE conjuncts, expands '*'
+  /// and binds the output side, picks and counts each base source's access
+  /// path, filters derived tables and orders the joins. Records the
+  /// derived-table, subquery and source spans.
   Result<SelectPlan> PlanSelect(const sql::SelectQuery& q,
                                 obs::TraceSpan* span) const;
   /// Executes each IN-subquery in `q` into its membership set.
@@ -225,30 +245,25 @@ class Executor {
 
   // The operators.
   /// Scan+filter: base source `s` read through its access path, filtered.
-  Result<std::vector<storage::Row>> ScanFilter(const SelectPlan& plan,
-                                               size_t s) const;
-  /// Filter: keeps, in order, the rows on which every filter holds.
-  Status Filter(const std::vector<sql::ExprPtr>& filters, const Scope& scope,
-                const SubqueryResults& subqueries,
-                std::vector<storage::Row>* rows) const;
-  /// Hash join: each row of `left` followed by each matching row of source
-  /// `s`, matched on left column `probe_col` = source column `build_col`.
-  Result<std::vector<storage::Row>> HashJoin(
-      const SelectPlan& plan, const std::vector<storage::Row>& left,
-      size_t probe_col, size_t s, size_t build_col) const;
-  /// Group+aggregate: replaces `*rows` with the first row of each group
-  /// HAVING keeps (all NULLs for an empty global group) and returns those
-  /// groups' aggregate values; `*num_groups` gets the count before HAVING.
-  Result<std::vector<AggregateValues>> Aggregate(
-      const sql::SelectQuery& q, const SelectPlan& plan, const Scope& scope,
-      std::vector<storage::Row>* rows, size_t* num_groups) const;
-  /// The finish step for grouped and ungrouped rows alike: ORDER BY,
-  /// projection, DISTINCT and LIMIT. `aggregates` holds each row's group
-  /// values, or is null for an ungrouped query.
+  Result<Tuples> ScanFilter(const SelectPlan& plan, size_t s) const;
+  /// Filter: keeps, in order, the tuples on which every filter holds.
+  Status Filter(const std::vector<BoundExpr>& filters, Tuples* tuples) const;
+  /// Hash join: each tuple of `left` extended by each matching row of
+  /// source `s`, matched on column `probe_col` of the tuple's
+  /// `probe_source` row = source column `build_col`.
+  Result<Tuples> HashJoin(const SelectPlan& plan, const Tuples& left,
+                          size_t probe_source, size_t probe_col, size_t s,
+                          size_t build_col) const;
+  /// Group+aggregate: the groups HAVING keeps, each as its first tuple
+  /// (all-NULL rows for an empty global group) and its aggregate values.
+  Result<Groups> Aggregate(const SelectPlan& plan, const Tuples& tuples) const;
+  /// The finish step for grouped and ungrouped tuples alike: ORDER BY,
+  /// projection, DISTINCT and LIMIT; the one place values are copied.
+  /// `aggregates` holds each tuple's group values, or is null for an
+  /// ungrouped block.
   Result<RowSet> Finish(const sql::SelectQuery& q, const SelectPlan& plan,
-                        const Scope& scope,
-                        const std::vector<storage::Row>& rows,
-                        const std::vector<AggregateValues>* aggregates) const;
+                        const Tuples& rows,
+                        const storage::Value* aggregates) const;
 
   /// The pool parallel regions run on: the injected shared pool when the
   /// options carry one, else the per-instance pool (null when serial).
@@ -270,15 +285,15 @@ class Executor {
         ParallelEnabled() ? 4 * options_.parallelism() : 1);
   }
 
-  /// Runs body(m, scope) -> Status for each morsel m in [0, n) through
-  /// common::ThreadPool::ParallelFor: inline with `scope` itself when the
-  /// executor is serial or n == 1, else as pool tasks that each get their
-  /// own copy of `scope` (its resolution memo is not thread-safe to share).
-  /// Polls the cancel token before each morsel (the morsel-boundary
-  /// checkpoint) and adds each body's wall time to thread_seconds().
-  /// Returns the lowest-index failure, as a serial loop would.
+  /// Runs body(m) -> Status for each morsel m in [0, n) through
+  /// common::ThreadPool::ParallelFor: inline when the executor is serial or
+  /// n == 1, else as pool tasks (bound programs are immutable, so every
+  /// task reads the same ones). Polls the cancel token before each morsel
+  /// (the morsel-boundary checkpoint) and adds each body's wall time to
+  /// thread_seconds(). Returns the lowest-index failure, as a serial loop
+  /// would.
   template <typename Body>
-  Status ForEachMorsel(size_t n, const Scope& scope, const Body& body) const;
+  Status ForEachMorsel(size_t n, const Body& body) const;
 
   /// OK, or the cancellation status when ExecOptions::cancel has fired.
   Status CheckCancel() const {

@@ -13,68 +13,43 @@ const char* AccessPath::kind_name() const {
   return "?";
 }
 
-size_t AccessPath::Collect(const storage::Table& table,
-                           std::vector<size_t>* out) const {
+size_t AccessPath::Prefetch(const storage::Table& table) {
   const size_t num_rows = table.num_rows();
+  positions.clear();
+  examined = num_rows;
   switch (kind) {
-    case Kind::kFullScan: {
-      out->reserve(out->size() + num_rows);
-      for (size_t i = 0; i < num_rows; ++i) out->push_back(i);
-      return num_rows;
-    }
-    case Kind::kHashProbe: {
+    case Kind::kFullScan:
+      positions.reserve(num_rows);
+      for (size_t i = 0; i < num_rows; ++i) positions.push_back(i);
+      break;
+    case Kind::kHashProbe:
       if (hash != nullptr) {
-        const std::vector<size_t>* positions = hash->Lookup(eq_key);
-        if (positions != nullptr) {
-          out->insert(out->end(), positions->begin(), positions->end());
-          return positions->size();
+        const std::vector<size_t>* matches = hash->Lookup(eq_key);
+        if (matches != nullptr) positions = *matches;
+        examined = positions.size();
+      } else if (eq_key.is_null()) {
+        examined = 0;  // NULL never matches (and is never indexed)
+      } else {
+        for (size_t i = 0; i < num_rows; ++i) {
+          if (table.row(i)[col] == eq_key) positions.push_back(i);
         }
-        return 0;
       }
-      // NULL never matches (and is never indexed) — no work either way.
-      if (eq_key.is_null()) return 0;
-      for (size_t i = 0; i < num_rows; ++i) {
-        if (table.row(i)[col] == eq_key) out->push_back(i);
-      }
-      return num_rows;
-    }
-    case Kind::kBTreeRange: {
+      break;
+    case Kind::kBTreeRange:
       if (btree != nullptr) {
         // The tree replays matches in (key, position) order; re-sort into
         // ascending row order so backing is unobservable downstream.
-        std::vector<size_t> matches = btree->RangePositions(bounds);
-        std::sort(matches.begin(), matches.end());
-        out->insert(out->end(), matches.begin(), matches.end());
-        return matches.size();
+        positions = btree->RangePositions(bounds);
+        std::sort(positions.begin(), positions.end());
+        examined = positions.size();
+      } else {
+        for (size_t i = 0; i < num_rows; ++i) {
+          if (bounds.Contains(table.row(i)[col])) positions.push_back(i);
+        }
       }
-      for (size_t i = 0; i < num_rows; ++i) {
-        if (bounds.Contains(table.row(i)[col])) out->push_back(i);
-      }
-      return num_rows;
-    }
+      break;
   }
-  return 0;
-}
-
-size_t ExactEqCount(const storage::Table& table, size_t col,
-                    const storage::Value& key, const HashIndex* hash) {
-  if (key.is_null()) return 0;
-  if (hash != nullptr) return hash->Count(key);
-  size_t count = 0;
-  for (size_t i = 0; i < table.num_rows(); ++i) {
-    if (table.row(i)[col] == key) ++count;
-  }
-  return count;
-}
-
-size_t ExactRangeCount(const storage::Table& table, size_t col,
-                       const RangeBounds& bounds, const BPlusTree* btree) {
-  if (btree != nullptr) return btree->RangeCount(bounds);
-  size_t count = 0;
-  for (size_t i = 0; i < table.num_rows(); ++i) {
-    if (bounds.Contains(table.row(i)[col])) ++count;
-  }
-  return count;
+  return positions.size();
 }
 
 }  // namespace qp::index

@@ -6,10 +6,10 @@
 //
 // The logical/physical split is the core contract: whether an index is
 // registered never changes which kind is chosen, what estimated_rows says,
-// or which rows come back (Collect always yields the identical candidate
-// set in ascending row order). Indexes only change how much work Collect
-// does to produce it — reported via its examined-rows return value, never
-// via ExecStats. That is what keeps answers, ExecStats, and emission order
+// or which rows come back (Prefetch always keeps the identical candidate
+// set in ascending row order). Indexes only change how much work Prefetch
+// does to produce it — reported via its examined-rows count, never via
+// ExecStats. That is what keeps answers, ExecStats, and emission order
 // byte-identical with indexes on vs off.
 
 #pragma once
@@ -55,24 +55,14 @@ struct AccessPath {
            (kind == Kind::kBTreeRange && btree != nullptr);
   }
 
-  /// Appends the candidate row positions to `out`, always in ascending row
-  /// order regardless of backing. Returns the number of rows physically
-  /// examined to produce them: table.num_rows() on the scan fallback, the
-  /// match count when an index snapshot answers the probe.
-  size_t Collect(const storage::Table& table,
-                 std::vector<size_t>* out) const;
+  /// Collects the candidate row positions once and keeps them, always in
+  /// ascending row order regardless of backing, and returns their count:
+  /// the planner's exact estimate. `examined` is the number of rows
+  /// physically examined to produce them: table.num_rows() on the scan
+  /// fallback, the match count when an index snapshot answers the probe.
+  size_t Prefetch(const storage::Table& table);
+  std::vector<size_t> positions;  ///< kept by Prefetch
+  size_t examined = 0;            ///< rows Prefetch's collection examined
 };
-
-/// Exact count of rows with row[col] == key. Counts via the snapshot when
-/// given (the cheap path), by scanning otherwise — same number either way,
-/// which is what keeps plan choice index-independent. NULL keys match
-/// nothing.
-size_t ExactEqCount(const storage::Table& table, size_t col,
-                    const storage::Value& key, const HashIndex* hash);
-
-/// Exact count of rows with row[col] inside `bounds`; snapshot-or-scan as
-/// above.
-size_t ExactRangeCount(const storage::Table& table, size_t col,
-                       const RangeBounds& bounds, const BPlusTree* btree);
 
 }  // namespace qp::index

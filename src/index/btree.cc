@@ -390,15 +390,6 @@ BPlusTree::Iterator BPlusTree::SeekRange(const RangeBounds& bounds) const {
   return bounds.has_lo ? Seek(bounds.lo, bounds.lo_inclusive) : Begin();
 }
 
-size_t BPlusTree::RangeCount(const RangeBounds& bounds) const {
-  size_t count = 0;
-  for (Iterator it = SeekRange(bounds); it.valid(); ++it) {
-    if (!bounds.Contains(it.key())) break;
-    ++count;
-  }
-  return count;
-}
-
 std::vector<size_t> BPlusTree::RangePositions(const RangeBounds& bounds) const {
   std::vector<size_t> out;
   for (Iterator it = SeekRange(bounds); it.valid(); ++it) {

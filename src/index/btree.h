@@ -89,11 +89,8 @@ class BPlusTree {
   Iterator Seek(const storage::Value& v, bool inclusive) const;
 
   /// Iterator at the first in-bounds entry; callers stop when the key
-  /// leaves the bounds (see RangeBounds::Contains / RangeCount).
+  /// leaves the bounds (see RangeBounds::Contains / RangePositions).
   Iterator SeekRange(const RangeBounds& bounds) const;
-
-  /// Number of entries inside `bounds`.
-  size_t RangeCount(const RangeBounds& bounds) const;
 
   /// Row positions inside `bounds`, in (key, position) index order.
   std::vector<size_t> RangePositions(const RangeBounds& bounds) const;

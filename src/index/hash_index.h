@@ -33,12 +33,6 @@ class HashIndex {
   /// Row positions holding `key`, ascending; nullptr when absent. Lock-free.
   const std::vector<size_t>* Lookup(const storage::Value& key) const;
 
-  /// Number of rows holding `key` (0 when absent).
-  size_t Count(const storage::Value& key) const {
-    const std::vector<size_t>* p = Lookup(key);
-    return p != nullptr ? p->size() : 0;
-  }
-
   /// Indexed (non-NULL) row count.
   size_t num_entries() const { return num_entries_; }
   /// Distinct indexed keys.

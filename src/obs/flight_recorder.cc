@@ -46,7 +46,7 @@ std::string FlightEvent::ToString() const {
   return out;
 }
 
-FlightRecorder::FlightRecorder(size_t capacity) : ring_(capacity) {}
+FlightRecorder::FlightRecorder() : ring_(kCapacity) {}
 
 FlightRecorder::~FlightRecorder() { CaptureStatusErrors(false); }
 
@@ -97,7 +97,7 @@ std::string FlightRecorder::Dump() const {
 }
 
 FlightRecorder& FlightRecorder::Global() {
-  static FlightRecorder* instance = new FlightRecorder(256);
+  static FlightRecorder* instance = new FlightRecorder();
   return *instance;
 }
 

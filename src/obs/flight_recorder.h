@@ -53,7 +53,10 @@ struct FlightEvent {
 /// serving context owner).
 class FlightRecorder {
  public:
-  explicit FlightRecorder(size_t capacity = 256);
+  /// Events the ring keeps; older ones are overwritten.
+  static constexpr size_t kCapacity = 256;
+
+  FlightRecorder();
   ~FlightRecorder();
 
   FlightRecorder(const FlightRecorder&) = delete;
@@ -79,8 +82,8 @@ class FlightRecorder {
   uint64_t seen() const { return ring_.seen(); }
   size_t capacity() const { return ring_.capacity(); }
 
-  /// Process-wide default instance (capacity 256), used by the SQL shell
-  /// and anything that wants a recorder without plumbing one through.
+  /// Process-wide default instance, used by the SQL shell and anything
+  /// that wants a recorder without plumbing one through.
   static FlightRecorder& Global();
 
  private:

@@ -250,6 +250,28 @@ Counter* MetricsRegistry::GetCounter(const std::string& name,
   return counters_.back().counter.get();
 }
 
+const std::vector<Counter*>* MetricsRegistry::FindTable(
+    const void* table) const {
+  for (const ResolvedTable* t = resolved_.load(std::memory_order_acquire);
+       t != nullptr; t = t->next) {
+    if (t->table == table) return &t->counters;
+  }
+  return nullptr;
+}
+
+const std::vector<Counter*>& MetricsRegistry::AddTable(
+    const void* table, std::vector<Counter*> counters) {
+  std::lock_guard<std::mutex> lock(mu_);
+  if (const std::vector<Counter*>* cached = FindTable(table)) return *cached;
+  auto node = std::make_unique<ResolvedTable>();
+  node->table = table;
+  node->counters = std::move(counters);
+  node->next = resolved_.load(std::memory_order_relaxed);
+  resolved_.store(node.get(), std::memory_order_release);
+  resolved_tables_.push_back(std::move(node));
+  return resolved_tables_.back()->counters;
+}
+
 Histogram* MetricsRegistry::GetHistogram(const std::string& name,
                                          std::vector<double> bounds,
                                          const std::string& help) {

@@ -24,6 +24,7 @@
 
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <cstdint>
@@ -240,6 +241,15 @@ class MetricsRegistry {
   /// histograms. Runs the collection hooks first.
   std::string RenderText() const;
 
+  /// The cached counters of one CounterRow table (keyed by its address;
+  /// see RegisterCounters), or null before AddTable. Lock-free: the cache
+  /// is a list that only grows, published through an atomic head.
+  const std::vector<Counter*>* FindTable(const void* table) const;
+  /// Caches `counters` for `table` and returns the cached list (an
+  /// earlier caller's, when two raced).
+  const std::vector<Counter*>& AddTable(const void* table,
+                                        std::vector<Counter*> counters);
+
   /// JSON snapshot: {"counters": {name: value, ...},
   /// "gauges": {name: value, ...},
   /// "histograms": {name: {"count": n, "sum": s, "buckets": [...],
@@ -280,8 +290,17 @@ class MetricsRegistry {
   std::string CappedName(const std::string& name, bool exists) const;
   size_t LabeledCountLocked(const std::string& base) const;
 
+  /// One table's resolved counters, in the lock-free cache list.
+  struct ResolvedTable {
+    const void* table = nullptr;
+    std::vector<Counter*> counters;
+    const ResolvedTable* next = nullptr;
+  };
+
   mutable std::mutex mu_;
   size_t label_limit_ = 1024;
+  std::atomic<const ResolvedTable*> resolved_{nullptr};
+  std::vector<std::unique_ptr<ResolvedTable>> resolved_tables_;  ///< owner
   std::vector<CounterEntry> counters_;
   std::vector<GaugeEntry> gauges_;
   std::vector<HistogramEntry> histograms_;
@@ -312,14 +331,22 @@ struct CounterRow {
 
 /// Registers one counter per row of `table`, in row order (the order
 /// RenderText lists the families in), and returns them index-aligned with
-/// the rows.
+/// the rows. The rows are resolved once per registry: later calls for the
+/// same table read the registry's cache without its lock, so a component
+/// built per request (an Executor per Personalize call) takes no lock.
 template <typename Snapshot, typename Field, size_t N>
 std::array<Counter*, N> RegisterCounters(
     MetricsRegistry& registry, const CounterRow<Snapshot, Field> (&table)[N]) {
-  std::array<Counter*, N> counters{};
-  for (size_t i = 0; i < N; ++i) {
-    counters[i] = registry.GetCounter(table[i].series, table[i].help);
+  const std::vector<Counter*>* cached = registry.FindTable(table);
+  if (cached == nullptr) {
+    std::vector<Counter*> resolved;
+    for (size_t i = 0; i < N; ++i) {
+      resolved.push_back(registry.GetCounter(table[i].series, table[i].help));
+    }
+    cached = &registry.AddTable(table, std::move(resolved));
   }
+  std::array<Counter*, N> counters{};
+  std::copy(cached->begin(), cached->end(), counters.begin());
   return counters;
 }
 

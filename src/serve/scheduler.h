@@ -193,7 +193,6 @@ class Scheduler {
   size_t ShardOf(const std::string& user_id) const;
 
   SchedulerStats stats() const;
-  const Options& options() const { return options_; }
 
  private:
   struct QueuedRequest {

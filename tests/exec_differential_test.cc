@@ -1,9 +1,11 @@
 // Differential testing for the executor: queries run both through the
-// optimizing executor (greedy index-aware hash joins, early filters, the
-// finish step) and the naive reference in tests/test_support.h (cross
-// product + filter, then grouping, sorting and projection written the
-// obvious way). Results must match exactly: as sequences where the ORDER BY
-// keys are unique, as multisets otherwise.
+// optimizing executor (bound programs, greedy index-aware hash joins over
+// row-pointer tuples, early filters, the finish step) and the naive
+// reference in tests/test_support.h (its own tree-walking evaluator over a
+// cross product + filter, then grouping, sorting and projection written
+// the obvious way). Results must match exactly: as sequences where the
+// ORDER BY keys are unique, as multisets otherwise. A second corpus is the
+// queries SPA and PPA emit, built the way the generators build them.
 
 #include <gtest/gtest.h>
 
@@ -11,8 +13,13 @@
 #include <set>
 
 #include "common/random.h"
+#include "core/pipeline.h"
+#include "core/rewrite.h"
+#include "core/spa.h"
 #include "datagen/moviegen.h"
+#include "datagen/profilegen.h"
 #include "exec/executor.h"
+#include "sim/trials.h"
 #include "sql/parser.h"
 #include "test_support.h"
 
@@ -238,6 +245,169 @@ TEST_F(DifferentialTest, EdgesInternalToTheJoinedRows) {
   ExpectSameResults(
       "select d.name, g.genre, m.title from director d, genre g, movie m "
       "where g.mid = m.mid and d.did <= 2 and g.genre = 'musical'");
+}
+
+/// SPA's rank(degree) for the emitted corpus: the inflationary positive
+/// combination over the degrees in sorted order, so the result does not
+/// depend on the order a group's rows arrive in (the executor and the
+/// reference order a derived table's groups differently).
+class SortedRankAggregator : public Aggregator {
+ public:
+  void Add(const storage::Value& v) override {
+    if (v.is_numeric()) degrees_.push_back(v.ToNumeric());
+  }
+  storage::Value Finalize() const override {
+    std::vector<double> sorted = degrees_;
+    std::sort(sorted.begin(), sorted.end());
+    return storage::Value(
+        core::RankingFunction::Make(core::CombinationStyle::kInflationary)
+            .RankPositive(sorted));
+  }
+
+ private:
+  std::vector<double> degrees_;
+};
+
+/// Each ORDER BY key's select-list position (a position, an alias or the
+/// same expression), or nothing when a key is not a select item.
+std::optional<std::vector<size_t>> KeyColumns(const sql::SelectQuery& q) {
+  std::vector<size_t> cols;
+  for (const auto& o : q.order_by) {
+    std::optional<size_t> col;
+    for (size_t i = 0; i < q.select.size() && !col; ++i) {
+      const auto& item = q.select[i];
+      if (item.expr->ToString() == o.expr->ToString() ||
+          (o.expr->kind() == sql::ExprKind::kColumnRef &&
+           item.OutputName() == o.expr->column())) {
+        col = i;
+      }
+    }
+    if (!col) return std::nullopt;
+    cols.push_back(*col);
+  }
+  return cols;
+}
+
+/// Rows restricted to `cols`, in order.
+std::vector<std::string> Project(const RowSet& rows,
+                                 const std::vector<size_t>& cols) {
+  std::vector<std::string> out;
+  for (const auto& row : rows.rows()) {
+    std::string key;
+    for (size_t c : cols) key += row[c].ToString() + '\x1f';
+    out.push_back(std::move(key));
+  }
+  return out;
+}
+
+TEST(EmittedQueryCorpusTest, SpaAndPpaQueriesMatchTheReference) {
+  // Every S/A query, complement base query and SPA personalized query the
+  // generators emit, over tiny databases so the reference's cross products
+  // stay small: serve_mixed's profile mix, the five study queries, K 4 and
+  // 8. The executor runs each at 1 and 4 threads (tiny morsels, so the 4
+  // threads really fan out); the two must agree byte for byte, and both
+  // with the reference — in order for an ORDER BY query (on the sort keys,
+  // whose ties the reference breaks in its own group order), as multisets
+  // otherwise.
+  AggregateRegistry registry;
+  ASSERT_TRUE(registry
+                  .Register("rank",
+                            [] {
+                              return std::unique_ptr<Aggregator>(
+                                  new SortedRankAggregator());
+                            })
+                  .ok());
+  size_t checked = 0;
+  size_t ordered = 0;
+  for (uint64_t d = 0; d < 10; ++d) {
+    datagen::ProfileGenConfig pg = test::SmallConfig(500 + d);
+    pg.db_config.seed = 900 + d;
+    pg.db_config.num_movies = 20 + 3 * d;
+    pg.db_config.num_directors = 5;
+    pg.db_config.num_actors = 6;
+    pg.db_config.num_theatres = 2;
+    pg.db_config.plays_per_theatre = 3;
+    pg.db_config.max_genres_per_movie = 2;
+    pg.db_config.min_cast = 1;
+    pg.db_config.max_cast = 2;
+    auto db = datagen::GenerateMovieDatabase(pg.db_config);
+    ASSERT_TRUE(db.ok()) << db.status();
+    auto profile = datagen::GenerateProfile(pg);
+    ASSERT_TRUE(profile.ok()) << profile.status();
+    auto graph = core::PersonalizationGraph::Build(&*db, &*profile);
+    ASSERT_TRUE(graph.ok()) << graph.status();
+    const core::QueryRewriter rewriter(&*db);
+    ExecOptions parallel;
+    parallel.num_threads = 4;
+    parallel.morsel_rows = 4;
+    const Executor serial_executor(&*db, &registry);
+    const Executor parallel_executor(&*db, &registry, parallel);
+    const auto check = [&](const sql::Query& query) {
+      const std::string sql = query.ToString();
+      auto serial = serial_executor.Execute(query);
+      ASSERT_TRUE(serial.ok()) << sql << ": " << serial.status();
+      auto fanned = parallel_executor.Execute(query);
+      ASSERT_TRUE(fanned.ok()) << sql << ": " << fanned.status();
+      EXPECT_EQ(AsSequence(*serial), AsSequence(*fanned)) << sql;
+      auto slow = NaiveExecute(*db, query, &registry);
+      ASSERT_TRUE(slow.ok()) << sql << ": " << slow.status();
+      EXPECT_EQ(AsMultiset(*serial), AsMultiset(*slow)) << sql;
+      if (!query.is_union() && !query.single().order_by.empty()) {
+        const auto cols = KeyColumns(query.single());
+        ASSERT_TRUE(cols.has_value()) << sql;
+        EXPECT_EQ(Project(*serial, *cols), Project(*slow, *cols)) << sql;
+        ++ordered;
+      }
+      ++checked;
+    };
+    for (const std::string& text : sim::StudyQueries()) {
+      auto parsed = sql::ParseQuery(text);
+      ASSERT_TRUE(parsed.ok()) << text;
+      const sql::SelectQuery& base = (*parsed)->single();
+      for (size_t k : {4, 8}) {
+        core::PersonalizeOptions options;
+        options.k = k;
+        options.l = k == 4 ? 1 : 2;
+        auto resolved = core::ResolvePersonalization(options, *profile);
+        ASSERT_TRUE(resolved.ok());
+        auto prefs = core::RunSelection(*graph, base, options, *resolved);
+        ASSERT_TRUE(prefs.ok()) << prefs.status();
+        if (prefs->size() < options.l) continue;
+        // PPA: the base query extended with the tuple id, then one S query
+        // (presence, 1-1 absence) or A query (1-n absence) per preference.
+        sql::SelectQuery base2 = base;
+        const std::string anchor = base.from[0].table;
+        const storage::Table* table = *db->GetTable(anchor);
+        base2.select.push_back(
+            {sql::Expr::Column(core::QueryRewriter::BaseAlias(base, anchor),
+                               table->schema().primary_key()[0]),
+             "_tid"});
+        check(*sql::Query::Single(base2));
+        for (const auto& selected : *prefs) {
+          auto parts = rewriter.Rewrite(base2, selected.pref);
+          if (!parts.ok()) continue;
+          auto round =
+              parts->kind == core::PreferenceKind::kAbsenceOneN
+                  ? rewriter.BuildViolationQuery(base2, selected.pref)
+                  : rewriter.BuildSatisfactionQuery(base2, selected.pref);
+          ASSERT_TRUE(round.ok()) << round.status();
+          check(*sql::Query::Single(*round));
+        }
+        // SPA: the union of grouped branches under the outer GROUP BY /
+        // HAVING count(*) >= L / ORDER BY rank(degree).
+        const core::SpaGenerator spa(&*db, core::RankingFunction::Make(
+                                               core::CombinationStyle::
+                                                   kInflationary));
+        auto personalized =
+            spa.BuildPersonalizedQuery(base, *prefs, options.l);
+        ASSERT_TRUE(personalized.ok()) << personalized.status();
+        check(**personalized);
+      }
+    }
+  }
+  // The corpus is not vacuous: hundreds of queries, the SPA ones ordered.
+  EXPECT_GE(checked, 300u);
+  EXPECT_GE(ordered, 50u);
 }
 
 }  // namespace

@@ -384,6 +384,47 @@ TEST_F(ExecutorTest, OrderByUnknownNameFailsBeforeAnyRow) {
   EXPECT_EQ(rows.status().code(), StatusCode::kNotFound) << rows.status();
 }
 
+TEST_F(ExecutorTest, UnknownNamesFailOverEmptyInput) {
+  // No row reaches the select list, the GROUP BY key or HAVING, and each
+  // unknown name still fails, naming the column.
+  for (const char* sql :
+       {"select nosuch from movie where mid = -1",
+        "select mid from movie where mid = -1 group by nosuch",
+        "select mid, count(*) from movie where mid = -1 group by mid "
+        "having nosuch > 1"}) {
+    Executor executor(&db_);
+    auto rows = executor.ExecuteSql(sql);
+    EXPECT_FALSE(rows.ok()) << sql;
+    if (rows.ok()) continue;
+    EXPECT_EQ(rows.status().code(), StatusCode::kNotFound) << sql;
+    EXPECT_NE(rows.status().message().find("nosuch"), std::string::npos)
+        << rows.status();
+    EXPECT_EQ(executor.stats().rows_scanned, 0u) << sql;
+  }
+}
+
+TEST_F(ExecutorTest, DistinctOrderByKeyMustBeASelectItem) {
+  // Sorting DISTINCT rows by a column outside the select list would keep
+  // order-dependent first occurrences: the statement fails, naming the key.
+  auto rows = Run("select distinct year from movie order by title limit 3");
+  ASSERT_FALSE(rows.ok());
+  EXPECT_EQ(rows.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(rows.status().message().find("'title'"), std::string::npos)
+      << rows.status();
+  // A key that is a select item sorts, as a position, an alias or the same
+  // expression (qualified or not).
+  for (const char* sql :
+       {"select distinct genre from genre order by genre desc",
+        "select distinct genre from genre order by 1 desc",
+        "select distinct genre g from genre order by g desc",
+        "select distinct genre from genre order by genre.genre desc"}) {
+    auto sorted = Run(sql);
+    ASSERT_TRUE(sorted.ok()) << sql << ": " << sorted.status();
+    ASSERT_EQ(sorted->num_rows(), 3u) << sql;
+    EXPECT_EQ(sorted->row(0)[0], Value("musical")) << sql;
+  }
+}
+
 TEST_F(ExecutorTest, StarExpandsInFromOrder) {
   // The join starts from movie (4 rows < 5), but '*' lists genre's columns
   // first, as the FROM clause does.

@@ -5,10 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
 #include <functional>
 #include <limits>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/status.h"
@@ -88,6 +90,44 @@ TEST(RegistryTest, GetReturnsStablePointersAndReusesNames) {
   EXPECT_EQ(h1, h2);
   // First registration wins: the bounds are not replaced.
   EXPECT_EQ(h2->bounds(), (std::vector<double>{1.0, 2.0}));
+}
+
+struct TableSnapshot {
+  size_t a = 0;
+  size_t b = 0;
+};
+
+constexpr CounterRow<TableSnapshot> kTestTable[] = {
+    {"table_a_total", "first", &TableSnapshot::a},
+    {"table_b_total", "second", &TableSnapshot::b},
+};
+
+TEST(RegistryTest, CounterTablesResolveOncePerRegistry) {
+  // The first registration resolves the rows under the registry lock; later
+  // ones (an Executor per call) read the cached pointers without it.
+  MetricsRegistry registry;
+  EXPECT_EQ(registry.FindTable(kTestTable), nullptr);
+  const auto first = RegisterCounters(registry, kTestTable);
+  const std::vector<Counter*>* cached = registry.FindTable(kTestTable);
+  ASSERT_NE(cached, nullptr);
+  EXPECT_EQ(*cached, (std::vector<Counter*>{first[0], first[1]}));
+  EXPECT_EQ(first[0], registry.GetCounter("table_a_total"));
+  EXPECT_EQ(RegisterCounters(registry, kTestTable), first);
+  // Another registry resolves its own series.
+  MetricsRegistry other;
+  EXPECT_NE(RegisterCounters(other, kTestTable)[0], first[0]);
+  // Racing first registrations all get the one cached table.
+  MetricsRegistry raced;
+  std::vector<std::array<Counter*, 2>> seen(8);
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < seen.size(); ++t) {
+    threads.emplace_back(
+        [&, t] { seen[t] = RegisterCounters(raced, kTestTable); });
+  }
+  for (auto& thread : threads) thread.join();
+  for (const auto& counters : seen) EXPECT_EQ(counters, seen[0]);
+  EXPECT_EQ(*raced.FindTable(kTestTable),
+            (std::vector<Counter*>{seen[0][0], seen[0][1]}));
 }
 
 TEST(RegistryTest, ConcurrentUpdatesAreExact) {
@@ -344,7 +384,7 @@ TEST(RingTest, ConcurrentAppendsNeverTear) {
 }
 
 TEST(FlightRecorderTest, RecordsAndDumpsEvents) {
-  FlightRecorder recorder(4);
+  FlightRecorder recorder;
   recorder.Record(FlightEventKind::kNote, "test", "hello");
   recorder.Record(FlightEventKind::kSpan, "serve", "personalize", 0.002);
   const auto events = recorder.Snapshot();
@@ -354,17 +394,22 @@ TEST(FlightRecorderTest, RecordsAndDumpsEvents) {
   const std::string dump = recorder.Dump();
   EXPECT_NE(dump.find("seen=2"), std::string::npos);
   EXPECT_NE(dump.find("note test: hello"), std::string::npos);
-  // Bounded: old events fall off, newest survive.
-  for (int i = 0; i < 10; ++i) {
+  // Bounded: recording past the capacity drops the oldest events and
+  // keeps the newest, in order.
+  const size_t extra = FlightRecorder::kCapacity + 10;
+  for (size_t i = 0; i < extra; ++i) {
     recorder.Record(FlightEventKind::kNote, "test", std::to_string(i));
   }
   const auto bounded = recorder.Snapshot();
-  EXPECT_EQ(bounded.size(), 4u);
-  EXPECT_EQ(bounded.back().detail, "9");
+  ASSERT_EQ(bounded.size(), FlightRecorder::kCapacity);
+  EXPECT_EQ(recorder.seen(), extra + 2);
+  EXPECT_EQ(bounded.front().detail,
+            std::to_string(extra - FlightRecorder::kCapacity));
+  EXPECT_EQ(bounded.back().detail, std::to_string(extra - 1));
 }
 
 TEST(FlightRecorderTest, CaptureStatusErrorsHooksOrigination) {
-  FlightRecorder recorder(8);
+  FlightRecorder recorder;
   recorder.CaptureStatusErrors(true);
   {
     Status error = Status::NotFound("no such table 'nowhere'");
@@ -387,10 +432,10 @@ TEST(FlightRecorderTest, CaptureStatusErrorsHooksOrigination) {
 }
 
 TEST(FlightRecorderTest, SecondRecorderStealsTheHook) {
-  FlightRecorder first(4);
+  FlightRecorder first;
   first.CaptureStatusErrors(true);
   {
-    FlightRecorder second(4);
+    FlightRecorder second;
     second.CaptureStatusErrors(true);
     { Status error = Status::NotFound("goes to second"); }
     EXPECT_EQ(first.Snapshot().size(), 0u);

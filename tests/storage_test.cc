@@ -136,7 +136,7 @@ TEST(DatabaseTest, IndexSnapshotsRebuildWhenStale) {
   ASSERT_TRUE(db.CreateIndex("m", "mid", index::IndexKind::kHash).ok());
   const auto before = db.indexes().Hash(t, 0);
   ASSERT_NE(before, nullptr);
-  EXPECT_EQ(before->Count(Value(int64_t{2})), 0u);
+  EXPECT_EQ(before->Lookup(Value(int64_t{2})), nullptr);
 
   // Mutating the table marks the snapshot stale; the next access rebuilds
   // (never silently wrong), while the old shared_ptr stays valid.
@@ -145,9 +145,12 @@ TEST(DatabaseTest, IndexSnapshotsRebuildWhenStale) {
   const auto after = db.indexes().Hash(t, 0);
   ASSERT_NE(after, nullptr);
   EXPECT_NE(after, before);
-  EXPECT_EQ(after->Count(Value(int64_t{2})), 1u);
+  ASSERT_NE(after->Lookup(Value(int64_t{2})), nullptr);
+  EXPECT_EQ(after->Lookup(Value(int64_t{2}))->size(), 1u);
   EXPECT_TRUE(db.indexes().List()[0].fresh);
-  EXPECT_EQ(before->Count(Value(int64_t{1})), 1u);  // old snapshot intact
+  // The old snapshot is intact.
+  ASSERT_NE(before->Lookup(Value(int64_t{1})), nullptr);
+  EXPECT_EQ(before->Lookup(Value(int64_t{1}))->size(), 1u);
 }
 
 TEST(DatabaseTest, CreateAndLookup) {
