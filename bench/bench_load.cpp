@@ -30,10 +30,12 @@
 //   bench_load --introspect  Part A: the warm stream unscraped, then scraped
 //                            across all six endpoints by a paced client
 //                            thread; the counters must match (scraping must
-//                            never change the work) and the warm-p99 ratio has
-//                            a bar of 1.05. The control runs with heap
-//                            sampling off. Part B: 2x saturation with two
-//                            scrapers hammering every endpoint; all six must
+//                            never change the work) and the warm-p99 ratio
+//                            (p99_overhead_ratio) is gated at 1.0 +- 0.3; the
+//                            1.05 bar it prints is informational (ROADMAP
+//                            item 2). The control runs with heap sampling
+//                            off. Part B: 2x saturation with two scrapers
+//                            hammering every endpoint; all six must
 //                            answer (a /healthz 503 counts as an answer) and
 //                            /metrics must expose every promised family.
 //                            Part B sheds too few arrivals to trip the
@@ -45,10 +47,12 @@
 //                            collector live (SIGPROF CPU sampling at the
 //                            production 97 Hz, heap sampling, contention
 //                            sites); the counters must match and the warm-p99
-//                            ratio has a bar of 1.05. Part B: ~1 s of CPU in
-//                            one noinline frame sampled at 251 Hz; >= 80% of
-//                            the samples must fold into a stack naming it. The
-//                            folded text is written to PROFILE_hot.folded for
+//                            ratio (p99_overhead_ratio) is gated at 1.0 +- 0.3;
+//                            the 1.05 bar it prints is informational (ROADMAP
+//                            item 2). Part B: ~1 s of CPU in one noinline
+//                            frame sampled at 251 Hz; >= 80% of the samples
+//                            must fold into a stack naming it. The folded
+//                            text is written to PROFILE_hot.folded for
 //                            flamegraph rendering. Gated by
 //                            bench/baselines/load_profile.json.
 //

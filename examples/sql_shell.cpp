@@ -40,7 +40,7 @@
 // the query log (\log) and the flight recorder (\flight).
 //
 // The shell starts with Al's profile (paper Figure 2) loaded and the
-// default secondary indexes (hash on join/PK columns, B+ trees on the
+// default secondary indexes (hash on join/PK columns, sorted runs on the
 // range columns) registered by the generator, so \indexes has entries to
 // show and \plan takes index and range access paths.
 //

@@ -131,7 +131,7 @@ Status CreateDefaultMovieIndexes(Database* db) {
   for (const auto& [table, column] : kHashColumns) {
     QP_RETURN_IF_ERROR(db->CreateIndex(table, column, IndexKind::kHash));
   }
-  // B+ trees on the columns range predicates commonly target.
+  // Sorted runs on the columns range predicates commonly target.
   static constexpr const char* kRangeColumns[][2] = {
       {"movie", "year"}, {"movie", "duration"}, {"theatre", "ticket"},
   };

@@ -70,7 +70,7 @@ Status CreateMovieSchema(storage::Database* db);
 
 /// Registers the standard secondary indexes for the movie schema: hash
 /// indexes on every primary-key / join column (movie.mid, cast.aid, ...)
-/// and B+ trees on the range-predicate columns (movie.year,
+/// and sorted runs on the range-predicate columns (movie.year,
 /// movie.duration, theatre.ticket). Call after the schema exists; the
 /// catalog rebuilds lazily, so this is cheap on an empty database.
 Status CreateDefaultMovieIndexes(storage::Database* db);

@@ -12,7 +12,6 @@
 #include "common/string_util.h"
 #include "index/access_path.h"
 #include "index/catalog.h"
-#include "obs/trace_export.h"
 #include "sql/parser.h"
 #include "stats/table_stats.h"
 
@@ -387,7 +386,7 @@ index::AccessPath ChooseAccessPath(const Source& src,
     range.col = col;
     range.column_name = src.columns[col].name;
     range.bounds = b;
-    range.btree = catalog.Range(src.base, col);
+    range.sorted = catalog.Range(src.base, col);
     const bool numeric_bounds =
         (!b.has_lo || b.lo.is_numeric()) && (!b.has_hi || b.hi.is_numeric());
     range.estimated_rows =
@@ -560,11 +559,6 @@ Executor::Executor(const storage::Database* db,
 
 ExecStats Executor::stats() const { return counters_.Read(kCounterTable); }
 
-void Executor::ResetStats() {
-  counters_.Reset();
-  thread_seconds_.Set(0.0);
-}
-
 Result<RowSet> Executor::ExecuteSql(const std::string& sql) const {
   QP_ASSIGN_OR_RETURN(sql::QueryPtr q, sql::ParseQuery(sql));
   return Execute(*q);
@@ -598,22 +592,6 @@ Result<std::string> Executor::ExplainAnalyze(const sql::Query& query) const {
 Result<std::string> Executor::ExplainAnalyzeSql(const std::string& sql) const {
   QP_ASSIGN_OR_RETURN(sql::QueryPtr q, sql::ParseQuery(sql));
   return ExplainAnalyze(*q);
-}
-
-Result<std::string> Executor::ExplainAnalyzeChromeJson(
-    const sql::Query& query) const {
-  obs::TraceSpan root("query");
-  const auto t0 = std::chrono::steady_clock::now();
-  QP_ASSIGN_OR_RETURN(RowSet result, Execute(query, &root));
-  root.set_seconds(SecondsSince(t0));
-  root.AddAttr("rows", result.num_rows());
-  return obs::TraceToChromeJson(root);
-}
-
-Result<std::string> Executor::ExplainAnalyzeChromeJsonSql(
-    const std::string& sql) const {
-  QP_ASSIGN_OR_RETURN(sql::QueryPtr q, sql::ParseQuery(sql));
-  return ExplainAnalyzeChromeJson(*q);
 }
 
 template <typename Body>

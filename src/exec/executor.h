@@ -133,7 +133,7 @@ struct ExecStats {
   /// ExecStats where rows_examined (the physical counter) does not.
   size_t paths_scan = 0;   ///< full-scan sources
   size_t paths_probe = 0;  ///< hash-probe (equality) sources
-  size_t paths_range = 0;  ///< B+-tree range sources
+  size_t paths_range = 0;  ///< range (sorted-run) sources
 
   bool operator==(const ExecStats&) const = default;
 };
@@ -181,18 +181,8 @@ class Executor {
   Result<std::string> ExplainAnalyze(const sql::Query& query) const;
   Result<std::string> ExplainAnalyzeSql(const std::string& sql) const;
 
-  /// EXPLAIN ANALYZE as Chrome trace-event JSON (obs::TraceToChromeJson):
-  /// runs the query with tracing on and renders the span tree for
-  /// ui.perfetto.dev / chrome://tracing, parallel subquery fan-outs on
-  /// their own tracks.
-  Result<std::string> ExplainAnalyzeChromeJson(const sql::Query& query) const;
-  Result<std::string> ExplainAnalyzeChromeJsonSql(const std::string& sql) const;
-
   /// Snapshot of the cumulative counters.
   ExecStats stats() const;
-  /// Zeroes every local counter and thread_seconds() (registry mirrors
-  /// keep their totals).
-  void ResetStats();
 
   /// Rows physically examined by access paths: the whole table on a scan,
   /// only the matches when an index snapshot answers a probe. This is the

@@ -36,10 +36,10 @@ size_t AccessPath::Prefetch(const storage::Table& table) {
       }
       break;
     case Kind::kBTreeRange:
-      if (btree != nullptr) {
-        // The tree replays matches in (key, position) order; re-sort into
+      if (sorted != nullptr) {
+        // The run replays matches in (value, position) order; re-sort into
         // ascending row order so backing is unobservable downstream.
-        positions = btree->RangePositions(bounds);
+        positions = sorted->RangePositions(bounds);
         std::sort(positions.begin(), positions.end());
         examined = positions.size();
       } else {

@@ -1,6 +1,6 @@
 // AccessPath: the one abstraction the planner hands to the executor for
 // "get me this table's candidate rows". Three kinds — full scan, hash
-// probe, B+-tree range — chosen *logically* from the predicate shape and
+// probe, sorted-run range — chosen *logically* from the predicate shape and
 // index-independent cardinality estimates, then *physically* backed by a
 // catalog snapshot when one exists.
 //
@@ -18,8 +18,8 @@
 #include <string>
 #include <vector>
 
-#include "index/btree.h"
 #include "index/hash_index.h"
+#include "index/sorted_run.h"
 #include "storage/table.h"
 #include "storage/value.h"
 
@@ -43,7 +43,7 @@ struct AccessPath {
   /// Physical backing. Null = scan fallback with identical results; the
   /// snapshot keeps a stale-but-valid index alive for this path's lifetime.
   std::shared_ptr<const HashIndex> hash;
-  std::shared_ptr<const BPlusTree> btree;
+  std::shared_ptr<const SortedRun> sorted;
 
   /// "scan" | "index" | "range" — the logical kind, as recorded in span
   /// attributes (stable whether or not an index backs it).
@@ -52,7 +52,7 @@ struct AccessPath {
   /// True when a catalog snapshot physically backs this path.
   bool indexed() const {
     return (kind == Kind::kHashProbe && hash != nullptr) ||
-           (kind == Kind::kBTreeRange && btree != nullptr);
+           (kind == Kind::kBTreeRange && sorted != nullptr);
   }
 
   /// Collects the candidate row positions once and keeps them, always in

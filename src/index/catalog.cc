@@ -1,5 +1,7 @@
 #include "index/catalog.h"
 
+#include <algorithm>
+
 namespace qp::index {
 
 const char* IndexKindName(IndexKind kind) {
@@ -15,36 +17,42 @@ void IndexCatalog::RebuildLocked(Entry& e) const {
     e.hash = std::make_shared<const HashIndex>(
         HashIndex::Build(*e.table, e.col));
   } else {
-    e.btree = std::make_shared<const BPlusTree>(
-        BPlusTree::Build(*e.table, e.col));
+    e.sorted = std::make_shared<const SortedRun>(
+        SortedRun::Build(*e.table, e.col));
   }
   e.built_version = e.table->data_version();
   builds_.fetch_add(1, std::memory_order_relaxed);
 }
 
-IndexCatalog::Entry* IndexCatalog::FindLocked(const storage::Table* table,
-                                              size_t col,
-                                              IndexKind kind) const {
-  for (const auto& e : entries_) {
-    if (e->table == table && e->col == col && e->kind == kind) return e.get();
+IndexCatalog::Entries::iterator IndexCatalog::FindLocked(
+    const storage::Table* table, size_t col, IndexKind kind) const {
+  return std::find_if(entries_.begin(), entries_.end(), [&](const auto& e) {
+    return e->table == table && e->col == col && e->kind == kind;
+  });
+}
+
+const IndexCatalog::Entry* IndexCatalog::FreshLocked(
+    const storage::Table* table, size_t col, IndexKind kind) const {
+  const auto it = FindLocked(table, col, kind);
+  if (it == entries_.end()) return nullptr;
+  if ((*it)->built_version != table->data_version()) {
+    staleness_hits_.fetch_add(1, std::memory_order_relaxed);
+    RebuildLocked(**it);
   }
-  return nullptr;
+  return it->get();
 }
 
 Status IndexCatalog::Create(const storage::Table* table,
-                            const std::string& table_name,
                             const std::string& column, IndexKind kind) {
   QP_ASSIGN_OR_RETURN(size_t col, table->schema().ColumnIndex(column));
   std::lock_guard<common::ProfiledMutex> lock(mu_);
-  if (FindLocked(table, col, kind) != nullptr) {
+  if (FindLocked(table, col, kind) != entries_.end()) {
     return Status::InvalidArgument(std::string(IndexKindName(kind)) +
-                                   " index on " + table_name + "." + column +
-                                   " already exists");
+                                   " index on " + table->schema().name() +
+                                   "." + column + " already exists");
   }
   auto entry = std::make_unique<Entry>();
   entry->table = table;
-  entry->table_name = table_name;
-  entry->column = column;
   entry->col = col;
   entry->kind = kind;
   RebuildLocked(*entry);
@@ -52,42 +60,32 @@ Status IndexCatalog::Create(const storage::Table* table,
   return Status::OK();
 }
 
-Status IndexCatalog::Drop(const std::string& table_name,
+Status IndexCatalog::Drop(const storage::Table* table,
                           const std::string& column, IndexKind kind) {
+  QP_ASSIGN_OR_RETURN(size_t col, table->schema().ColumnIndex(column));
   std::lock_guard<common::ProfiledMutex> lock(mu_);
-  for (auto it = entries_.begin(); it != entries_.end(); ++it) {
-    if ((*it)->table_name == table_name && (*it)->column == column &&
-        (*it)->kind == kind) {
-      entries_.erase(it);
-      return Status::OK();
-    }
+  const auto it = FindLocked(table, col, kind);
+  if (it == entries_.end()) {
+    return Status::NotFound(std::string(IndexKindName(kind)) + " index on " +
+                            table->schema().name() + "." + column +
+                            " does not exist");
   }
-  return Status::NotFound(std::string(IndexKindName(kind)) + " index on " +
-                          table_name + "." + column + " does not exist");
+  entries_.erase(it);
+  return Status::OK();
 }
 
 std::shared_ptr<const HashIndex> IndexCatalog::Hash(
     const storage::Table* table, size_t col) const {
   std::lock_guard<common::ProfiledMutex> lock(mu_);
-  Entry* e = FindLocked(table, col, IndexKind::kHash);
-  if (e == nullptr) return nullptr;
-  if (e->built_version != table->data_version()) {
-    staleness_hits_.fetch_add(1, std::memory_order_relaxed);
-    RebuildLocked(*e);
-  }
-  return e->hash;
+  const Entry* e = FreshLocked(table, col, IndexKind::kHash);
+  return e != nullptr ? e->hash : nullptr;
 }
 
-std::shared_ptr<const BPlusTree> IndexCatalog::Range(
+std::shared_ptr<const SortedRun> IndexCatalog::Range(
     const storage::Table* table, size_t col) const {
   std::lock_guard<common::ProfiledMutex> lock(mu_);
-  Entry* e = FindLocked(table, col, IndexKind::kBTree);
-  if (e == nullptr) return nullptr;
-  if (e->built_version != table->data_version()) {
-    staleness_hits_.fetch_add(1, std::memory_order_relaxed);
-    RebuildLocked(*e);
-  }
-  return e->btree;
+  const Entry* e = FreshLocked(table, col, IndexKind::kBTree);
+  return e != nullptr ? e->sorted : nullptr;
 }
 
 std::vector<IndexCatalog::Info> IndexCatalog::List() const {
@@ -96,11 +94,11 @@ std::vector<IndexCatalog::Info> IndexCatalog::List() const {
   out.reserve(entries_.size());
   for (const auto& e : entries_) {
     Info info;
-    info.table = e->table_name;
-    info.column = e->column;
+    info.table = e->table->schema().name();
+    info.column = e->table->schema().column(e->col).name;
     info.kind = e->kind;
     info.entries = e->kind == IndexKind::kHash ? e->hash->num_entries()
-                                               : e->btree->size();
+                                               : e->sorted->size();
     info.built_version = e->built_version;
     info.fresh = e->built_version == e->table->data_version();
     out.push_back(std::move(info));

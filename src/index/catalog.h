@@ -1,5 +1,5 @@
 // The per-Database index catalog: explicitly created secondary indexes
-// (hash for equality/join columns, B+ tree for range predicates), kept
+// (hash for equality/join columns, sorted run for range predicates), kept
 // consistent under data mutation by version coupling.
 //
 // Consistency model — "stale means rebuild, never silently wrong": every
@@ -29,8 +29,8 @@
 
 #include "common/profiled_mutex.h"
 #include "common/status.h"
-#include "index/btree.h"
 #include "index/hash_index.h"
+#include "index/sorted_run.h"
 #include "storage/table.h"
 
 namespace qp::index {
@@ -58,11 +58,11 @@ class IndexCatalog {
   /// Registers an index on `table`'s column `column`. The snapshot is built
   /// immediately. Fails if the column does not exist or the same
   /// (table, column, kind) index is already registered.
-  Status Create(const storage::Table* table, const std::string& table_name,
-                const std::string& column, IndexKind kind);
+  Status Create(const storage::Table* table, const std::string& column,
+                IndexKind kind);
 
-  /// Unregisters an index; NotFound when absent.
-  Status Drop(const std::string& table_name, const std::string& column,
+  /// Unregisters an index (column resolved as in Create); NotFound if absent.
+  Status Drop(const storage::Table* table, const std::string& column,
               IndexKind kind);
 
   /// Fresh hash-index snapshot for `table` column `col`, or nullptr when no
@@ -71,14 +71,14 @@ class IndexCatalog {
   std::shared_ptr<const HashIndex> Hash(const storage::Table* table,
                                         size_t col) const;
 
-  /// Fresh B+-tree snapshot for `table` column `col`, or nullptr.
-  std::shared_ptr<const BPlusTree> Range(const storage::Table* table,
+  /// Fresh sorted-run snapshot for `table` column `col`, or nullptr.
+  std::shared_ptr<const SortedRun> Range(const storage::Table* table,
                                          size_t col) const;
 
   /// One registered index, for \indexes-style listings.
   struct Info {
-    std::string table;
-    std::string column;
+    std::string table;   ///< the schema's name
+    std::string column;  ///< the schema's spelling
     IndexKind kind = IndexKind::kHash;
     size_t entries = 0;         ///< indexed (non-NULL) rows at last build
     uint64_t built_version = 0; ///< table data_version the snapshot saw
@@ -103,25 +103,27 @@ class IndexCatalog {
  private:
   struct Entry {
     const storage::Table* table = nullptr;
-    std::string table_name;
-    std::string column;
     size_t col = 0;
     IndexKind kind = IndexKind::kHash;
     uint64_t built_version = 0;
     std::shared_ptr<const HashIndex> hash;
-    std::shared_ptr<const BPlusTree> btree;
+    std::shared_ptr<const SortedRun> sorted;
   };
+  using Entries = std::vector<std::unique_ptr<Entry>>;
 
   /// Rebuilds `e`'s snapshot from the current table contents.
   void RebuildLocked(Entry& e) const;
 
-  Entry* FindLocked(const storage::Table* table, size_t col,
-                    IndexKind kind) const;
+  Entries::iterator FindLocked(const storage::Table* table, size_t col,
+                               IndexKind kind) const;
+  /// The registered entry, rebuilt first when stale; nullptr when absent.
+  const Entry* FreshLocked(const storage::Table* table, size_t col,
+                           IndexKind kind) const;
 
   /// Contention-profiled (site "index_catalog"): rebuild storms after bulk
   /// mutations show up in /contentionz instead of hiding in lookup latency.
   mutable common::ProfiledMutex mu_{"index_catalog"};
-  mutable std::vector<std::unique_ptr<Entry>> entries_;
+  mutable Entries entries_;
   /// Bumped under mu_; atomic so a scrape reads them without it.
   mutable std::atomic<uint64_t> builds_{0};
   mutable std::atomic<uint64_t> staleness_hits_{0};

@@ -215,23 +215,15 @@ size_t MetricsRegistry::LabeledCountLocked(const std::string& base) const {
 
 std::string MetricsRegistry::CappedName(const std::string& name,
                                         bool exists) const {
-  if (exists || label_limit_ == 0) return name;
+  if (exists) return name;
   const size_t brace = name.find('{');
   if (brace == std::string::npos) return name;  // unlabeled: never capped
   const std::string overflow = OverflowName(name);
   if (overflow == name) return name;  // already the overflow series
-  if (LabeledCountLocked(name.substr(0, brace)) < label_limit_) return name;
+  if (LabeledCountLocked(name.substr(0, brace)) < kLabelCardinalityLimit) {
+    return name;
+  }
   return overflow;
-}
-
-void MetricsRegistry::SetLabelCardinalityLimit(size_t limit) {
-  std::lock_guard<std::mutex> lock(mu_);
-  label_limit_ = limit;
-}
-
-size_t MetricsRegistry::label_cardinality_limit() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return label_limit_;
 }
 
 Counter* MetricsRegistry::GetCounter(const std::string& name,

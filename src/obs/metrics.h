@@ -202,7 +202,7 @@ class MetricsRegistry {
 
   /// Labeled spellings: the series name is LabeledName(base, labels) (label
   /// values escaped), and creation is subject to the cardinality cap — once
-  /// `label_cardinality_limit()` distinct labeled series exist under `base`,
+  /// kLabelCardinalityLimit distinct labeled series exist under `base`,
   /// NEW series are rerouted to the overflow series with every label value
   /// replaced by "__other__" (so a process serving millions of users exposes
   /// at most limit + 1 series per base, and no sample is ever dropped).
@@ -218,11 +218,10 @@ class MetricsRegistry {
                   const std::vector<MetricLabel>& labels,
                   const std::string& help = "");
 
-  /// Per-base cap on distinct labeled series (default 1024). The overflow
-  /// series does not count against the cap. Applies to labeled creations
-  /// through both the labeled API and raw `base{...}` names.
-  void SetLabelCardinalityLimit(size_t limit);
-  size_t label_cardinality_limit() const;
+  /// Per-base cap on distinct labeled series. The overflow series does not
+  /// count against the cap. Applies to labeled creations through both the
+  /// labeled API and raw `base{...}` names.
+  static constexpr size_t kLabelCardinalityLimit = 1024;
 
   /// Registers a callback run at the start of every RenderText/RenderJson
   /// — the pull-model refresh point where gauges mirroring external state
@@ -298,7 +297,6 @@ class MetricsRegistry {
   };
 
   mutable std::mutex mu_;
-  size_t label_limit_ = 1024;
   std::atomic<const ResolvedTable*> resolved_{nullptr};
   std::vector<std::unique_ptr<ResolvedTable>> resolved_tables_;  ///< owner
   std::vector<CounterEntry> counters_;
@@ -388,10 +386,6 @@ class MirroredCounters {
   template <typename Snapshot, typename Field>
   Snapshot Read(const CounterRow<Snapshot, Field> (&table)[N]) const {
     return SnapshotOf(table, [this](size_t row) { return Value(row); });
-  }
-  /// Zeroes the local counts; the mirrors keep their totals.
-  void Reset() {
-    for (auto& count : counts_) count.store(0, std::memory_order_relaxed);
   }
 
  private:

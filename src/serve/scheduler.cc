@@ -422,6 +422,11 @@ void Scheduler::Shutdown(bool drain) {
   drain_.store(drain, std::memory_order_release);
   stopping_.store(true, std::memory_order_release);
   for (auto& shard : shards_) {
+    // Passing through the shard's mutex orders the store before each
+    // worker's next predicate check: without it, a worker that has just
+    // read `stopping_` false can block after this notify and never wake,
+    // and the join below hangs.
+    { std::lock_guard<common::ProfiledMutex> lock(shard->mu); }
     shard->cv.notify_all();
   }
   if (joined_) return;

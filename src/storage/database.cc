@@ -83,13 +83,13 @@ Status Database::CreateIndex(const std::string& table,
                              const std::string& column,
                              index::IndexKind kind) {
   QP_ASSIGN_OR_RETURN(const Table* t, GetTable(table));
-  return indexes_->Create(t, ToLower(table), column, kind);
+  return indexes_->Create(t, column, kind);
 }
 
 Status Database::DropIndex(const std::string& table, const std::string& column,
                            index::IndexKind kind) {
-  QP_RETURN_IF_ERROR(GetTable(table).status());
-  return indexes_->Drop(ToLower(table), column, kind);
+  QP_ASSIGN_OR_RETURN(const Table* t, GetTable(table));
+  return indexes_->Drop(t, column, kind);
 }
 
 }  // namespace qp::storage

@@ -72,7 +72,8 @@ class Database {
   Status CreateIndex(const std::string& table, const std::string& column,
                      index::IndexKind kind);
 
-  /// Unregisters a secondary index; NotFound when absent.
+  /// Unregisters a secondary index, naming the column as CreateIndex does
+  /// (case-insensitively); NotFound when absent.
   Status DropIndex(const std::string& table, const std::string& column,
                    index::IndexKind kind);
 

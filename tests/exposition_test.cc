@@ -262,9 +262,12 @@ TEST(ExpositionTest, LabelValuesRoundTripThroughEscaping) {
 
 TEST(ExpositionTest, CardinalityOverflowReroutesToOtherSeries) {
   obs::MetricsRegistry registry;
-  registry.SetLabelCardinalityLimit(2);
+  // Users a, u1, u2, ... fill the cap.
   registry.GetCounter("hits_total", {{"user", "a"}}, "h")->Increment(1);
-  registry.GetCounter("hits_total", {{"user", "b"}}, "h")->Increment(2);
+  for (size_t i = 1; i < obs::MetricsRegistry::kLabelCardinalityLimit; ++i) {
+    registry.GetCounter("hits_total", {{"user", "u" + std::to_string(i)}}, "h")
+        ->Increment(2);
+  }
   // Past the cap: both land on the __other__ overflow series.
   registry.GetCounter("hits_total", {{"user", "c"}}, "h")->Increment(4);
   registry.GetCounter("hits_total", {{"user", "d"}}, "h")->Increment(8);
@@ -281,6 +284,13 @@ TEST(ExpositionTest, CardinalityOverflowReroutesToOtherSeries) {
   EXPECT_DOUBLE_EQ(a->value, 17.0);
   EXPECT_DOUBLE_EQ(overflow->value, 12.0);  // no sample is ever dropped
   EXPECT_EQ(Find(exposition, "hits_total", {{"user", "c"}}), nullptr);
+  // The last user under the cap kept its own series.
+  const Sample* last = Find(
+      exposition, "hits_total",
+      {{"user", "u" + std::to_string(
+                          obs::MetricsRegistry::kLabelCardinalityLimit - 1)}});
+  ASSERT_NE(last, nullptr);
+  EXPECT_DOUBLE_EQ(last->value, 2.0);
   EXPECT_EQ(exposition.type_line_count.at("hits_total"), 1);
 }
 

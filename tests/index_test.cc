@@ -1,23 +1,22 @@
-// The secondary index structures against scan oracles: B+ tree insert /
-// erase maintenance (leaf and internal splits, borrows and merges forced
-// by a tiny node capacity), duplicate keys, range iteration order; hash
-// index lookups through forced bucket collisions; and the catalog's
-// rebuild-on-stale contract under random table churn. Every mutation batch
-// re-checks the tree's structural invariants — the index is allowed to be
-// slow, never silently wrong.
+// The secondary index structures against scan oracles: the sorted run's
+// (value, position) order, duplicate keys, NULLs and bound inclusivity;
+// hash index lookups through forced bucket collisions; and the catalog's
+// rebuild-on-stale contract under random table churn, where every range
+// read (inclusive and exclusive sides, one-sided, unbounded and inverted
+// ranges, integer bounds over int and double columns) must equal a scan
+// filtered by RangeBounds::Contains. The index is allowed to be slow,
+// never silently wrong.
 // Runs under TSan/ASan/UBSan via the `sanitizer` CTest label.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <set>
-#include <utility>
 #include <vector>
 
 #include "common/random.h"
-#include "index/btree.h"
 #include "index/catalog.h"
 #include "index/hash_index.h"
+#include "index/sorted_run.h"
 #include "storage/database.h"
 
 namespace qp::index {
@@ -28,27 +27,19 @@ using storage::DataType;
 using storage::Table;
 using storage::TableSchema;
 using storage::Value;
+using Positions = std::vector<size_t>;
 
-/// (key, pos) entries of `tree` in iteration order.
-std::vector<std::pair<Value, size_t>> Entries(const BPlusTree& tree) {
-  std::vector<std::pair<Value, size_t>> out;
-  for (auto it = tree.Begin(); it.valid(); ++it) {
-    out.emplace_back(it.key(), it.pos());
-  }
-  return out;
+/// A one-column table holding `values` in row order.
+Table ColumnTable(DataType type, const std::vector<Value>& values) {
+  Table t(TableSchema("t", {{"k", type}}));
+  for (const Value& v : values) t.AppendUnchecked({v});
+  return t;
 }
 
-/// The scan oracle for a range: every entry whose key Contains() admits,
-/// in (key, pos) order — the same membership definition the tree uses.
-std::vector<std::pair<Value, size_t>> OracleRange(
-    const std::set<std::pair<int64_t, size_t>>& oracle,
-    const RangeBounds& bounds) {
-  std::vector<std::pair<Value, size_t>> out;
-  for (const auto& [key, pos] : oracle) {
-    const Value value(key);
-    if (bounds.Contains(value)) out.emplace_back(value, pos);
-  }
-  return out;
+Table IntTable(const std::vector<int64_t>& keys) {
+  std::vector<Value> values;
+  for (int64_t k : keys) values.emplace_back(k);
+  return ColumnTable(DataType::kInt, values);
 }
 
 RangeBounds Between(int64_t lo, bool lo_inc, int64_t hi, bool hi_inc) {
@@ -62,142 +53,69 @@ RangeBounds Between(int64_t lo, bool lo_inc, int64_t hi, bool hi_inc) {
   return bounds;
 }
 
-TEST(BPlusTreeTest, InsertAndIterateSorted) {
-  BPlusTree tree(4);  // tiny capacity: splits after a handful of inserts
-  const int64_t keys[] = {9, 3, 7, 1, 5, 8, 2, 6, 4, 0};
-  for (size_t i = 0; i < std::size(keys); ++i) {
-    tree.Insert(Value(keys[i]), i);
+/// The scan oracle for a range read: the rows of column `col` that
+/// Contains() admits, in (value, position) order.
+Positions ScanRange(const Table& t, size_t col, const RangeBounds& bounds) {
+  Positions out;
+  for (size_t r = 0; r < t.num_rows(); ++r) {
+    if (bounds.Contains(t.row(r)[col])) out.push_back(r);
   }
-  ASSERT_TRUE(tree.CheckInvariants());
-  EXPECT_EQ(tree.size(), 10u);
-  EXPECT_GT(tree.height(), 1u);  // capacity 4 must have split
-  const auto entries = Entries(tree);
-  ASSERT_EQ(entries.size(), 10u);
-  for (size_t i = 0; i + 1 < entries.size(); ++i) {
-    EXPECT_LT(entries[i].first, entries[i + 1].first);
-  }
+  std::stable_sort(out.begin(), out.end(), [&](size_t a, size_t b) {
+    return t.row(a)[col].Compare(t.row(b)[col]) < 0;
+  });
+  return out;
 }
 
-TEST(BPlusTreeTest, DuplicateKeysIterateInPositionOrder) {
-  BPlusTree tree(4);
-  // Key 5 lands on rows 30, 10, 20; duplicates order by position.
-  tree.Insert(Value(int64_t{5}), 30);
-  tree.Insert(Value(int64_t{5}), 10);
-  tree.Insert(Value(int64_t{5}), 20);
-  tree.Insert(Value(int64_t{5}), 10);  // duplicate (key, pos): kept once
-  tree.Insert(Value(int64_t{3}), 1);
-  ASSERT_TRUE(tree.CheckInvariants());
-  EXPECT_EQ(tree.size(), 4u);
-  const auto positions = tree.RangePositions(Between(5, true, 5, true));
-  EXPECT_EQ(positions, (std::vector<size_t>{10, 20, 30}));
+TEST(SortedRunTest, BuildOrdersEntriesByValue) {
+  const Table t = IntTable({9, 3, 7, 1, 5, 8, 2, 6, 4, 0});
+  const SortedRun run = SortedRun::Build(t, 0);
+  EXPECT_EQ(run.size(), 10u);
+  // Unbounded: every row, by value (value k sits on the row holding k).
+  EXPECT_EQ(run.RangePositions(RangeBounds{}),
+            (Positions{9, 3, 6, 1, 8, 4, 7, 2, 5, 0}));
 }
 
-TEST(BPlusTreeTest, NullKeysAreNeverIndexed) {
-  BPlusTree tree(4);
-  tree.Insert(Value::Null(), 0);
-  tree.Insert(Value(int64_t{1}), 1);
-  EXPECT_EQ(tree.size(), 1u);
+TEST(SortedRunTest, DuplicateKeysReadInPositionOrder) {
+  // Key 5 lands on rows 0, 2 and 4, between rows of other keys.
+  const Table t = IntTable({5, 3, 5, 7, 5});
+  const SortedRun run = SortedRun::Build(t, 0);
+  EXPECT_EQ(run.size(), 5u);
+  EXPECT_EQ(run.RangePositions(Between(5, true, 5, true)),
+            (Positions{0, 2, 4}));
+  EXPECT_EQ(run.RangePositions(RangeBounds{}), (Positions{1, 0, 2, 4, 3}));
+}
+
+TEST(SortedRunTest, NullKeysAreNeverIndexed) {
+  const Table t = ColumnTable(DataType::kInt,
+                              {Value::Null(), Value(int64_t{1}), Value::Null()});
+  const SortedRun run = SortedRun::Build(t, 0);
+  EXPECT_EQ(run.size(), 1u);
   // An open range (no bounds at all) still excludes NULL.
-  EXPECT_EQ(tree.RangePositions(RangeBounds{}).size(), 1u);
+  EXPECT_EQ(run.RangePositions(RangeBounds{}), (Positions{1}));
 }
 
-TEST(BPlusTreeTest, RangeBoundsInclusivity) {
-  BPlusTree tree(4);
-  for (int64_t k = 0; k < 10; ++k) tree.Insert(Value(k), static_cast<size_t>(k));
-  using Positions = std::vector<size_t>;
-  EXPECT_EQ(tree.RangePositions(Between(3, true, 6, true)),
+TEST(SortedRunTest, RangeBoundsInclusivity) {
+  const SortedRun run =
+      SortedRun::Build(IntTable({0, 1, 2, 3, 4, 5, 6, 7, 8, 9}), 0);
+  EXPECT_EQ(run.RangePositions(Between(3, true, 6, true)),
             (Positions{3, 4, 5, 6}));  // [3,6]
-  EXPECT_EQ(tree.RangePositions(Between(3, false, 6, true)),
+  EXPECT_EQ(run.RangePositions(Between(3, false, 6, true)),
             (Positions{4, 5, 6}));  // (3,6]
-  EXPECT_EQ(tree.RangePositions(Between(3, true, 6, false)),
+  EXPECT_EQ(run.RangePositions(Between(3, true, 6, false)),
             (Positions{3, 4, 5}));  // [3,6)
-  EXPECT_EQ(tree.RangePositions(Between(3, false, 6, false)),
+  EXPECT_EQ(run.RangePositions(Between(3, false, 6, false)),
             (Positions{4, 5}));  // (3,6)
+  EXPECT_EQ(run.RangePositions(Between(6, true, 3, true)),
+            Positions{});  // inverted: empty
   RangeBounds lo_only;
   lo_only.lo = Value(int64_t{7});
   lo_only.has_lo = true;
   lo_only.lo_inclusive = false;
-  EXPECT_EQ(tree.RangePositions(lo_only), (Positions{8, 9}));  // (7, +inf)
+  EXPECT_EQ(run.RangePositions(lo_only), (Positions{8, 9}));  // (7, +inf)
   RangeBounds hi_only;
   hi_only.hi = Value(int64_t{2});
   hi_only.has_hi = true;
-  EXPECT_EQ(tree.RangePositions(hi_only), (Positions{0, 1, 2}));  // (-inf, 2]
-}
-
-TEST(BPlusTreeTest, SeekHonorsInclusivity) {
-  BPlusTree tree(4);
-  for (int64_t k = 0; k < 20; k += 2) {
-    tree.Insert(Value(k), static_cast<size_t>(k));
-  }
-  auto at = tree.Seek(Value(int64_t{6}), /*inclusive=*/true);
-  ASSERT_TRUE(at.valid());
-  EXPECT_EQ(at.key(), Value(int64_t{6}));
-  auto after = tree.Seek(Value(int64_t{6}), /*inclusive=*/false);
-  ASSERT_TRUE(after.valid());
-  EXPECT_EQ(after.key(), Value(int64_t{8}));
-  auto between = tree.Seek(Value(int64_t{7}), /*inclusive=*/true);
-  ASSERT_TRUE(between.valid());
-  EXPECT_EQ(between.key(), Value(int64_t{8}));
-  EXPECT_FALSE(tree.Seek(Value(int64_t{19}), true).valid());
-}
-
-TEST(BPlusTreeTest, EraseMergesBackToEmpty) {
-  BPlusTree tree(4);
-  for (int64_t k = 0; k < 100; ++k) tree.Insert(Value(k), static_cast<size_t>(k));
-  ASSERT_TRUE(tree.CheckInvariants());
-  // Erase in an order that exercises both borrow directions and merges.
-  for (int64_t k = 0; k < 100; k += 2) {
-    EXPECT_TRUE(tree.Erase(Value(k), static_cast<size_t>(k)));
-    ASSERT_TRUE(tree.CheckInvariants()) << "after erasing " << k;
-  }
-  EXPECT_FALSE(tree.Erase(Value(int64_t{2}), 2));  // already gone
-  for (int64_t k = 99; k >= 1; k -= 2) {
-    EXPECT_TRUE(tree.Erase(Value(k), static_cast<size_t>(k)));
-    ASSERT_TRUE(tree.CheckInvariants()) << "after erasing " << k;
-  }
-  EXPECT_EQ(tree.size(), 0u);
-  EXPECT_FALSE(tree.Begin().valid());
-}
-
-TEST(BPlusTreeTest, RandomChurnMatchesOracle) {
-  Rng rng(20260808);
-  BPlusTree tree(4);
-  std::set<std::pair<int64_t, size_t>> oracle;
-  for (int round = 0; round < 40; ++round) {
-    for (int step = 0; step < 50; ++step) {
-      const int64_t key = rng.UniformInt(0, 60);
-      const size_t pos = static_cast<size_t>(rng.UniformInt(0, 5));
-      if (!oracle.empty() && rng.UniformInt(0, 2) == 0) {
-        // Erase a random existing entry (about a third of the steps).
-        auto victim = oracle.begin();
-        std::advance(victim, rng.Index(oracle.size()));
-        EXPECT_TRUE(tree.Erase(Value(victim->first), victim->second));
-        oracle.erase(victim);
-      } else {
-        tree.Insert(Value(key), pos);
-        oracle.emplace(key, pos);
-      }
-    }
-    ASSERT_TRUE(tree.CheckInvariants()) << "round " << round;
-    ASSERT_EQ(tree.size(), oracle.size()) << "round " << round;
-    // Full iteration replays the oracle in (key, pos) order.
-    const auto entries = Entries(tree);
-    ASSERT_EQ(entries.size(), oracle.size());
-    size_t i = 0;
-    for (const auto& [key, pos] : oracle) {
-      EXPECT_EQ(entries[i].first, Value(key));
-      EXPECT_EQ(entries[i].second, pos);
-      ++i;
-    }
-    // Random range agrees with the Contains()-based oracle.
-    const int64_t a = rng.UniformInt(0, 60), b = rng.UniformInt(0, 60);
-    const RangeBounds bounds = Between(std::min(a, b), rng.UniformInt(0, 1),
-                                       std::max(a, b), rng.UniformInt(0, 1));
-    const auto expect = OracleRange(oracle, bounds);
-    std::vector<size_t> expect_pos;
-    for (const auto& [key, pos] : expect) expect_pos.push_back(pos);
-    EXPECT_EQ(tree.RangePositions(bounds), expect_pos) << "round " << round;
-  }
+  EXPECT_EQ(run.RangePositions(hi_only), (Positions{0, 1, 2}));  // (-inf, 2]
 }
 
 Table SmallTable(size_t rows, size_t distinct) {
@@ -251,30 +169,58 @@ TEST(HashIndexTest, NumericKeysUnifyAcrossTypes) {
   }
 }
 
+/// A random range over [0, 25] with each side drawn independently as open,
+/// inclusive or exclusive, so the draws include exclusive low sides,
+/// one-sided, unbounded and inverted (empty) ranges.
+RangeBounds RandomBounds(Rng& rng) {
+  RangeBounds bounds;
+  const int64_t lo_side = rng.UniformInt(0, 2), hi_side = rng.UniformInt(0, 2);
+  const int64_t lo = rng.UniformInt(0, 25), hi = rng.UniformInt(0, 25);
+  if (lo_side != 0) {
+    bounds.lo = Value(lo);
+    bounds.has_lo = true;
+    bounds.lo_inclusive = lo_side == 1;
+  }
+  if (hi_side != 0) {
+    bounds.hi = Value(hi);
+    bounds.has_hi = true;
+    bounds.hi_inclusive = hi_side == 1;
+  }
+  return bounds;
+}
+
 /// Catalog under churn: after every batch of random appends, both index
 /// kinds must answer exactly like a fresh scan of the table — the
-/// rebuild-on-stale contract means a stale snapshot is never served.
+/// rebuild-on-stale contract means a stale snapshot is never served. The
+/// range index is probed with integer bounds over an int column and over a
+/// double column holding halves, and must return the scan's rows in
+/// (value, position) order.
 TEST(IndexCatalogTest, ChurnedIndexMatchesScanOracle) {
   storage::Database db;
-  ASSERT_TRUE(
-      db.CreateTable(TableSchema("t", {{"k", DataType::kInt}})).ok());
+  ASSERT_TRUE(db.CreateTable(TableSchema("t", {{"k", DataType::kInt},
+                                               {"d", DataType::kDouble}}))
+                  .ok());
   Table* t = *db.GetTable("t");
   ASSERT_TRUE(db.CreateIndex("t", "k", IndexKind::kHash).ok());
   ASSERT_TRUE(db.CreateIndex("t", "k", IndexKind::kBTree).ok());
+  ASSERT_TRUE(db.CreateIndex("t", "d", IndexKind::kBTree).ok());
 
   Rng rng(7);
-  for (int round = 0; round < 30; ++round) {
+  size_t one_sided = 0, unbounded = 0, exclusive_lo = 0, nonempty = 0;
+  for (int round = 0; round < 60; ++round) {
     const int batch = static_cast<int>(rng.UniformInt(1, 8));
     for (int i = 0; i < batch; ++i) {
       const int64_t k = rng.UniformInt(0, 25);
-      ASSERT_TRUE(t->Append({rng.UniformInt(0, 9) == 0 ? Value::Null()
-                                                       : Value(k)})
-                      .ok());
+      const int64_t halves = rng.UniformInt(0, 51);
+      const Value d = rng.UniformInt(0, 9) == 0
+                          ? Value::Null()
+                          : Value(static_cast<double>(halves) / 2.0);
+      ASSERT_TRUE(
+          t->Append({rng.UniformInt(0, 9) == 0 ? Value::Null() : Value(k), d})
+              .ok());
     }
     const auto hash = db.indexes().Hash(t, 0);
-    const auto btree = db.indexes().Range(t, 0);
     ASSERT_NE(hash, nullptr);
-    ASSERT_NE(btree, nullptr);
 
     const int64_t probe = rng.UniformInt(0, 25);
     std::vector<size_t> scan_eq;
@@ -287,19 +233,26 @@ TEST(IndexCatalogTest, ChurnedIndexMatchesScanOracle) {
     EXPECT_EQ(looked != nullptr ? *looked : std::vector<size_t>{}, scan_eq)
         << "round " << round << " key " << probe;
 
-    const int64_t a = rng.UniformInt(0, 25), b = rng.UniformInt(0, 25);
-    const RangeBounds bounds = Between(std::min(a, b), true, std::max(a, b),
-                                       rng.UniformInt(0, 1));
-    std::vector<size_t> scan_range;
-    for (size_t r = 0; r < t->num_rows(); ++r) {
-      if (!t->row(r)[0].is_null() && bounds.Contains(t->row(r)[0])) {
-        scan_range.push_back(r);
+    for (size_t col : {size_t{0}, size_t{1}}) {
+      const auto run = db.indexes().Range(t, col);
+      ASSERT_NE(run, nullptr);
+      for (int draw = 0; draw < 4; ++draw) {
+        const RangeBounds bounds = RandomBounds(rng);
+        one_sided += bounds.has_lo != bounds.has_hi;
+        unbounded += !bounds.has_lo && !bounds.has_hi;
+        exclusive_lo += bounds.has_lo && !bounds.lo_inclusive;
+        const Positions expect = ScanRange(*t, col, bounds);
+        nonempty += !expect.empty();
+        EXPECT_EQ(run->RangePositions(bounds), expect)
+            << "round " << round << " column " << col << " draw " << draw;
       }
     }
-    std::vector<size_t> indexed = btree->RangePositions(bounds);
-    std::sort(indexed.begin(), indexed.end());
-    EXPECT_EQ(indexed, scan_range) << "round " << round;
   }
+  // The draws reached every kind of range they are meant to cover.
+  EXPECT_GT(one_sided, 0u);
+  EXPECT_GT(unbounded, 0u);
+  EXPECT_GT(exclusive_lo, 0u);
+  EXPECT_GT(nonempty, 0u);
 }
 
 }  // namespace

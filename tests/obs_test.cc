@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cmath>
 #include <functional>
@@ -310,40 +311,53 @@ TEST(RegistryTest, LabeledNameBuildsEscapedSeries) {
 }
 
 TEST(RegistryTest, LabelCardinalityCapReroutesToOverflow) {
+  constexpr size_t kLimit = MetricsRegistry::kLabelCardinalityLimit;
+  EXPECT_EQ(kLimit, 1024u);
+  const auto user = [](size_t i) {
+    return std::vector<MetricLabel>{{"user", "u" + std::to_string(i)}};
+  };
   MetricsRegistry registry;
-  registry.SetLabelCardinalityLimit(2);
-  Counter* a = registry.GetCounter("qp_u_total", {{"user", "a"}});
-  Counter* b = registry.GetCounter("qp_u_total", {{"user", "b"}});
-  EXPECT_NE(a, b);
-  // The third and fourth distinct users hit the cap and share the
-  // __other__ overflow series.
+  // The first kLimit distinct users each get their own series.
+  std::vector<Counter*> users;
+  for (size_t i = 0; i < kLimit; ++i) {
+    users.push_back(registry.GetCounter("qp_u_total", user(i)));
+  }
+  std::vector<Counter*> distinct = users;
+  std::sort(distinct.begin(), distinct.end());
+  EXPECT_EQ(std::unique(distinct.begin(), distinct.end()), distinct.end());
+  // The next two distinct users hit the cap and share the __other__
+  // overflow series.
+  Counter* a = users.front();
   Counter* c = registry.GetCounter("qp_u_total", {{"user", "c"}});
   Counter* d = registry.GetCounter("qp_u_total", {{"user", "d"}});
   EXPECT_EQ(c, d);
-  EXPECT_NE(c, a);
+  EXPECT_EQ(std::find(users.begin(), users.end(), c), users.end());
   // Pre-existing series keep resolving to their own pointer forever.
-  EXPECT_EQ(registry.GetCounter("qp_u_total", {{"user", "a"}}), a);
+  EXPECT_EQ(registry.GetCounter("qp_u_total", user(0)), a);
 
   a->Increment();
   c->Increment();
   d->Increment();
   const std::string text = registry.RenderText();
-  EXPECT_NE(text.find("qp_u_total{user=\"a\"} 1\n"), std::string::npos);
+  EXPECT_NE(text.find("qp_u_total{user=\"u0\"} 1\n"), std::string::npos);
   EXPECT_NE(text.find("qp_u_total{user=\"__other__\"} 2\n"),
             std::string::npos);
   EXPECT_EQ(text.find("user=\"c\""), std::string::npos);
 
   // Histograms cap the same way, per base name.
-  Histogram* ha = registry.GetHistogram("qp_lat_seconds", {{"user", "a"}},
-                                        {1.0});
-  Histogram* hb = registry.GetHistogram("qp_lat_seconds", {{"user", "b"}},
-                                        {1.0});
+  std::vector<Histogram*> histograms;
+  for (size_t i = 0; i < kLimit; ++i) {
+    histograms.push_back(
+        registry.GetHistogram("qp_lat_seconds", user(i), {1.0}));
+  }
   Histogram* hc = registry.GetHistogram("qp_lat_seconds", {{"user", "c"}},
                                         {1.0});
   Histogram* hd = registry.GetHistogram("qp_lat_seconds", {{"user", "d"}},
                                         {1.0});
-  EXPECT_NE(ha, hb);
+  EXPECT_NE(histograms.front(), histograms.back());
   EXPECT_EQ(hc, hd);
+  EXPECT_EQ(std::find(histograms.begin(), histograms.end(), hc),
+            histograms.end());
 
   // Unlabeled names are never capped.
   EXPECT_NE(registry.GetCounter("qp_plain_one_total"),

@@ -242,22 +242,6 @@ TEST_F(ParallelExecTest, ExecStatsAreThreadCountInvariant) {
   EXPECT_EQ(serial_stats->subqueries_materialized, 1u);
 }
 
-TEST_F(ParallelExecTest, ResetStatsClearsAllCounters) {
-  // A serial executor times its inline morsels too.
-  for (size_t threads : {1u, 8u}) {
-    SCOPED_TRACE("threads=" + std::to_string(threads));
-    Executor executor(db_, nullptr, OptionsFor(threads));
-    ASSERT_TRUE(executor.ExecuteSql("select title from movie").ok());
-    EXPECT_GT(executor.stats().rows_scanned, 0u);
-    EXPECT_GT(executor.rows_examined(), 0u);
-    EXPECT_GT(executor.thread_seconds(), 0.0);
-    executor.ResetStats();
-    EXPECT_EQ(executor.stats(), ExecStats{});
-    EXPECT_EQ(executor.rows_examined(), 0u);
-    EXPECT_EQ(executor.thread_seconds(), 0.0);
-  }
-}
-
 TEST_F(ParallelExecTest, CancelDuringTheFilterPassCancelsAtEveryThreadCount) {
   // A predicate requests cancellation on its 10th evaluation, inside the
   // base filter pass. Every thread count polls the token at a later morsel

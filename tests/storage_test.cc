@@ -100,16 +100,18 @@ TEST(DatabaseTest, IndexDdlRegistersAndDrops) {
   Database db;
   ASSERT_TRUE(
       db.CreateTable(TableSchema("m", {{"mid", DataType::kInt},
-                                       {"year", DataType::kInt}}))
+                                       {"Year", DataType::kInt}}))
           .ok());
   Table* t = *db.GetTable("m");
   ASSERT_TRUE(t->Append({Value(int64_t{1}), Value(int64_t{1999})}).ok());
   ASSERT_TRUE(t->Append({Value(int64_t{2}), Value(int64_t{2003})}).ok());
 
   ASSERT_TRUE(db.CreateIndex("m", "mid", index::IndexKind::kHash).ok());
-  ASSERT_TRUE(db.CreateIndex("m", "year", index::IndexKind::kBTree).ok());
-  // Duplicate (table, column, kind) and unknown names fail.
+  ASSERT_TRUE(db.CreateIndex("m", "Year", index::IndexKind::kBTree).ok());
+  // Duplicate (table, column, kind) under any spelling and unknown names
+  // fail.
   EXPECT_FALSE(db.CreateIndex("m", "mid", index::IndexKind::kHash).ok());
+  EXPECT_FALSE(db.CreateIndex("m", "YEAR", index::IndexKind::kBTree).ok());
   EXPECT_FALSE(db.CreateIndex("m", "nope", index::IndexKind::kHash).ok());
   EXPECT_FALSE(db.CreateIndex("nope", "mid", index::IndexKind::kHash).ok());
 
@@ -120,10 +122,17 @@ TEST(DatabaseTest, IndexDdlRegistersAndDrops) {
   EXPECT_EQ(infos[0].kind, index::IndexKind::kHash);
   EXPECT_EQ(infos[0].entries, 2u);
   EXPECT_TRUE(infos[0].fresh);
+  EXPECT_EQ(infos[1].column, "year");  // the schema's (lower-cased) name
   EXPECT_EQ(infos[1].kind, index::IndexKind::kBTree);
 
-  ASSERT_TRUE(db.DropIndex("m", "year", index::IndexKind::kBTree).ok());
-  EXPECT_FALSE(db.DropIndex("m", "year", index::IndexKind::kBTree).ok());
+  // Drop names the column as Create does: case-insensitively.
+  ASSERT_TRUE(db.DropIndex("m", "YEAR", index::IndexKind::kBTree).ok());
+  EXPECT_EQ(db.DropIndex("m", "year", index::IndexKind::kBTree).code(),
+            StatusCode::kNotFound);
+  EXPECT_EQ(db.indexes().num_indexes(), 1u);
+  ASSERT_TRUE(db.CreateIndex("m", "year", index::IndexKind::kBTree).ok());
+  ASSERT_TRUE(db.DropIndex("m", "Year", index::IndexKind::kBTree).ok());
+  EXPECT_FALSE(db.DropIndex("m", "nope", index::IndexKind::kHash).ok());
   EXPECT_EQ(db.indexes().num_indexes(), 1u);
 }
 

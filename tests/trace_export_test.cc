@@ -2,8 +2,8 @@
 // JSON in the trace-event object form ({"displayTimeUnit","traceEvents"}),
 // every "X" event must carry ph/ts/dur/pid/tid/name, parallel MakeSlots
 // fan-outs must land on distinct synthetic tids starting at the same
-// timestamp, and the executor's ExplainAnalyzeChromeJson must produce the
-// same for a real query. Runs under TSan/ASan via the `sanitizer` label.
+// timestamp, and the span tree of a real executor query must render the
+// same way. Runs under TSan/ASan via the `sanitizer` label.
 
 #include <gtest/gtest.h>
 
@@ -262,18 +262,22 @@ storage::Database MakeDb() {
   return std::move(db).value();
 }
 
-TEST(TraceExportTest, ExecutorExplainAnalyzeChromeJsonIsValid) {
+TEST(TraceExportTest, ExecutorTraceRendersAsValidChromeJson) {
   const storage::Database db = MakeDb();
   exec::Executor executor(&db);
-  auto json = executor.ExplainAnalyzeChromeJsonSql(
+  auto query = sql::ParseQuery(
       "select m.title from movie m, genre g where m.mid = g.mid "
       "and m.year >= 1990");
-  ASSERT_TRUE(json.ok()) << json.status();
-  EXPECT_TRUE(JsonValidator(*json).Valid()) << *json;
-  EXPECT_NE(json->find("\"ph\":\"X\""), std::string::npos);
-  EXPECT_NE(json->find("\"name\":\"query\""), std::string::npos);
+  ASSERT_TRUE(query.ok()) << query.status();
+  TraceSpan root("query");
+  auto rows = executor.Execute(**query, &root);
+  ASSERT_TRUE(rows.ok()) << rows.status();
+  const std::string json = TraceToChromeJson(root);
+  EXPECT_TRUE(JsonValidator(json).Valid()) << json;
+  EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos);
+  EXPECT_NE(json.find("\"name\":\"query\""), std::string::npos);
   // Per-operator attrs survive as args.
-  EXPECT_NE(json->find("\"args\":{"), std::string::npos);
+  EXPECT_NE(json.find("\"args\":{"), std::string::npos);
 }
 
 TEST(TraceExportTest, ParallelSubqueryFanOutLandsOnDistinctTids) {
